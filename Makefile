@@ -22,16 +22,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# perf-gate runs the wall-clock throughput gates without the race
-# detector (whose several-fold slowdown would measure the
-# instrumentation, not the code — the gates skip themselves under -race).
-# Gates behind the perfgate tag are timed ratios that flake when
-# `go test ./...` runs packages in parallel; they run only here, one
-# package at a time.
+# perf-gate runs the wall-clock gates without the race detector (whose
+# several-fold slowdown would measure the instrumentation, not the code —
+# the gates skip themselves under -race). They are timed rates and ratios
+# that flake when `go test ./...` runs packages in parallel, so they sit
+# behind the perfgate build tag and run only here, one package at a time;
+# tier-1 keeps a deterministic work-unit proxy for each.
 perf-gate:
 	$(GO) test -tags perfgate -run TestIncrementalSpeedupAtLeast10x -count=1 .
-	$(GO) test -run TestDurablePlaceThroughputAtLeast8k -count=1 ./internal/serve
-	$(GO) test -run TestRoutedPlaceScaleoutAtLeast1_8x -count=1 ./internal/route
+	$(GO) test -tags perfgate -run TestRepeatAdmissionSpeedupAtLeast10x -count=1 ./internal/plan
+	$(GO) test -tags perfgate -run TestFreezeStormSpeedupAtLeast5x -count=1 ./internal/sim
+	$(GO) test -tags perfgate -run TestDurablePlaceThroughputAtLeast8k -count=1 ./internal/serve
+	$(GO) test -tags perfgate -run TestRoutedPlaceScaleoutAtLeast1_8x -count=1 ./internal/route
 
 # planverify rebuilds the admission layers with the verification tag on,
 # so every Incremental verdict is asserted bit-identical to a fresh full

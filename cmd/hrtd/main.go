@@ -72,8 +72,7 @@ func main() {
 		overhead = flag.Int64("overhead-ns", 0, "override per-invocation overhead ns (0 = derive from -machine)")
 		shards   = flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "per-shard queue depth (0 = default 1024)")
-		batch    = flag.Int("batch", 0, "max requests per flush (0 = default 64)")
-		flush    = flag.Duration("flush", 0, "batch flush window (0 = default 200us)")
+		batch    = flag.Int("batch", 0, "max queued requests a shard answers as one batch (0 = default 64)")
 		cache    = flag.Int("cache", 0, "per-shard verdict cache entries (0 = default 4096)")
 		nodes    = flag.Int("nodes", 4, "placement-cluster nodes (0 disables the cluster routes)")
 		policy   = flag.String("policy", "first-fit", "placement policy: first-fit or worst-fit")
@@ -146,9 +145,6 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if *flush < 0 {
-		fail("-flush must be non-negative (got %v)", *flush)
-	}
 	if *dataDir != "" && *nodes == 0 {
 		fail("-data-dir requires a placement cluster (-nodes > 0)")
 	}
@@ -198,7 +194,6 @@ func main() {
 		Shards:        *shards,
 		QueueDepth:    *queue,
 		BatchSize:     *batch,
-		FlushWindow:   *flush,
 		CacheEntries:  *cache,
 		SimWorkers:    *simWork,
 		SimQueueDepth: *simQueue,
@@ -330,9 +325,9 @@ func main() {
 		}
 	}
 	cfg := srv.Config()
-	fmt.Printf("hrtd: listening on %s (machine=%s overhead=%dns util=%g shards=%d queue=%d batch=%d flush=%v cache=%d nodes=%d policy=%s)\n",
+	fmt.Printf("hrtd: listening on %s (machine=%s overhead=%dns util=%g shards=%d queue=%d batch=%d cache=%d nodes=%d policy=%s)\n",
 		bound, spec.Name, planSpec.OverheadNs, planSpec.UtilizationLimit,
-		cfg.Shards, cfg.QueueDepth, cfg.BatchSize, cfg.FlushWindow, cfg.CacheEntries,
+		cfg.Shards, cfg.QueueDepth, cfg.BatchSize, cfg.CacheEntries,
 		*nodes, pol)
 
 	var handler http.Handler = srv.HandlerWithCluster(cluster)

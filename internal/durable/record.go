@@ -67,14 +67,14 @@ type DAGMeta struct {
 }
 
 // Record is one committed placement mutation. Remove records carry no
-// tasks — the set is resolved from the shadow state by id, which is
-// well-defined because the log is replayed in commit order.
+// tasks on the wire — the set is resolved from the shadow state by id,
+// which is well-defined because the log is replayed in commit order.
 type Record struct {
 	Kind   Kind
 	Origin Origin
 	Node   int
 	ID     string
-	Tasks  plan.TaskSet // place only
+	Tasks  plan.TaskSet // encoded for a place only; a remove may carry its set in memory
 	DAG    *DAGMeta     // KindPlaceDAG only
 }
 

@@ -1,18 +1,10 @@
 package durable
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"hrtsched/internal/plan"
-	"hrtsched/internal/wal"
-)
+import "hrtsched/internal/plan"
 
 // ReplStore is the durability engine under a *replicated* cluster. The
 // replication layer owns the WAL (appends, fsyncs, truncation, shipping),
-// so this store only keeps the shadow State and the snapshot cadence:
+// so this store is the shadow alone:
 //
 //   - Boot restores from the latest snapshot ONLY. A snapshot is cut at
 //     an applied LSN, applied <= committed, so everything it covers is
@@ -26,110 +18,19 @@ import (
 //     LSN 1 without an install-snapshot RPC. Snapshots still bound local
 //     replay and are pruned to the newest two as usual.
 type ReplStore struct {
-	cfg ReplConfig
-
-	mu             sync.Mutex
-	state          *State
-	appliedLSN     uint64
-	appliedTerm    uint64
-	lastSnapLSN    uint64
-	recSinceSnap   int64
-	bytesSinceSnap int64
-	rejected       int64
-	closed         bool
-	degradedErr    error
-
-	snapshotting atomic.Bool
-	snapWG       sync.WaitGroup
-	snapshots    atomic.Int64
-	snapErrors   atomic.Int64
-
-	recovery ReplRecovery
+	*shadow
 }
 
-// ReplConfig parameterizes a ReplStore; zero fields take defaults.
-type ReplConfig struct {
-	// Dir holds the snapshots (shared with the replication layer's WAL).
-	Dir string
-	// NumNodes is the cluster's node count.
-	NumNodes int
-	// Spec is the per-node admission spec.
-	Spec plan.Spec
-	// FS is the filesystem to write through; default the real one.
-	FS wal.FS
-	// SnapshotEveryRecords / SnapshotEveryBytes set the snapshot cadence;
-	// defaults 4096 records / 1 MiB.
-	SnapshotEveryRecords int64
-	SnapshotEveryBytes   int64
-}
-
-// ReplRecovery summarizes a replicated boot.
-type ReplRecovery struct {
-	// SnapshotLSN / SnapshotTerm locate the restore point; they seed the
-	// replication layer's applied position and log floor.
-	SnapshotLSN  uint64 `json:"snapshot_lsn"`
-	SnapshotTerm uint64 `json:"snapshot_term"`
-	// BadSnapshots counts snapshot files skipped for CRC/decode failures.
-	BadSnapshots int `json:"bad_snapshots"`
-	// SpecChanged notes a snapshot taken under a different spec.
-	SpecChanged bool `json:"spec_changed,omitempty"`
-}
-
-// OpenReplicated restores the shadow from the newest valid snapshot.
-func OpenReplicated(cfg ReplConfig) (*ReplStore, error) {
-	if cfg.FS == nil {
-		cfg.FS = wal.OSFS{}
-	}
-	if cfg.SnapshotEveryRecords == 0 {
-		cfg.SnapshotEveryRecords = 4096
-	}
-	if cfg.SnapshotEveryBytes == 0 {
-		cfg.SnapshotEveryBytes = 1 << 20
-	}
-	if cfg.Dir == "" {
-		return nil, errors.New("durable: ReplConfig.Dir is required")
-	}
-	if cfg.NumNodes <= 0 {
-		return nil, fmt.Errorf("durable: NumNodes %d, want > 0", cfg.NumNodes)
-	}
-	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
-		return nil, fmt.Errorf("durable: mkdir %s: %w", cfg.Dir, err)
-	}
-	state, snapLSN, snapTerm, specChanged, bad, err := loadLatestSnapshot(cfg.FS, cfg.Dir, cfg.Spec)
+// OpenReplicated restores the shadow from the newest valid snapshot;
+// Recovery().SnapshotLSN and SnapshotTerm seed the replication layer's
+// applied position and log floor.
+func OpenReplicated(cfg Config) (*ReplStore, error) {
+	sh, err := openShadow(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if state == nil {
-		state = NewState(cfg.NumNodes)
-	} else {
-		if len(state.Nodes) > cfg.NumNodes {
-			return nil, fmt.Errorf("durable: snapshot holds %d nodes but %d are configured; "+
-				"drain before shrinking the cluster", len(state.Nodes), cfg.NumNodes)
-		}
-		for len(state.Nodes) < cfg.NumNodes {
-			state.Nodes = append(state.Nodes, nil)
-		}
-	}
-	return &ReplStore{
-		cfg:         cfg,
-		state:       state,
-		appliedLSN:  snapLSN,
-		appliedTerm: snapTerm,
-		lastSnapLSN: snapLSN,
-		recovery: ReplRecovery{
-			SnapshotLSN: snapLSN, SnapshotTerm: snapTerm,
-			BadSnapshots: bad, SpecChanged: specChanged,
-		},
-	}, nil
+	return &ReplStore{sh}, nil
 }
-
-// RecoveredState exposes the shadow for the single-threaded boot window:
-// the caller restores its engines from it before the replication apply
-// loop starts and must not touch it afterwards.
-func (s *ReplStore) RecoveredState() *State { return s.state }
-
-// Recovery returns the boot summary.
-func (s *ReplStore) Recovery() ReplRecovery { return s.recovery }
 
 // Peek reports whether the shadow can absorb r (same verdict the
 // replay path would give).
@@ -162,9 +63,7 @@ func (s *ReplStore) SkipCommitted(lsn, term uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if lsn > s.appliedLSN {
-		s.appliedLSN = lsn
-		s.appliedTerm = term
-		s.rejected++
+		s.appliedLSN, s.appliedTerm = lsn, term
 	}
 }
 
@@ -174,12 +73,7 @@ func (s *ReplStore) SkipCommitted(lsn, term uint64) {
 // the restore point are ignored, so replay overlap is harmless.
 func (s *ReplStore) ApplyCommitted(lsn, term uint64, size int, r Record) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.degradedErr != nil {
-		err := s.degradedErr
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -187,122 +81,14 @@ func (s *ReplStore) ApplyCommitted(lsn, term uint64, size int, r Record) error {
 		s.mu.Unlock()
 		return nil
 	}
-	if !s.state.Peek(r) {
-		err := fmt.Errorf("durable: committed record %v %q on node %d does not fit the shadow state",
-			r.Kind, r.ID, r.Node)
-		s.degradeLocked(err)
+	if err := s.applyLocked(r); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.state.Apply(r)
-	s.appliedLSN = lsn
-	s.appliedTerm = term
-	s.recSinceSnap++
-	s.bytesSinceSnap += int64(size)
-	shouldSnap := s.recSinceSnap >= s.cfg.SnapshotEveryRecords ||
-		s.bytesSinceSnap >= s.cfg.SnapshotEveryBytes
+	shouldSnap := s.advanceLocked(lsn, term, 1, int64(size))
 	s.mu.Unlock()
 	if shouldSnap {
 		s.maybeSnapshot()
-	}
-	return nil
-}
-
-// maybeSnapshot starts one background snapshot if none is running.
-func (s *ReplStore) maybeSnapshot() {
-	if !s.snapshotting.CompareAndSwap(false, true) {
-		return
-	}
-	s.snapWG.Add(1)
-	go func() {
-		defer s.snapWG.Done()
-		defer s.snapshotting.Store(false)
-		s.mu.Lock()
-		clone := s.state.Clone()
-		lsn, term := s.appliedLSN, s.appliedTerm
-		s.recSinceSnap = 0
-		s.bytesSinceSnap = 0
-		s.mu.Unlock()
-		s.writeAndPublish(lsn, term, clone)
-	}()
-}
-
-// writeAndPublish persists one snapshot (no compaction in replicated
-// mode). Failures count but do not degrade; the next trigger retries.
-func (s *ReplStore) writeAndPublish(lsn, term uint64, clone *State) {
-	if err := writeSnapshot(s.cfg.FS, s.cfg.Dir, lsn, term, s.cfg.Spec, clone); err != nil {
-		s.snapErrors.Add(1)
-		return
-	}
-	s.snapshots.Add(1)
-	s.mu.Lock()
-	if lsn > s.lastSnapLSN {
-		s.lastSnapLSN = lsn
-	}
-	s.mu.Unlock()
-	if err := pruneSnapshots(s.cfg.FS, s.cfg.Dir); err != nil {
-		s.snapErrors.Add(1)
-	}
-}
-
-func (s *ReplStore) degradeLocked(err error) {
-	if s.degradedErr == nil {
-		s.degradedErr = err
-	}
-}
-
-// DegradedErr returns the latched divergence failure, or nil.
-func (s *ReplStore) DegradedErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degradedErr
-}
-
-// AppliedLSN reports the shadow's applied position.
-func (s *ReplStore) AppliedLSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appliedLSN
-}
-
-// Stats snapshots the store (the WAL field is zero — the replication
-// layer owns the log and reports its stats separately).
-func (s *ReplStore) Stats() Stats {
-	s.mu.Lock()
-	st := Stats{
-		LastSnapshotLSN: s.lastSnapLSN,
-		PendingRecords:  s.recSinceSnap,
-		Degraded:        s.degradedErr != nil,
-	}
-	s.mu.Unlock()
-	st.Snapshots = s.snapshots.Load()
-	st.SnapshotErrors = s.snapErrors.Load()
-	return st
-}
-
-// Close waits out any background snapshot and writes a final one so a
-// clean restart replays (almost) nothing.
-func (s *ReplStore) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.snapWG.Wait()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.snapWG.Wait()
-
-	s.mu.Lock()
-	lsn, term := s.appliedLSN, s.appliedTerm
-	needSnap := s.degradedErr == nil && lsn > s.lastSnapLSN
-	var clone *State
-	if needSnap {
-		clone = s.state.Clone()
-	}
-	s.mu.Unlock()
-	if needSnap {
-		s.writeAndPublish(lsn, term, clone)
 	}
 	return nil
 }

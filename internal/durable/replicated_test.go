@@ -16,7 +16,7 @@ func replTestRecord(kind Kind, node int, id string) Record {
 
 func TestReplStoreApplyCommittedAndSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := ReplConfig{Dir: dir, NumNodes: 2, Spec: testSpec, SnapshotEveryRecords: 4}
+	cfg := Config{Dir: dir, NumNodes: 2, Spec: testSpec, SnapshotEveryRecords: 4}
 	s, err := OpenReplicated(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -68,7 +68,7 @@ func TestReplStoreApplyCommittedAndSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestReplStoreDegradesOnDivergence(t *testing.T) {
-	s, err := OpenReplicated(ReplConfig{Dir: t.TempDir(), NumNodes: 1, Spec: testSpec})
+	s, err := OpenReplicated(Config{Dir: t.TempDir(), NumNodes: 1, Spec: testSpec})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestReplStoreDegradesOnDivergence(t *testing.T) {
 }
 
 func TestReplStoreResolveRebuildsTasks(t *testing.T) {
-	s, err := OpenReplicated(ReplConfig{Dir: t.TempDir(), NumNodes: 1, Spec: testSpec})
+	s, err := OpenReplicated(Config{Dir: t.TempDir(), NumNodes: 1, Spec: testSpec})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

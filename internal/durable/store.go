@@ -3,17 +3,15 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hrtsched/internal/plan"
 	"hrtsched/internal/wal"
 )
 
-// ErrClosed is returned by LogBatch after Close.
+// ErrClosed is returned by LogBatch and ApplyCommitted after Close.
 var ErrClosed = errors.New("durable: store closed")
 
-// Config parameterizes a Store. Zero fields take defaults.
+// Config parameterizes a Store or a ReplStore. Zero fields take defaults.
 type Config struct {
 	// Dir holds WAL segments and snapshots; created if missing.
 	Dir string
@@ -26,7 +24,8 @@ type Config struct {
 	Spec plan.Spec
 	// FS is the filesystem to write through; default the real one.
 	FS wal.FS
-	// SegmentBytes is the WAL roll threshold; default wal's.
+	// SegmentBytes is the WAL roll threshold; default wal's. A ReplStore
+	// ignores it: the replication layer owns that log.
 	SegmentBytes int64
 	// SnapshotEveryRecords triggers a snapshot after this many logged
 	// records; default 4096.
@@ -54,6 +53,9 @@ type RecoveryResult struct {
 	// SnapshotLSN is the LSN of the snapshot recovery started from (0
 	// when none was usable).
 	SnapshotLSN uint64 `json:"snapshot_lsn"`
+	// SnapshotTerm is the replication term of the snapshot's last entry
+	// (0 outside replicated mode); it seeds the replicated log's floor.
+	SnapshotTerm uint64 `json:"snapshot_term,omitempty"`
 	// BadSnapshots counts snapshot files skipped for CRC or decode
 	// failures.
 	BadSnapshots int `json:"bad_snapshots"`
@@ -86,66 +88,25 @@ type Stats struct {
 	Degraded        bool
 }
 
-// Store is the durability engine under one cluster: it owns the WAL, the
-// shadow State, and the snapshot cadence. All mutation logging funnels
-// through LogBatch, which assigns WAL order and shadow order under one
-// mutex — so the shadow is always the fold of the log prefix, and
-// snapshotting it never needs to stop the world.
-//
-// A Store that hits a write error latches into degraded mode: it stops
-// logging and snapshotting (so the last durable state stays trustworthy)
-// but the cluster keeps serving from memory — fail-open, surfaced through
-// Stats().Degraded and the metrics.
+// Store is the durability engine under a cluster with a local WAL: it owns
+// the log and embeds the shadow. All mutation logging funnels through
+// LogBatch, which assigns WAL order and shadow order under one mutex — so
+// the shadow is always the fold of the log prefix, and snapshotting it
+// never needs to stop the world.
 type Store struct {
-	cfg      Config
-	log      *wal.Log
-	recovery RecoveryResult
-
-	mu             sync.Mutex
-	state          *State
-	appliedLSN     uint64
-	lastSnapLSN    uint64
-	recSinceSnap   int64
-	bytesSinceSnap int64
-	closed         bool
-	degradedErr    error
-
-	snapshotting atomic.Bool
-	snapWG       sync.WaitGroup
-	snapshots    atomic.Int64
-	snapErrors   atomic.Int64
+	*shadow
+	log *wal.Log
 }
 
 // Open loads the latest valid snapshot and scans the WAL. The caller must
 // then restore its engines from RecoveredState, run Replay, and reconcile
 // ReleaseOrphans — in that order — before the first LogBatch.
 func Open(cfg Config) (*Store, error) {
-	cfg.fillDefaults()
-	if cfg.Dir == "" {
-		return nil, errors.New("durable: Config.Dir is required")
-	}
-	if cfg.NumNodes <= 0 {
-		return nil, fmt.Errorf("durable: NumNodes %d, want > 0", cfg.NumNodes)
-	}
-	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
-		return nil, fmt.Errorf("durable: mkdir %s: %w", cfg.Dir, err)
-	}
-	state, snapLSN, _, specChanged, bad, err := loadLatestSnapshot(cfg.FS, cfg.Dir, cfg.Spec)
+	sh, err := openShadow(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if state == nil {
-		state = NewState(cfg.NumNodes)
-	} else {
-		if len(state.Nodes) > cfg.NumNodes {
-			return nil, fmt.Errorf("durable: snapshot holds %d nodes but %d are configured; "+
-				"drain before shrinking the cluster", len(state.Nodes), cfg.NumNodes)
-		}
-		for len(state.Nodes) < cfg.NumNodes {
-			state.Nodes = append(state.Nodes, nil)
-		}
-	}
-
+	cfg, snapLSN := sh.cfg, sh.recovery.SnapshotLSN
 	walOpts := wal.Options{Dir: cfg.Dir, FS: cfg.FS, SegmentBytes: cfg.SegmentBytes}
 	log, rep, err := wal.Open(walOpts)
 	if err != nil {
@@ -172,32 +133,15 @@ func Open(cfg Config) (*Store, error) {
 		}
 		rep.LastLSN = snapLSN
 	}
-
-	return &Store{
-		cfg:   cfg,
-		log:   log,
-		state: state,
-		recovery: RecoveryResult{
-			SnapshotLSN:     snapLSN,
-			BadSnapshots:    bad,
-			TruncatedBytes:  rep.TruncatedBytes,
-			DroppedSegments: rep.DroppedSegments,
-			LastLSN:         rep.LastLSN,
-			SpecChanged:     specChanged,
-		},
-		appliedLSN:  snapLSN,
-		lastSnapLSN: snapLSN,
-	}, nil
+	sh.recovery.TruncatedBytes = rep.TruncatedBytes
+	sh.recovery.DroppedSegments = rep.DroppedSegments
+	sh.recovery.LastLSN = rep.LastLSN
+	sh.compact = func(lsn uint64) error {
+		_, err := log.CompactBefore(lsn + 1)
+		return err
+	}
+	return &Store{shadow: sh, log: log}, nil
 }
-
-// RecoveredState exposes the shadow for the single-threaded recovery
-// window: the caller restores its engines from it before Replay and must
-// not touch it after the first LogBatch.
-func (s *Store) RecoveredState() *State { return s.state }
-
-// Recovery returns the recovery summary (complete once Replay and
-// ReleaseOrphans have run).
-func (s *Store) Recovery() RecoveryResult { return s.recovery }
 
 // Replay streams the WAL suffix past the snapshot through apply in
 // commit order. apply reports whether the engine accepted the record;
@@ -218,11 +162,7 @@ func (s *Store) Replay(apply func(r Record, tasks plan.TaskSet) bool) error {
 			s.recovery.Rejected++
 			return nil
 		}
-		if !s.state.Peek(rec) {
-			s.recovery.Rejected++
-			return nil
-		}
-		if !apply(rec, s.state.Resolve(rec)) {
+		if !s.state.Peek(rec) || !apply(rec, s.state.Resolve(rec)) {
 			s.recovery.Rejected++
 			return nil
 		}
@@ -278,12 +218,7 @@ func (s *Store) LogBatch(recs []Record) error {
 	}
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.degradedErr != nil {
-		err := s.degradedErr
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -294,23 +229,12 @@ func (s *Store) LogBatch(recs []Record) error {
 		return err
 	}
 	for _, r := range recs {
-		if !s.state.Peek(r) {
-			// A committed mutation the shadow cannot absorb means the
-			// replica logic diverged from the live tables — latch
-			// degraded instead of snapshotting a lie.
-			err := fmt.Errorf("durable: record %v %q on node %d does not fit the shadow state",
-				r.Kind, r.ID, r.Node)
-			s.degradeLocked(err)
+		if err := s.applyLocked(r); err != nil {
 			s.mu.Unlock()
 			return err
 		}
-		s.state.Apply(r)
 	}
-	s.appliedLSN = t.LastLSN
-	s.recSinceSnap += int64(len(recs))
-	s.bytesSinceSnap += total
-	shouldSnap := s.recSinceSnap >= s.cfg.SnapshotEveryRecords ||
-		s.bytesSinceSnap >= s.cfg.SnapshotEveryBytes
+	shouldSnap := s.advanceLocked(t.LastLSN, 0, int64(len(recs)), total)
 	s.mu.Unlock()
 
 	if err := t.Wait(); err != nil {
@@ -322,80 +246,10 @@ func (s *Store) LogBatch(recs []Record) error {
 	return nil
 }
 
-// maybeSnapshot starts one background snapshot if none is running.
-func (s *Store) maybeSnapshot() {
-	if !s.snapshotting.CompareAndSwap(false, true) {
-		return
-	}
-	s.snapWG.Add(1)
-	go func() {
-		defer s.snapWG.Done()
-		defer s.snapshotting.Store(false)
-		s.mu.Lock()
-		clone := s.state.Clone()
-		lsn := s.appliedLSN
-		s.recSinceSnap = 0
-		s.bytesSinceSnap = 0
-		s.mu.Unlock()
-		s.writeAndPublish(lsn, clone)
-	}()
-}
-
-// writeAndPublish persists one snapshot and compacts the log behind it.
-// Failures count but do not degrade: the WAL alone still carries the
-// state, and the next cadence trigger retries.
-func (s *Store) writeAndPublish(lsn uint64, clone *State) {
-	if err := writeSnapshot(s.cfg.FS, s.cfg.Dir, lsn, 0, s.cfg.Spec, clone); err != nil {
-		s.snapErrors.Add(1)
-		return
-	}
-	s.snapshots.Add(1)
-	s.mu.Lock()
-	if lsn > s.lastSnapLSN {
-		s.lastSnapLSN = lsn
-	}
-	s.mu.Unlock()
-	if err := pruneSnapshots(s.cfg.FS, s.cfg.Dir); err != nil {
-		s.snapErrors.Add(1)
-	}
-	if _, err := s.log.CompactBefore(lsn + 1); err != nil {
-		s.snapErrors.Add(1)
-	}
-}
-
-// degrade latches the store into fail-open mode.
-func (s *Store) degrade(err error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.degradeLocked(err)
-	return s.degradedErr
-}
-
-func (s *Store) degradeLocked(err error) {
-	if s.degradedErr == nil {
-		s.degradedErr = err
-	}
-}
-
-// DegradedErr returns the latched failure, or nil while healthy.
-func (s *Store) DegradedErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degradedErr
-}
-
-// Stats snapshots the store.
+// Stats snapshots the store, WAL included.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	st := Stats{
-		LastSnapshotLSN: s.lastSnapLSN,
-		PendingRecords:  s.recSinceSnap,
-		Degraded:        s.degradedErr != nil,
-	}
-	s.mu.Unlock()
+	st := s.shadow.Stats()
 	st.WAL = s.log.Stats()
-	st.Snapshots = s.snapshots.Load()
-	st.SnapshotErrors = s.snapErrors.Load()
 	return st
 }
 
@@ -403,26 +257,6 @@ func (s *Store) Stats() Stats {
 // clean restart replays nothing), and closes the WAL. Safe to call more
 // than once.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.snapWG.Wait()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.snapWG.Wait()
-
-	s.mu.Lock()
-	lsn := s.appliedLSN
-	needSnap := s.degradedErr == nil && lsn > s.lastSnapLSN
-	var clone *State
-	if needSnap {
-		clone = s.state.Clone()
-	}
-	s.mu.Unlock()
-	if needSnap {
-		s.writeAndPublish(lsn, clone)
-	}
+	s.shadow.Close() //nolint:errcheck // never fails; the log's error is the one to report
 	return s.log.Close()
 }

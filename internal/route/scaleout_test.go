@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"hrtsched/internal/plan"
 	"hrtsched/internal/serve"
@@ -107,48 +106,33 @@ func BenchmarkRoutedPlaceOneGroup(b *testing.B) { benchmarkRoutedPlace(b, 1) }
 // BenchmarkRoutedPlaceFourGroups shards the same 8 nodes 4x2.
 func BenchmarkRoutedPlaceFourGroups(b *testing.B) { benchmarkRoutedPlace(b, 4) }
 
-// measureRoutedOpsPerSec times `rounds` scaleout rounds against a fresh
-// fleet and returns placements (batch items) per second.
-func measureRoutedOpsPerSec(tb testing.TB, groups, rounds int) float64 {
-	r := newScaleoutRouter(tb, groups)
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		scaleoutRound(tb, r, i)
-	}
-	elapsed := time.Since(start)
-	return float64(rounds*opBatchSize) / elapsed.Seconds()
-}
-
-// TestRoutedPlaceScaleoutAtLeast1_8x is the PR's acceptance gate: routed
-// place-batch throughput across 4 shard groups must be at least 1.8x a
-// single group on the same 8 nodes. The mechanism is algorithmic (smaller
-// per-group committed sets make every admission cheaper), so the gate does
-// not depend on core count. Best of 3 attempts; skipped where timing is
-// not representative (-race, planverify, -short).
-func TestRoutedPlaceScaleoutAtLeast1_8x(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("timing gate skipped under -race")
-	}
+// TestRoutedPlaceShrinksLargestCommittedSet is the deterministic tier-1
+// proxy for the wall-clock gate TestRoutedPlaceScaleoutAtLeast1_8x (build
+// tag perfgate, run by `make perf-gate`): after the same rounds, the
+// largest per-node committed set of the 4-group fleet — the m every
+// admission on that node pays O(m) for — is at most a third of the
+// 1-group fleet's. Ownership is rendezvous hashing, so the split is
+// deterministic.
+func TestRoutedPlaceShrinksLargestCommittedSet(t *testing.T) {
 	if plan.VerifyEnabled {
-		t.Skip("timing gate skipped under planverify")
+		// planverify re-analyzes a 3072-set node from scratch on every
+		// admission: minutes of work for a claim about set sizes alone.
+		t.Skip("skipped under planverify")
 	}
-	const want = 1.8
-	best := 0.0
-	for attempt := 0; attempt < 3; attempt++ {
-		one := measureRoutedOpsPerSec(t, 1, 6)
-		four := measureRoutedOpsPerSec(t, 4, 6)
-		ratio := four / one
-		t.Logf("attempt %d: one-group %.0f ops/s, four-group %.0f ops/s, ratio %.2fx",
-			attempt, one, four, ratio)
-		if ratio > best {
-			best = ratio
+	largest := func(groups int) int64 {
+		r := newScaleoutRouter(t, groups)
+		for i := 0; i < 2; i++ {
+			scaleoutRound(t, r, i)
 		}
-		if best >= want {
-			return
+		var m int64
+		for _, n := range r.Status(context.Background()).Nodes {
+			m = max(m, n.Tasks)
 		}
+		return m
 	}
-	t.Fatalf("routed place scale-out %.2fx, want >= %.1fx", best, want)
+	one, four := largest(1), largest(4)
+	if one != prefillSets || 3*four > one {
+		t.Fatalf("largest committed set: %d on one group, %d on four; want %d and at most a third",
+			one, four, prefillSets)
+	}
 }

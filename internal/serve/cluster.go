@@ -19,12 +19,14 @@ import (
 
 // Cluster is the stateful placement service: a session tracking N
 // simulated nodes, each owning a plan.Incremental admission engine behind
-// a bounded, batching mutation queue (the same queue/batch/flush shape as
-// the Server's shards — one worker goroutine per node, so each engine
-// needs no locking). Named task sets are placed onto nodes first-fit or
-// worst-fit, every bin decision consulting the incremental analysis;
-// sessions can evict sets, drain whole nodes, and rebalance, and every
-// outcome is countable through the metrics Registry.
+// a bounded, batching mutation queue (the same greedy-drain shape as the
+// Server's shards — one worker goroutine per node). Named task sets are
+// placed onto nodes first-fit or worst-fit, every bin decision consulting
+// the incremental analysis; sessions can evict sets, drain whole nodes,
+// and rebalance, and every outcome is countable through the metrics
+// Registry. Every mutation takes one pipeline — evaluate on the node's
+// worker, commit through the cluster's commitLog, fold into the placement
+// map and counters — whatever the durability mode.
 type Cluster struct {
 	cfg   ClusterConfig
 	nodes []*node
@@ -58,25 +60,26 @@ type Cluster struct {
 	unmatched  atomic.Int64
 
 	// DAG submission counters. dagPlaced counts committed DAG placements
-	// (on apply in replicated mode, identically on every replica); the
-	// rest count on the submitting leader only.
+	// (on fold, identically on every replica); the rest count on the
+	// submitting leader only.
 	dagSubmitted atomic.Int64
 	dagAdmitted  atomic.Int64
 	dagRejected  atomic.Int64
 	dagPlaced    atomic.Int64
 
-	// store, when non-nil, makes every committed mutation durable before
-	// its client reply; recovery holds what boot-time recovery found.
-	store    *durable.Store
+	// log commits every mutation before its client reply: a no-op in
+	// memory, the local WAL, or the replicated log. recovery holds what
+	// boot-time recovery found.
+	log      commitLog
 	recovery durable.RecoveryResult
 
 	// Replicated mode (cfg.Replication non-nil): repl is the consensus
-	// node, rstore the snapshot-only shadow store. replBoot closes once
-	// repl is assigned, so consensus callbacks can run during boot.
-	// replReadyTerm holds the last term whose leader ramp (log catch-up
-	// plus orphan reconciliation) completed on this replica.
+	// node, kept for the leadership surfaces (leaderCheck, redirects,
+	// /repl/*, TransferLeadership). replBoot closes once repl is assigned,
+	// so consensus callbacks can run during boot. replReadyTerm holds the
+	// last term whose leader ramp (log catch-up plus orphan reconciliation)
+	// completed on this replica.
 	repl           *repl.Node
-	rstore         *durable.ReplStore
 	replBoot       chan struct{}
 	replReadyTerm  atomic.Uint64
 	redirects      atomic.Int64
@@ -90,9 +93,8 @@ type placementRec struct {
 	util    float64
 	dag     *durable.DAGMeta // provenance when the placement is a DAG reservation
 	pending bool             // a mutation for this id is in flight
-	// committed marks (replicated mode) that the consensus apply loop has
-	// folded this id's place record in: an indeterminate reply must not
-	// delete a placement the replicated log already holds.
+	// committed marks that fold has taken this id's place record in: an
+	// indeterminate reply must not delete a placement the log holds.
 	committed bool
 }
 
@@ -146,13 +148,9 @@ type ClusterConfig struct {
 	Policy Policy
 	// QueueDepth bounds each node's mutation queue; default 256.
 	QueueDepth int
-	// BatchSize caps how many mutations one flush applies; default 32.
+	// BatchSize caps how many queued mutations one node worker applies
+	// (and commits) as a batch; default 32.
 	BatchSize int
-	// FlushWindow sizes the retry-after quote handed to shed clients;
-	// default 200 us. Node workers drain their queues greedily and never
-	// wait on it: a lone mutation commits immediately, and batches form
-	// exactly when mutations queue faster than the node applies them.
-	FlushWindow time.Duration
 	// MaxBatchItems caps the item count of one /v1/cluster/place-batch
 	// request; larger batches answer 400 quoting the cap, so a router
 	// sizing sub-batches can discover it. Default DefaultMaxBatchItems.
@@ -176,9 +174,6 @@ func (c *ClusterConfig) fillDefaults() {
 	if c.BatchSize == 0 {
 		c.BatchSize = 32
 	}
-	if c.FlushWindow == 0 {
-		c.FlushWindow = 200 * time.Microsecond
-	}
 	if c.MaxBatchItems == 0 {
 		c.MaxBatchItems = DefaultMaxBatchItems
 	}
@@ -189,7 +184,7 @@ func (c *ClusterConfig) fillDefaults() {
 
 // Validate rejects nonsensical settings.
 func (c ClusterConfig) Validate() error {
-	if c.Nodes < 0 || c.QueueDepth < 0 || c.BatchSize < 0 || c.FlushWindow < 0 || c.MaxBatchItems < 0 {
+	if c.Nodes < 0 || c.QueueDepth < 0 || c.BatchSize < 0 || c.MaxBatchItems < 0 {
 		return fmt.Errorf("serve: negative cluster config value: %+v", c)
 	}
 	if c.Policy != FirstFit && c.Policy != WorstFit {
@@ -241,8 +236,7 @@ type mutation struct {
 	ctx context.Context
 	op  mutOp
 	set plan.TaskSet
-	// id and origin identify the mutation in the write-ahead log; unused
-	// (but still set) when durability is off.
+	// id and origin identify the mutation in its log record.
 	id     string
 	origin durable.Origin
 	// dag, when non-nil, marks a place as a DAG reservation: the record is
@@ -253,8 +247,9 @@ type mutation struct {
 
 type mutResult struct {
 	verdict plan.Verdict
-	// err, when non-nil, is a replicated-mode commit failure: the record
-	// was not (knowably) committed, so the verdict is meaningless.
+	// err, when non-nil, is a commit failure (only the replicated log can
+	// fail one): the record was not knowably committed, so the verdict is
+	// meaningless.
 	err error
 	// matched is true when the mutation changed the engine as intended:
 	// always for an applied place, and only when RemoveGang actually
@@ -271,10 +266,13 @@ type node struct {
 	// eng is created through the configured plan.Analysis, so every
 	// cluster verdict dispatches through the interface.
 	eng plan.Engine
-	// engMu guards eng in replicated mode only, where the consensus apply
-	// loop mutates it alongside the worker's evaluation pass. Single-node
-	// mode never locks it: the worker is the only engine toucher.
+	// engMu guards eng: the worker holds it across a batch's evaluation,
+	// and the replicated log's apply loop across each committed record.
 	engMu sync.Mutex
+	// svc sizes the shed retry-after quote.
+	svc serviceTime
+	// recs is the worker's record scratch, reused batch to batch.
+	recs []durable.Record
 
 	utilBits atomic.Uint64 // math.Float64bits of the node's utilization
 	tasks    atomic.Int64
@@ -282,8 +280,7 @@ type node struct {
 	draining atomic.Bool
 
 	shed     atomic.Int64
-	applied  atomic.Int64
-	batches  atomic.Int64
+	applied  atomic.Int64 // committed records folded in
 	canceled atomic.Int64
 	incOps   atomic.Int64 // engine's incremental-path verdicts
 	fullOps  atomic.Int64 // engine's full-analysis fallbacks
@@ -323,16 +320,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case c.cfg.Replication != nil:
-		if err := c.openReplication(); err != nil {
-			return nil, err
-		}
-	case c.cfg.Durability != nil:
-		if err := c.openDurability(); err != nil {
-			return nil, err
-		}
-	}
 	for _, n := range c.nodes {
 		c.wg.Add(1)
 		go c.runNode(n)
@@ -340,8 +327,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// newCluster builds the cluster without starting node workers; tests use
-// it to exercise queue-full and cancellation behaviour deterministically.
+// newCluster builds and recovers the cluster without starting node
+// workers; tests use it to exercise queue-full, cancellation and group
+// commit behaviour deterministically.
 func newCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -359,6 +347,18 @@ func newCluster(cfg ClusterConfig) (*Cluster, error) {
 			ch:  make(chan *mutation, cfg.QueueDepth),
 			eng: cfg.Analysis.NewEngine(),
 		}
+		c.nodes[i].svc.ns.Store(queueSeedServiceNs)
+	}
+	c.log = memLog{c}
+	var err error
+	switch {
+	case cfg.Replication != nil:
+		err = c.openReplication()
+	case cfg.Durability != nil:
+		err = c.openDurability()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -380,20 +380,9 @@ func (c *Cluster) Close() {
 		close(n.ch)
 	}
 	c.wg.Wait()
-	if c.store != nil {
-		// Workers are gone, so the log is quiescent: a final snapshot
-		// makes the next boot replay-free. Errors latch into the store's
-		// degraded stats; the WAL alone still carries the state.
-		c.store.Close() //nolint:errcheck
-	}
-	if c.repl != nil {
-		// Stop consensus first (no more applies), then cut the final
-		// snapshot at the applied position.
-		c.repl.Close() //nolint:errcheck
-	}
-	if c.rstore != nil {
-		c.rstore.Close() //nolint:errcheck
-	}
+	// Workers are gone, so the log is quiescent: closing it cuts a final
+	// snapshot that makes the next boot replay-free.
+	c.log.close()
 }
 
 // PlaceResult reports one placement attempt.
@@ -513,35 +502,23 @@ func (c *Cluster) placeSet(ctx context.Context, id string, set plan.TaskSet,
 	res, err := c.placeOnCandidates(ctx, id, set, c.candidates(), false, durable.OriginClient, meta)
 	c.mu.Lock()
 	switch {
-	case res.Placed:
-		rec.node = res.Node
-		rec.util = set.Utilization()
-		rec.pending = false
 	case rec.committed:
-		// Replicated mode: the reply was lost to a leadership change but
-		// the apply loop has already folded the committed record in — the
-		// placement stands; only the in-flight marker clears. The caller
-		// sees an indeterminate error and, on retry, a duplicate-id
-		// conflict that confirms the commit.
+		// fold took the place record in (node and utilization included),
+		// so the placement stands and only the in-flight marker clears —
+		// even when a replicated reply was lost to a leadership change:
+		// that caller sees an indeterminate error and, on retry, a
+		// duplicate-id conflict that confirms the commit.
 		rec.pending = false
-	default:
+	case c.placements[id] == rec:
 		// Guarded: the apply loop may have dropped this rec already (a
 		// skipped record) and a retry inserted its own — never delete a
 		// successor's entry.
-		if c.placements[id] == rec {
-			delete(c.placements, id)
-		}
+		delete(c.placements, id)
 	}
 	c.mu.Unlock()
 	c.placeGate.RUnlock()
 	if err == nil && !res.Placed {
 		c.rejected.Add(1)
-	}
-	if res.Placed && c.repl == nil {
-		c.placed.Add(1) // replicated mode counts on apply, identically on every replica
-		if meta != nil {
-			c.dagPlaced.Add(1)
-		}
 	}
 	return res, err
 }
@@ -765,9 +742,12 @@ func (c *Cluster) Remove(ctx context.Context, id string) (plan.Verdict, error) {
 
 	r, err := c.submit(ctx, n, &mutation{op: removeOp, set: rec.set, id: id, origin: durable.OriginClient})
 	c.mu.Lock()
-	if err != nil {
+	switch {
+	case err != nil:
 		rec.pending = false
-	} else {
+	case c.placements[id] == rec:
+		// fold already dropped a committed removal's entry; this drops an
+		// unmatched one — and never a successor's.
 		delete(c.placements, id)
 	}
 	c.mu.Unlock()
@@ -780,9 +760,6 @@ func (c *Cluster) Remove(ctx context.Context, id string) (plan.Verdict, error) {
 		// counted as a successful removal.
 		c.unmatched.Add(1)
 		return r.verdict, fmt.Errorf("%w: %q", ErrLostPlacement, id)
-	}
-	if c.repl == nil {
-		c.removed.Add(1) // replicated mode counts on apply
 	}
 	return r.verdict, nil
 }
@@ -836,9 +813,6 @@ func (c *Cluster) Drain(ctx context.Context, nodeID int) (DrainReport, error) {
 		}
 		if moved {
 			rep.Moved++
-			if c.repl == nil {
-				c.drained.Add(1) // replicated mode counts on apply
-			}
 		} else {
 			rep.Stranded++
 			rep.StrandedIDs = append(rep.StrandedIDs, id)
@@ -901,9 +875,6 @@ func (c *Cluster) Rebalance(ctx context.Context) (int, error) {
 			break // the target rejected it (simulation, not arithmetic)
 		}
 		moves++
-		if c.repl == nil {
-			c.rebalanced.Add(1) // replicated mode counts on apply
-		}
 	}
 	return moves, nil
 }
@@ -994,10 +965,10 @@ func (c *Cluster) moveSet(ctx context.Context, id string, order []*node, home *n
 		return false, err
 	}
 
-	// Commit the new home before releasing the old copy, so at every
-	// instant the record points at a node whose engine holds the set.
+	// fold pointed the record at the new home before the destination
+	// answered, so at every instant it names a node whose engine holds the
+	// set; the old copy is released only now.
 	c.mu.Lock()
-	rec.node = res.Node
 	rec.pending = false
 	c.mu.Unlock()
 
@@ -1021,11 +992,7 @@ func (c *Cluster) moveSet(ctx context.Context, id string, order []*node, home *n
 			// the error so the admin operation stops cleanly.
 			return true, rerr
 		}
-		sleep := time.Duration(ae.RetryAfterNs)
-		if sleep <= 0 {
-			sleep = c.cfg.FlushWindow
-		}
-		time.Sleep(sleep)
+		time.Sleep(time.Duration(ae.RetryAfterNs))
 	}
 }
 
@@ -1051,10 +1018,9 @@ func (c *Cluster) submit(ctx context.Context, n *node, m *mutation) (mutResult, 
 	if shed {
 		n.shed.Add(1)
 		return mutResult{}, &core.AdmissionError{
-			Reason: "cluster-overload",
-			Detail: fmt.Sprintf("node %d mutation queue full (%d deep)", n.id, c.cfg.QueueDepth),
-			RetryAfterNs: (time.Duration(shedRetryWindows+len(n.ch)/c.cfg.BatchSize) *
-				c.cfg.FlushWindow).Nanoseconds(),
+			Reason:       "cluster-overload",
+			Detail:       fmt.Sprintf("node %d mutation queue full (%d deep)", n.id, c.cfg.QueueDepth),
+			RetryAfterNs: n.svc.retryAfterNs(len(n.ch), 1),
 		}
 	}
 	// Once queued, the worker owns cancellation: it drops a mutation
@@ -1079,116 +1045,11 @@ func (c *Cluster) submit(ctx context.Context, n *node, m *mutation) (mutResult, 
 	return r, nil
 }
 
-// runNode is a node's worker loop: block for one mutation, then greedily
-// drain whatever is already queued (up to BatchSize) and apply the batch
-// in order — the same shape as the Server's runShard. The drain never
-// waits on a flush window: a lone mutation commits immediately, and
-// batches (and therefore shared WAL group commits) form exactly when
-// mutations queue faster than the node applies them.
+// runNode is a node's worker loop: greedily drained batches, each through
+// the commit pipeline.
 func (c *Cluster) runNode(n *node) {
 	defer c.wg.Done()
-	batch := make([]*mutation, 0, c.cfg.BatchSize)
-	for {
-		first, ok := <-n.ch
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], first)
-		open := true
-	fill:
-		for len(batch) < c.cfg.BatchSize {
-			select {
-			case m, more := <-n.ch:
-				if !more {
-					open = false
-					break fill
-				}
-				batch = append(batch, m)
-			default:
-				break fill
-			}
-		}
-		n.batches.Add(1)
-		c.applyBatch(n, batch)
-		if !open {
-			for m := range n.ch {
-				c.applyBatch(n, []*mutation{m})
-			}
-			return
-		}
-	}
-}
-
-// applyBatch applies mutations to the node's engine. A mutation whose
-// context was canceled while queued is dropped unapplied and counted.
-//
-// With durability on, replies for committed mutations are staged until
-// the whole batch's WAL records are fsynced — a client never hears
-// "placed" (or "removed") before the record that proves it is on disk.
-// The group commit shares the fsync across this batch AND any other
-// node's batch in flight. A WAL failure latches the store degraded and
-// the committed replies still go out: the engine already applied them,
-// so fail-open (keep serving, stop claiming durability) is the only
-// answer that doesn't lie in one direction or the other.
-func (c *Cluster) applyBatch(n *node, batch []*mutation) {
-	if c.repl != nil {
-		c.applyBatchRepl(n, batch)
-		return
-	}
-	results := make([]mutResult, len(batch))
-	replied := make([]bool, len(batch))
-	var recs []durable.Record
-	for i, m := range batch {
-		if m.ctx != nil && m.ctx.Err() != nil {
-			n.canceled.Add(1)
-			c.canceled.Add(1)
-			// Nothing was committed, so nothing needs to be durable:
-			// cancellations answer immediately.
-			m.done <- mutResult{canceled: true}
-			replied[i] = true
-			continue
-		}
-		var r mutResult
-		switch m.op {
-		case placeOp:
-			r.verdict = n.eng.TryGang(m.set)
-			r.matched = true
-			if c.store != nil && r.verdict.Admit {
-				rec := durable.Record{
-					Kind: durable.KindPlace, Origin: m.origin,
-					Node: n.id, ID: m.id, Tasks: m.set,
-				}
-				if m.dag != nil {
-					rec.Kind = durable.KindPlaceDAG
-					rec.DAG = m.dag
-				}
-				recs = append(recs, rec)
-			}
-		case removeOp:
-			r.verdict, r.matched = n.eng.RemoveGang(m.set)
-			if c.store != nil && r.matched {
-				recs = append(recs, durable.Record{
-					Kind: durable.KindRemove, Origin: m.origin,
-					Node: n.id, ID: m.id,
-				})
-			}
-		case evalOp:
-			// What-if probe: no engine change, no WAL record.
-			r.verdict = n.eng.EvaluateGang(m.set)
-			r.matched = true
-		}
-		n.applied.Add(1)
-		n.syncGauges()
-		results[i] = r
-	}
-	if c.store != nil && len(recs) > 0 {
-		c.store.LogBatch(recs) //nolint:errcheck // fail-open: store latches degraded, replies stand
-	}
-	for i, m := range batch {
-		if !replied[i] {
-			m.done <- results[i]
-		}
-	}
+	greedyDrain(n.ch, c.cfg.BatchSize, func(batch []*mutation) { c.applyBatch(n, batch) })
 }
 
 // NodeStatus is one node's row in the cluster status report.
@@ -1256,14 +1117,14 @@ func (c *Cluster) Status() ClusterStatus {
 	c.mu.Unlock()
 
 	st := ClusterStatus{
-		Policy:     c.cfg.Policy.String(),
-		Placements: placements,
-		Placed:     c.placed.Load(),
-		Rejected:   c.rejected.Load(),
-		Removed:    c.removed.Load(),
-		Rebalanced: c.rebalanced.Load(),
-		Drained:    c.drained.Load(),
-		Canceled:   c.canceled.Load(),
+		Policy:      c.cfg.Policy.String(),
+		Placements:  placements,
+		Placed:      c.placed.Load(),
+		Rejected:    c.rejected.Load(),
+		Removed:     c.removed.Load(),
+		Rebalanced:  c.rebalanced.Load(),
+		Drained:     c.drained.Load(),
+		Canceled:    c.canceled.Load(),
 		Unmatched:   c.unmatched.Load(),
 		Durability:  c.durabilityStatus(),
 		Replication: c.replicationStatus(),
@@ -1354,7 +1215,7 @@ func (c *Cluster) RegisterMetrics(r *Registry) {
 		}))
 	r.GaugeVec("hrtd_cluster_queue_depth", "Mutations queued per node.",
 		perNode(func(n *node) float64 { return float64(len(n.ch)) }))
-	r.CounterVec("hrtd_cluster_mutations_total", "Mutations applied per node.",
+	r.CounterVec("hrtd_cluster_mutations_total", "Committed mutations applied per node.",
 		perNode(func(n *node) float64 { return float64(n.applied.Load()) }))
 	r.CounterVec("hrtd_cluster_shed_total", "Load-shed mutations per node.",
 		perNode(func(n *node) float64 { return float64(n.shed.Load()) }))
@@ -1364,7 +1225,7 @@ func (c *Cluster) RegisterMetrics(r *Registry) {
 	r.CounterVec("hrtd_cluster_full_analyses_total",
 		"Admission verdicts that fell back to the full analysis per node.",
 		perNode(func(n *node) float64 { return float64(n.fullOps.Load()) }))
-	if c.store != nil {
+	if _, ok := c.log.stats(); ok {
 		c.registerDurabilityMetrics(r)
 	}
 	if c.repl != nil {

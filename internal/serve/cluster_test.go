@@ -233,23 +233,33 @@ func TestClusterRebalanceNarrowsSpread(t *testing.T) {
 }
 
 func TestClusterShedsWhenQueueFull(t *testing.T) {
-	// No workers: the queue (depth 1) fills after one mutation.
-	c, err := newCluster(ClusterConfig{Spec: testSpec, Nodes: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatalf("newCluster: %v", err)
+	// No workers: the queue fills and stays full. The retry-after quote
+	// must be positive and grow with the mutations queued ahead of it.
+	var quotes []int64
+	for _, depth := range []int{1, 4} {
+		c, err := newCluster(ClusterConfig{Spec: testSpec, Nodes: 1, QueueDepth: depth})
+		if err != nil {
+			t.Fatalf("newCluster: %v", err)
+		}
+		n := c.nodes[0]
+		for i := 0; i < depth; i++ {
+			n.ch <- &mutation{}
+		}
+		_, err = c.submit(context.Background(), n, &mutation{op: placeOp, set: setOfUtil(0.1)})
+		var adm *core.AdmissionError
+		if !errors.As(err, &adm) {
+			t.Fatalf("full queue error = %v, want AdmissionError", err)
+		}
+		if adm.Reason != "cluster-overload" || adm.RetryAfterNs <= 0 {
+			t.Fatalf("shed error = %+v", adm)
+		}
+		quotes = append(quotes, adm.RetryAfterNs)
+		if n.shed.Load() != 1 {
+			t.Fatalf("shed counter = %d", n.shed.Load())
+		}
 	}
-	n := c.nodes[0]
-	n.ch <- &mutation{}
-	_, err = c.submit(context.Background(), n, &mutation{op: placeOp, set: setOfUtil(0.1)})
-	var adm *core.AdmissionError
-	if !errors.As(err, &adm) {
-		t.Fatalf("full queue error = %v, want AdmissionError", err)
-	}
-	if adm.Reason != "cluster-overload" || adm.RetryAfterNs <= 0 {
-		t.Fatalf("shed error = %+v", adm)
-	}
-	if n.shed.Load() != 1 {
-		t.Fatalf("shed counter = %d", n.shed.Load())
+	if quotes[1] <= quotes[0] {
+		t.Fatalf("retry-after quotes %v do not grow with queue depth", quotes)
 	}
 }
 

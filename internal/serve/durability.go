@@ -45,14 +45,10 @@ type DurabilityStatus struct {
 	LastRecovery    durable.RecoveryResult `json:"last_recovery"`
 }
 
-// openDurability opens the store and rebuilds the previous session:
-// engines restore the snapshot prefix, the WAL suffix replays through
-// them in commit order, move-orphans are reconciled, and the placement
-// map, counters, and gauges are installed. Runs before the node workers
-// start, so no locking is needed.
-func (c *Cluster) openDurability() error {
+// storeConfig is the durable store configuration both durable logs open.
+func (c *Cluster) storeConfig() durable.Config {
 	d := c.cfg.Durability
-	store, err := durable.Open(durable.Config{
+	return durable.Config{
 		Dir:                  d.Dir,
 		NumNodes:             c.cfg.Nodes,
 		Spec:                 c.cfg.Spec,
@@ -60,96 +56,62 @@ func (c *Cluster) openDurability() error {
 		SegmentBytes:         d.SegmentBytes,
 		SnapshotEveryRecords: d.SnapshotEveryRecords,
 		SnapshotEveryBytes:   d.SnapshotEveryBytes,
-	})
+	}
+}
+
+// openDurability opens the local WAL and rebuilds the previous session:
+// engines restore the snapshot prefix, the WAL suffix replays through
+// them in commit order, move-orphans are reconciled, and the placement
+// map, counters, and gauges are installed. Runs before the node workers
+// start, so no locking is needed.
+func (c *Cluster) openDurability() error {
+	store, err := durable.Open(c.storeConfig())
 	if err != nil {
 		return err
 	}
-	st := store.RecoveredState()
-	for i, n := range c.nodes {
-		var tasks plan.TaskSet
-		for _, e := range st.Nodes[i] {
-			tasks = append(tasks, e.Tasks...)
+	err = c.install(store.RecoveredState(), func() error {
+		if err := store.Replay(func(r durable.Record, tasks plan.TaskSet) bool {
+			r.Tasks = tasks
+			return applyRecord(c.nodes[r.Node].eng, r)
+		}); err != nil {
+			return fmt.Errorf("serve: wal replay: %w", err)
 		}
-		if len(tasks) > 0 {
-			n.eng.Restore(tasks)
+		// Reconcile the one intermediate state a crash can legally expose:
+		// a move whose destination place was logged but whose home release
+		// was not leaves a stale home copy — release it from the engine and
+		// log the release so log, shadow, and engines agree again.
+		if _, err := store.ReleaseOrphans(func(o durable.Orphan) {
+			c.nodes[o.Node].eng.RemoveGang(o.Tasks)
+		}); err != nil {
+			return fmt.Errorf("serve: orphan reconciliation: %w", err)
 		}
-	}
-	err = store.Replay(func(r durable.Record, tasks plan.TaskSet) bool {
-		n := c.nodes[r.Node]
-		switch r.Kind {
-		case durable.KindPlace, durable.KindPlaceDAG:
-			// A DAG record replays its stored derived server task; the
-			// response-time analysis is never re-run at recovery.
-			return n.eng.TryGang(tasks).Admit
-		case durable.KindRemove:
-			_, matched := n.eng.RemoveGang(tasks)
-			return matched
+		if plan.VerifyEnabled {
+			// Recovery audit: each recovered engine's retained verdict must
+			// be equivalent to a from-scratch analysis of its recovered set.
+			for _, n := range c.nodes {
+				fresh := plan.Analyze(c.cfg.Spec, n.eng.Tasks())
+				if !plan.VerdictsEquivalent(n.eng.Verdict(), fresh) {
+					return fmt.Errorf("serve: recovery audit: node %d verdict diverges from fresh analysis", n.id)
+				}
+			}
 		}
-		return false
+		return nil
 	})
 	if err != nil {
-		store.Close() //nolint:errcheck // already failing; surface the replay error
-		return fmt.Errorf("serve: wal replay: %w", err)
+		store.Close() //nolint:errcheck // already failing; surface the recovery error
+		return err
 	}
-	// Reconcile the one intermediate state a crash can legally expose: a
-	// move whose destination place was logged but whose home release was
-	// not leaves a stale home copy — release it from the engine and log
-	// the release so log, shadow, and engines agree again.
-	c.store = store // ReleaseOrphans logs through the store
-	if _, err := store.ReleaseOrphans(func(o durable.Orphan) {
-		c.nodes[o.Node].eng.RemoveGang(o.Tasks)
-	}); err != nil {
-		store.Close() //nolint:errcheck
-		c.store = nil
-		return fmt.Errorf("serve: orphan reconciliation: %w", err)
-	}
-	if plan.VerifyEnabled {
-		// Recovery audit: each recovered engine's retained verdict must be
-		// equivalent to a from-scratch analysis of its recovered set.
-		for _, n := range c.nodes {
-			fresh := plan.Analyze(c.cfg.Spec, n.eng.Tasks())
-			if !plan.VerdictsEquivalent(n.eng.Verdict(), fresh) {
-				store.Close() //nolint:errcheck
-				c.store = nil
-				return fmt.Errorf("serve: recovery audit: node %d verdict diverges from fresh analysis", n.id)
-			}
-		}
-	}
-
-	for id, nodeID := range st.Placements {
-		for _, e := range st.Nodes[nodeID] {
-			if e.ID == id {
-				c.placements[id] = &placementRec{
-					node: nodeID,
-					set:  e.Tasks,
-					util: e.Tasks.Utilization(),
-					dag:  e.DAG,
-				}
-				break
-			}
-		}
-	}
-	c.placed.Store(st.Counters.Placed)
-	c.removed.Store(st.Counters.Removed)
-	c.drained.Store(st.Counters.Drained)
-	c.rebalanced.Store(st.Counters.Rebalanced)
-	c.dagPlaced.Store(st.Counters.DAGPlaced)
-	for _, n := range c.nodes {
-		n.syncGauges()
-	}
+	c.log = walLog{c, store}
 	c.recovery = store.Recovery()
 	return nil
 }
 
 // durabilityStatus builds the status block, nil when durability is off.
 func (c *Cluster) durabilityStatus() *DurabilityStatus {
-	if c.rstore != nil {
-		return c.replDurabilityStatus()
-	}
-	if c.store == nil {
+	st, ok := c.log.stats()
+	if !ok {
 		return nil
 	}
-	st := c.store.Stats()
 	return &DurabilityStatus{
 		WALSegments:     st.WAL.Segments,
 		WALBytes:        st.WAL.Bytes,
@@ -172,10 +134,14 @@ func (c *Cluster) durabilityStatus() *DurabilityStatus {
 // durability is off.
 func (c *Cluster) Recovery() durable.RecoveryResult { return c.recovery }
 
-// registerDurabilityMetrics exposes hrtd_wal_* and hrtd_recovery_* on r.
+// registerDurabilityMetrics exposes hrtd_wal_* and hrtd_recovery_* on r,
+// for either durable log.
 func (c *Cluster) registerDurabilityMetrics(r *Registry) {
 	stats := func(f func(durable.Stats) float64) func() float64 {
-		return func() float64 { return f(c.store.Stats()) }
+		return func() float64 {
+			st, _ := c.log.stats()
+			return f(st)
+		}
 	}
 	r.Gauge("hrtd_wal_segments", "Write-ahead log segment files on disk.",
 		stats(func(s durable.Stats) float64 { return float64(s.WAL.Segments) }))
@@ -206,7 +172,8 @@ func (c *Cluster) registerDurabilityMetrics(r *Registry) {
 		}))
 	r.Histogram("hrtd_wal_fsync_latency_us", "WAL fsync latency in microseconds.",
 		func() []HistSample {
-			return []HistSample{{H: c.store.Stats().WAL.FsyncLatencyUs}}
+			st, _ := c.log.stats()
+			return []HistSample{{H: st.WAL.FsyncLatencyUs}}
 		})
 	rec := c.recovery
 	r.Counter("hrtd_recovery_replayed_total", "WAL records replayed at boot.",

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hrtsched/internal/durable"
-	"hrtsched/internal/plan"
 	"hrtsched/internal/repl"
 )
 
@@ -68,63 +67,66 @@ var (
 	ErrIndeterminate = errors.New("serve: leadership lost mid-commit; outcome indeterminate")
 )
 
-// openReplication boots the replicated store: restore engines and the
-// placement map from the newest snapshot, then start the consensus node,
-// whose apply loop replays the committed log suffix through the same
+// replLog commits records through the consensus layer: a batch is
+// proposed, acknowledged once a majority has fsynced it, and applied on
+// every replica by applyCommitted in log order. store is the
+// snapshot-only shadow.
+type replLog struct {
+	c     *Cluster
+	store *durable.ReplStore
+}
+
+func (*replLog) reapplies() bool { return true }
+
+// commit proposes one batch of records and blocks until they are
+// majority-durable AND applied locally, so the reply (and any follow-up
+// mutation on the same node) observes its own write.
+func (l *replLog) commit(recs []durable.Record) error {
+	payloads := make([][]byte, len(recs))
+	for i, r := range recs {
+		p, err := r.Encode()
+		if err != nil {
+			return err
+		}
+		payloads[i] = p
+	}
+	t, err := l.c.repl.Propose(payloads)
+	if err == nil {
+		err = t.Wait()
+	}
+	if err == nil {
+		err = l.c.repl.WaitApplied(t.LastLSN)
+	}
+	return l.c.mapReplErr(err)
+}
+
+// stats pairs the shadow's snapshot health with the consensus layer's WAL.
+func (l *replLog) stats() (durable.Stats, bool) {
+	st := l.store.Stats()
+	st.WAL = l.c.repl.WALStats()
+	return st, true
+}
+
+// close stops consensus first (no more applies), then cuts the final
+// snapshot at the applied position.
+func (l *replLog) close() {
+	l.c.repl.Close() //nolint:errcheck
+	l.store.Close()  //nolint:errcheck
+}
+
+// openReplication boots the replicated store: restore engines, placement
+// map and counters from the newest snapshot, then start the consensus
+// node, whose apply loop replays the committed log suffix through the same
 // engines. Runs before the node workers start.
 func (c *Cluster) openReplication() error {
-	rc := c.cfg.Replication
-	d := c.cfg.Durability
-	rs, err := durable.OpenReplicated(durable.ReplConfig{
-		Dir:                  d.Dir,
-		NumNodes:             c.cfg.Nodes,
-		Spec:                 c.cfg.Spec,
-		FS:                   d.FS,
-		SnapshotEveryRecords: d.SnapshotEveryRecords,
-		SnapshotEveryBytes:   d.SnapshotEveryBytes,
-	})
+	rc, d := c.cfg.Replication, c.cfg.Durability
+	rs, err := durable.OpenReplicated(c.storeConfig())
 	if err != nil {
 		return err
 	}
-	st := rs.RecoveredState()
-	for i, n := range c.nodes {
-		var tasks plan.TaskSet
-		for _, e := range st.Nodes[i] {
-			tasks = append(tasks, e.Tasks...)
-		}
-		if len(tasks) > 0 {
-			n.eng.Restore(tasks)
-		}
-	}
-	for id, nodeID := range st.Placements {
-		for _, e := range st.Nodes[nodeID] {
-			if e.ID == id {
-				c.placements[id] = &placementRec{
-					node: nodeID,
-					set:  e.Tasks,
-					util: e.Tasks.Utilization(),
-					dag:  e.DAG,
-				}
-				break
-			}
-		}
-	}
-	c.placed.Store(st.Counters.Placed)
-	c.removed.Store(st.Counters.Removed)
-	c.drained.Store(st.Counters.Drained)
-	c.rebalanced.Store(st.Counters.Rebalanced)
-	c.dagPlaced.Store(st.Counters.DAGPlaced)
-	for _, n := range c.nodes {
-		n.syncGauges()
-	}
-	c.rstore = rs
-	rrec := rs.Recovery()
-	c.recovery = durable.RecoveryResult{
-		SnapshotLSN:  rrec.SnapshotLSN,
-		BadSnapshots: rrec.BadSnapshots,
-		SpecChanged:  rrec.SpecChanged,
-	}
-
+	c.install(rs.RecoveredState(), nil) //nolint:errcheck // nothing to catch up: consensus replays the suffix
+	c.recovery = rs.Recovery()
+	l := &replLog{c: c, store: rs}
 	tr := rc.Transport
 	if tr == nil {
 		tr = repl.NewHTTPTransport(rc.Peers)
@@ -136,115 +138,62 @@ func (c *Cluster) openReplication() error {
 		FS:                d.FS,
 		SegmentBytes:      d.SegmentBytes,
 		Transport:         tr,
-		Apply:             c.applyCommitted,
-		OnRole:            c.onRole,
+		Apply:             l.applyCommitted,
+		OnRole:            l.onRole,
 		HeartbeatInterval: rc.HeartbeatInterval,
 		ElectionTimeout:   rc.ElectionTimeout,
 		RPCTimeout:        rc.RPCTimeout,
 		Seed:              rc.Seed,
-		FloorTerm:         rrec.SnapshotTerm,
-		AppliedLSN:        rrec.SnapshotLSN,
+		FloorTerm:         c.recovery.SnapshotTerm,
+		AppliedLSN:        c.recovery.SnapshotLSN,
 		Logf:              rc.Logf,
 	})
 	if err != nil {
 		rs.Close() //nolint:errcheck // already failing; surface the open error
-		c.rstore = nil
 		return fmt.Errorf("serve: replication open: %w", err)
 	}
 	c.recovery.TruncatedBytes = rep.TruncatedBytes
 	c.recovery.DroppedSegments = rep.DroppedSegments
 	c.recovery.LastLSN = rep.LastLSN
-	c.repl = node
+	c.repl, c.log = node, l
 	close(c.replBoot)
 	return nil
 }
 
-// applyCommitted is the consensus apply callback: it folds one committed
-// record into this replica's engines, placement map, counters, and shadow
-// state, in log order, on leader and follower alike. It is the SOLE
-// mutator of the engines in replicated mode (the worker's evaluation pass
-// reverts itself), so every replica's live state is the fold of the same
-// committed prefix.
-func (c *Cluster) applyCommitted(lsn, term uint64, payload []byte) {
+// applyCommitted is the consensus apply callback: it applies one
+// committed record to this replica's engine, then folds it into the
+// shadow, the placement map and the counters, in log order on leader and
+// follower alike. It is the sole engine mutator in replicated mode (the
+// worker reverts its evaluation), so every replica's live state is the
+// fold of the same committed prefix.
+func (l *replLog) applyCommitted(lsn, term uint64, payload []byte) {
+	c := l.c
 	rec, err := durable.DecodeRecord(payload)
-	if err != nil || rec.Node < 0 || rec.Node >= len(c.nodes) || !c.rstore.Peek(rec) {
-		// Undecodable or no longer fitting the shadow: skipped consistently
-		// on every replica, never force-applied.
+	ok := err == nil && rec.Node >= 0 && rec.Node < len(c.nodes) && l.store.Peek(rec)
+	if ok {
+		rec.Tasks = l.store.Resolve(rec)
+		n := c.nodes[rec.Node]
+		n.engMu.Lock()
+		if ok = applyRecord(n.eng, rec); ok {
+			n.syncGauges()
+		}
+		n.engMu.Unlock()
+	}
+	if !ok {
+		// Undecodable, no longer fitting the shadow, or refused by the
+		// engine. Engines are deterministic folds of the same record
+		// sequence, so every replica skips identically, never force-applies.
+		// A pending map entry for a skipped place (a deposed leader's
+		// in-flight proposal that committed under the new term but no
+		// longer fits) must go too, or this replica's map would hold an id
+		// no engine backs.
 		c.replSkipped.Add(1)
-		c.rstore.SkipCommitted(lsn, term)
+		l.store.SkipCommitted(lsn, term)
 		c.dropSkippedPending(rec)
 		return
 	}
-	tasks := c.rstore.Resolve(rec)
-	n := c.nodes[rec.Node]
-	n.engMu.Lock()
-	applied := false
-	switch rec.Kind {
-	case durable.KindPlace, durable.KindPlaceDAG:
-		applied = n.eng.TryGang(tasks).Admit
-	case durable.KindRemove:
-		_, applied = n.eng.RemoveGang(tasks)
-	}
-	if applied {
-		n.applied.Add(1)
-		n.syncGauges()
-	}
-	n.engMu.Unlock()
-	if !applied {
-		// The engine refused what the shadow accepted. Engines are
-		// deterministic folds of the same record sequence, so every
-		// replica refuses identically; skipping both sides keeps the
-		// shadow and the engines in agreement. A pending map entry for a
-		// skipped place (a deposed leader's in-flight proposal that
-		// committed under the new term but no longer fits) must go too,
-		// or this replica's map would hold an id no engine backs.
-		c.replSkipped.Add(1)
-		c.rstore.SkipCommitted(lsn, term)
-		c.dropSkippedPending(rec)
-		return
-	}
-	c.rstore.ApplyCommitted(lsn, term, len(payload), rec) //nolint:errcheck // latches degraded internally
-
-	c.mu.Lock()
-	switch rec.Kind {
-	case durable.KindPlace, durable.KindPlaceDAG:
-		if old, ok := c.placements[rec.ID]; ok && old.pending {
-			// The leader's own in-flight Place: update in place so the
-			// caller's pending marker (and its pointer) stay valid, and
-			// mark it committed so an indeterminate reply never deletes a
-			// record the log already holds.
-			old.node, old.set, old.util, old.committed = rec.Node, tasks, tasks.Utilization(), true
-			old.dag = rec.DAG
-		} else {
-			c.placements[rec.ID] = &placementRec{
-				node: rec.Node, set: tasks, util: tasks.Utilization(),
-				dag: rec.DAG, committed: true,
-			}
-		}
-	case durable.KindRemove:
-		// Mirror the shadow's release rule: a release record removes a
-		// moved set's stale copy, so the map keeps the id when it already
-		// points at the new home.
-		if old, ok := c.placements[rec.ID]; ok && old.node == rec.Node {
-			delete(c.placements, rec.ID)
-		}
-	}
-	c.mu.Unlock()
-
-	isPlace := rec.Kind == durable.KindPlace || rec.Kind == durable.KindPlaceDAG
-	switch {
-	case isPlace && rec.Origin == durable.OriginClient:
-		c.placed.Add(1)
-		if rec.Kind == durable.KindPlaceDAG {
-			c.dagPlaced.Add(1)
-		}
-	case isPlace && rec.Origin == durable.OriginDrain:
-		c.drained.Add(1)
-	case isPlace && rec.Origin == durable.OriginRebalance:
-		c.rebalanced.Add(1)
-	case rec.Kind == durable.KindRemove && rec.Origin == durable.OriginClient:
-		c.removed.Add(1)
-	}
+	l.store.ApplyCommitted(lsn, term, len(payload), rec) //nolint:errcheck // latches degraded internally
+	c.fold(rec)
 }
 
 // dropSkippedPending clears the in-flight map entry of a skipped place
@@ -261,124 +210,12 @@ func (c *Cluster) dropSkippedPending(rec durable.Record) {
 	c.mu.Unlock()
 }
 
-// applyBatchRepl is the worker's batch step in replicated mode. The
-// engine pass is EVALUATION only — each admitted mutation is immediately
-// reverted — because committed records re-apply through applyCommitted in
-// log order on every replica. The worker proposes the batch's records,
-// waits for the majority commit AND the local apply, then replies; a
-// mutation whose record fails to commit answers an error instead of a
-// verdict.
-func (c *Cluster) applyBatchRepl(n *node, batch []*mutation) {
-	results := make([]mutResult, len(batch))
-	replied := make([]bool, len(batch))
-	hasRec := make([]bool, len(batch))
-	var recs []durable.Record
-	// The evaluation must compose across the batch: each admitted entry
-	// stays in the engine while the later entries are judged, so the
-	// batch is evaluated exactly as applyCommitted will replay it, and a
-	// boundary-fitting set can't be acked here and refused at apply.
-	// Everything is reverted together (in reverse) once the batch is
-	// judged — the commit re-applies it in log order on every replica.
-	type revertOp struct {
-		added bool // true: evaluation added the set; revert removes it
-		set   plan.TaskSet
-	}
-	var reverts []revertOp
-	n.engMu.Lock()
-	for i, m := range batch {
-		if m.ctx != nil && m.ctx.Err() != nil {
-			n.canceled.Add(1)
-			c.canceled.Add(1)
-			m.done <- mutResult{canceled: true}
-			replied[i] = true
-			continue
-		}
-		var r mutResult
-		switch m.op {
-		case placeOp:
-			r.verdict = n.eng.TryGang(m.set)
-			r.matched = true
-			if r.verdict.Admit {
-				reverts = append(reverts, revertOp{added: true, set: m.set})
-				rec := durable.Record{
-					Kind: durable.KindPlace, Origin: m.origin,
-					Node: n.id, ID: m.id, Tasks: m.set,
-				}
-				if m.dag != nil {
-					rec.Kind = durable.KindPlaceDAG
-					rec.DAG = m.dag
-				}
-				recs = append(recs, rec)
-				hasRec[i] = true
-			}
-		case removeOp:
-			r.verdict, r.matched = n.eng.RemoveGang(m.set)
-			if r.matched {
-				reverts = append(reverts, revertOp{added: false, set: m.set})
-				recs = append(recs, durable.Record{
-					Kind: durable.KindRemove, Origin: m.origin,
-					Node: n.id, ID: m.id,
-				})
-				hasRec[i] = true
-			}
-		case evalOp:
-			// What-if probe: evaluation only, no record, nothing to revert.
-			r.verdict = n.eng.EvaluateGang(m.set)
-			r.matched = true
-		}
-		results[i] = r
-	}
-	for i := len(reverts) - 1; i >= 0; i-- {
-		if reverts[i].added {
-			n.eng.RemoveGang(reverts[i].set)
-		} else {
-			n.eng.TryGang(reverts[i].set)
-		}
-	}
-	n.engMu.Unlock()
-	if len(recs) > 0 {
-		if err := c.replCommit(recs); err != nil {
-			serr := c.mapReplErr(err)
-			for i := range batch {
-				if hasRec[i] {
-					results[i] = mutResult{err: serr}
-				}
-			}
-		}
-	}
-	for i, m := range batch {
-		if !replied[i] {
-			m.done <- results[i]
-		}
-	}
-}
-
-// replCommit proposes one batch of records and blocks until they are
-// majority-durable AND applied locally, so the reply (and any follow-up
-// mutation on the same node) observes its own write.
-func (c *Cluster) replCommit(recs []durable.Record) error {
-	payloads := make([][]byte, len(recs))
-	for i, r := range recs {
-		p, err := r.Encode()
-		if err != nil {
-			return err
-		}
-		payloads[i] = p
-	}
-	t, err := c.repl.Propose(payloads)
-	if err != nil {
-		return err
-	}
-	if err := t.Wait(); err != nil {
-		return err
-	}
-	return c.repl.WaitApplied(t.LastLSN)
-}
-
 // mapReplErr translates consensus errors into the session's vocabulary.
 func (c *Cluster) mapReplErr(err error) error {
 	var nl *repl.NotLeaderError
 	switch {
+	case err == nil:
+		return nil
 	case errors.As(err, &nl):
 		// Never appended here: determinately not committed.
 		e := &NotLeaderError{LeaderID: nl.Leader}
@@ -428,16 +265,17 @@ func (c *Cluster) leaderCheck() error {
 // new-leader ramp: wait for the term barrier to apply (the whole
 // committed log is then folded in), reconcile move-orphans, and only then
 // open the gate for client mutations.
-func (c *Cluster) onRole(st repl.Status) {
-	<-c.replBoot // repl field is assigned before any work here needs it
+func (l *replLog) onRole(st repl.Status) {
+	<-l.c.replBoot // repl field is assigned before any work here needs it
 	if st.Role != repl.RoleLeader {
 		return
 	}
-	go c.leaderRamp(st.Term)
+	go l.leaderRamp(st.Term)
 }
 
 // leaderRamp runs once per won term.
-func (c *Cluster) leaderRamp(term uint64) {
+func (l *replLog) leaderRamp(term uint64) {
+	c := l.c
 	for {
 		st := c.repl.Status()
 		if st.Role != repl.RoleLeader || st.Term != term {
@@ -455,7 +293,7 @@ func (c *Cluster) leaderRamp(term uint64) {
 	// a leadership change is now visible as an orphan. Release the stale
 	// copies through the normal propose path so every replica folds the
 	// same reconciliation.
-	for _, o := range c.rstore.Orphans() {
+	for _, o := range l.store.Orphans() {
 		st := c.repl.Status()
 		if st.Role != repl.RoleLeader || st.Term != term {
 			return
@@ -541,29 +379,6 @@ func (c *Cluster) replicationStatus() *ReplicationStatus {
 		rs.LeaderURL = c.cfg.Replication.Peers[st.Leader]
 	}
 	return rs
-}
-
-// replDurabilityStatus is the durability block in replicated mode: the
-// consensus layer owns the WAL, the ReplStore owns snapshots.
-func (c *Cluster) replDurabilityStatus() *DurabilityStatus {
-	ws := c.repl.WALStats()
-	st := c.rstore.Stats()
-	return &DurabilityStatus{
-		WALSegments:     ws.Segments,
-		WALBytes:        ws.Bytes,
-		LastLSN:         ws.LastLSN,
-		SyncedLSN:       ws.SyncedLSN,
-		Records:         ws.Appends,
-		Fsyncs:          ws.Fsyncs,
-		Batches:         ws.Batches,
-		AppendErrors:    ws.AppendErrors,
-		LastSnapshotLSN: st.LastSnapshotLSN,
-		Snapshots:       st.Snapshots,
-		SnapshotErrors:  st.SnapshotErrors,
-		PendingRecords:  st.PendingRecords,
-		Degraded:        st.Degraded || c.rstore.DegradedErr() != nil,
-		LastRecovery:    c.recovery,
-	}
 }
 
 // registerReplicationMetrics exposes hrtd_repl_* on r.

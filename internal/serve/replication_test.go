@@ -62,12 +62,11 @@ func (rn *replNet) peers() map[int]string {
 func (rn *replNet) start(id int) *Cluster {
 	rn.t.Helper()
 	c, err := NewCluster(ClusterConfig{
-		Spec:        testSpec,
-		Nodes:       2,
-		QueueDepth:  64,
-		BatchSize:   8,
-		FlushWindow: 100 * time.Microsecond,
-		Durability:  &DurabilityConfig{Dir: rn.dirs[id]},
+		Spec:       testSpec,
+		Nodes:      2,
+		QueueDepth: 64,
+		BatchSize:  8,
+		Durability: &DurabilityConfig{Dir: rn.dirs[id]},
 		Replication: &ReplicationConfig{
 			ID:                id,
 			Replicas:          replNetSize,
@@ -448,6 +447,8 @@ func TestReplicatedMetricsRender(t *testing.T) {
 		"hrtd_repl_applied_lsn",
 		"hrtd_repl_elections_total",
 		"hrtd_repl_redirects_total",
+		"hrtd_wal_fsyncs_total",
+		"hrtd_recovery_snapshot_lsn",
 		`hrtd_repl_follower_match_lsn{peer="`,
 		`hrtd_repl_follower_commit_lag{peer="`,
 	} {

@@ -2,9 +2,9 @@
 // layer over the pure schedulability engine in internal/plan. Queries are
 // routed to worker shards by canonical task-set digest (so identical sets
 // always land on the shard holding their cached verdict), batched per shard
-// under a bounded queue with a flush window, answered from a per-shard LRU
-// when possible, and shed with a structured retry-after error when the
-// queue is full. Everything observable is exported through the pull-based
+// by a greedy drain of a bounded queue, answered from a per-shard LRU when
+// possible, and shed with a structured retry-after error when the queue is
+// full. Everything observable is exported through the pull-based
 // metrics Registry.
 package serve
 
@@ -41,10 +41,9 @@ var ErrServerClosed = errors.New("serve: server closed")
 // admission queries answer in tens to hundreds of microseconds; anything
 // past 20 ms lands in the overflow bucket and pins the quantile at Hi.
 const (
-	latHistLoUs      = 0
-	latHistHiUs      = 20_000
-	latHistNBuckets  = 2_000
-	shedRetryWindows = 4 // retry-after quote: queue drains in ~this many flush windows
+	latHistLoUs     = 0
+	latHistHiUs     = 20_000
+	latHistNBuckets = 2_000
 )
 
 // Config parameterizes a Server. Zero fields take defaults.
@@ -55,14 +54,9 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's request queue; default 1024.
 	QueueDepth int
-	// BatchSize caps how many requests one flush processes; default 64.
+	// BatchSize caps how many queued requests one shard worker answers
+	// as a batch; default 64.
 	BatchSize int
-	// FlushWindow sizes the retry-after quote handed to shed clients (one
-	// queue's worth of work is quoted as queued-batches × FlushWindow);
-	// default 200 us. Shard workers drain their queues greedily and never
-	// wait on it: a lone request is answered immediately, and batches form
-	// exactly when the queue is deeper than the worker is fast.
-	FlushWindow time.Duration
 	// CacheEntries bounds each shard's verdict LRU; default 4096.
 	CacheEntries int
 	// MaxBatchItems caps the item count of one /v1/analyze-batch request;
@@ -88,9 +82,6 @@ func (c *Config) fillDefaults() {
 	if c.BatchSize == 0 {
 		c.BatchSize = 64
 	}
-	if c.FlushWindow == 0 {
-		c.FlushWindow = 200 * time.Microsecond
-	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
@@ -110,7 +101,7 @@ func (c *Config) fillDefaults() {
 
 // Validate rejects nonsensical settings (negative counts, bad spec).
 func (c Config) Validate() error {
-	if c.Shards < 0 || c.QueueDepth < 0 || c.BatchSize < 0 || c.CacheEntries < 0 || c.FlushWindow < 0 || c.MaxBatchItems < 0 || c.SimWorkers < 0 || c.SimQueueDepth < 0 {
+	if c.Shards < 0 || c.QueueDepth < 0 || c.BatchSize < 0 || c.CacheEntries < 0 || c.MaxBatchItems < 0 || c.SimWorkers < 0 || c.SimQueueDepth < 0 {
 		return fmt.Errorf("serve: negative config value: %+v", c)
 	}
 	if c.Spec.OverheadNs < 0 {
@@ -154,6 +145,9 @@ type shard struct {
 	// what-if probe patches a retained curve instead of re-simulating the
 	// hyperperiod per binary-search step. Owned by the shard goroutine.
 	memo *plan.Memo
+
+	// svc sizes the shed retry-after quote.
+	svc serviceTime
 
 	// histMu guards hist; the shard goroutine writes it, scrapes clone it.
 	histMu sync.Mutex
@@ -221,6 +215,7 @@ func newServer(cfg Config) (*Server, error) {
 			memo:  plan.NewMemo(cfg.Spec, cfg.CacheEntries),
 			hist:  stats.NewHistogram(latHistLoUs, latHistHiUs, latHistNBuckets),
 		}
+		s.shards[i].svc.ns.Store(queueSeedServiceNs)
 	}
 	s.sim = newSimPool(cfg.SimWorkers, cfg.SimQueueDepth)
 	s.reg = NewRegistry()
@@ -343,10 +338,9 @@ func (s *Server) submit(ctx context.Context, r *request) (response, error) {
 	if shed {
 		sh.shed.Add(1)
 		return response{}, &core.AdmissionError{
-			Reason: "server-overload",
-			Detail: fmt.Sprintf("shard %d queue full (%d deep)", sh.id, s.cfg.QueueDepth),
-			RetryAfterNs: (time.Duration(shedRetryWindows+len(sh.ch)/s.cfg.BatchSize) *
-				s.cfg.FlushWindow).Nanoseconds(),
+			Reason:       "server-overload",
+			Detail:       fmt.Sprintf("shard %d queue full (%d deep)", sh.id, s.cfg.QueueDepth),
+			RetryAfterNs: sh.svc.retryAfterNs(len(sh.ch), 1),
 		}
 	}
 	select {
@@ -360,48 +354,18 @@ func (s *Server) submit(ctx context.Context, r *request) (response, error) {
 	}
 }
 
-// runShard is a shard's worker loop: block for one request, then greedily
-// drain whatever is already queued (up to BatchSize) and answer the batch
-// in order. The drain never waits: a lone serial request is answered
-// immediately, and batches form exactly when the queue is filling faster
-// than the worker processes — the same adaptive shape as the WAL's group
-// commit, without the fixed flush-window latency it used to add.
+// runShard is a shard's worker loop: greedily drained batches, answered
+// in order.
 func (s *Server) runShard(sh *shard) {
 	defer s.wg.Done()
-	batch := make([]*request, 0, s.cfg.BatchSize)
-	for {
-		first, ok := <-sh.ch
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], first)
-		open := true
-	fill:
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case r, more := <-sh.ch:
-				if !more {
-					open = false
-					break fill
-				}
-				batch = append(batch, r)
-			default:
-				break fill
-			}
-		}
+	greedyDrain(sh.ch, s.cfg.BatchSize, func(batch []*request) {
 		sh.batches.Add(1)
 		s.process(sh, batch)
-		if !open {
-			// Channel closed while filling: drain stragglers and exit.
-			for r := range sh.ch {
-				s.process(sh, []*request{r})
-			}
-			return
-		}
-	}
+	})
 }
 
 func (s *Server) process(sh *shard, batch []*request) {
+	start := sh.svc.begin(len(batch) + len(sh.ch))
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			// The caller gave up while this request was queued: drop it
@@ -436,6 +400,7 @@ func (s *Server) process(sh *shard, batch []*request) {
 		sh.processed.Add(1)
 		r.done <- resp
 	}
+	sh.svc.end(start, len(batch))
 }
 
 // QueueDepth returns the total number of requests currently queued.

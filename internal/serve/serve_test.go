@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hrtsched/internal/core"
 	"hrtsched/internal/plan"
@@ -129,35 +128,43 @@ func TestLRUEviction(t *testing.T) {
 func TestLoadSheddingReturnsAdmissionError(t *testing.T) {
 	// White-box: build the server without starting its workers, fill the
 	// single shard's queue to capacity, and submit. With nobody draining,
-	// the submit must shed — deterministically, regardless of GOMAXPROCS.
-	s, err := newServer(Config{Spec: testSpec, Shards: 1, QueueDepth: 2})
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
-	sh := s.shards[0]
-	for i := 0; i < s.cfg.QueueDepth; i++ {
-		sh.ch <- &request{}
-	}
+	// the submit must shed — deterministically, regardless of GOMAXPROCS —
+	// quoting a retry-after that grows with the work queued ahead of it.
+	var quotes []int64
+	for _, depth := range []int{2, 8} {
+		s, err := newServer(Config{Spec: testSpec, Shards: 1, QueueDepth: depth})
+		if err != nil {
+			t.Fatalf("newServer: %v", err)
+		}
+		sh := s.shards[0]
+		for i := 0; i < s.cfg.QueueDepth; i++ {
+			sh.ch <- &request{}
+		}
 
-	_, _, err = s.AnalyzeContext(context.Background(), plan.TaskSet{{PeriodNs: 1_000_000, SliceNs: 1_000}})
-	if err == nil {
-		t.Fatalf("full queue accepted a query")
+		_, _, err = s.AnalyzeContext(context.Background(), plan.TaskSet{{PeriodNs: 1_000_000, SliceNs: 1_000}})
+		if err == nil {
+			t.Fatalf("full queue accepted a query")
+		}
+		if !errors.Is(err, core.ErrAdmission) {
+			t.Fatalf("shed error is not an admission error: %v", err)
+		}
+		var ae *core.AdmissionError
+		if !errors.As(err, &ae) {
+			t.Fatalf("shed error lacks structure: %v", err)
+		}
+		if ae.Reason != "server-overload" || ae.RetryAfterNs <= 0 {
+			t.Fatalf("bad shed error: %+v", ae)
+		}
+		quotes = append(quotes, ae.RetryAfterNs)
+		if got := s.ShedCount(); got != 1 {
+			t.Fatalf("ShedCount = %d, want 1", got)
+		}
+		if !strings.Contains(s.reg.Render(), `hrtd_shed_total{shard="0"} 1`) {
+			t.Fatalf("shed not visible in metrics:\n%s", s.reg.Render())
+		}
 	}
-	if !errors.Is(err, core.ErrAdmission) {
-		t.Fatalf("shed error is not an admission error: %v", err)
-	}
-	var ae *core.AdmissionError
-	if !errors.As(err, &ae) {
-		t.Fatalf("shed error lacks structure: %v", err)
-	}
-	if ae.Reason != "server-overload" || ae.RetryAfterNs <= 0 {
-		t.Fatalf("bad shed error: %+v", ae)
-	}
-	if got := s.ShedCount(); got != 1 {
-		t.Fatalf("ShedCount = %d, want 1", got)
-	}
-	if !strings.Contains(s.reg.Render(), `hrtd_shed_total{shard="0"} 1`) {
-		t.Fatalf("shed not visible in metrics:\n%s", s.reg.Render())
+	if quotes[1] <= quotes[0] {
+		t.Fatalf("retry-after quotes %v do not grow with queue depth", quotes)
 	}
 }
 
@@ -207,7 +214,7 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 func TestConcurrentQueriesAllAnswered(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 4, QueueDepth: 4096, FlushWindow: 50 * time.Microsecond})
+	s := newTestServer(t, Config{Shards: 4, QueueDepth: 4096})
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

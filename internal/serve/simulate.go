@@ -21,9 +21,9 @@ type SimulateRequest struct {
 	Seed     uint64          `json:"seed"`
 }
 
-// simInitialAvgNs seeds the shed retry-after quote before the pool has
+// simSeedServiceNs seeds the shed retry-after quote before the pool has
 // observed any run.
-const simInitialAvgNs = int64(100 * time.Millisecond)
+const simSeedServiceNs = int64(100 * time.Millisecond)
 
 const (
 	simHistLoUs     = 10
@@ -60,8 +60,8 @@ type simPool struct {
 	replications atomic.Int64
 	hyperperiods atomic.Int64
 	inflight     atomic.Int64
-	// avgNs is an EWMA (alpha 1/8) of run wall time, feeding retry-after.
-	avgNs atomic.Int64
+	// svc tracks run wall time, feeding retry-after.
+	svc serviceTime
 
 	histMu sync.Mutex
 	hist   *stats.Histogram
@@ -73,7 +73,7 @@ func newSimPool(workers, depth int) *simPool {
 		ch:      make(chan *simJob, depth),
 		hist:    stats.NewLogHistogram(simHistLoUs, simHistHiUs, simHistNBuckets),
 	}
-	p.avgNs.Store(simInitialAvgNs)
+	p.svc.ns.Store(simSeedServiceNs)
 	return p
 }
 
@@ -95,8 +95,7 @@ func (p *simPool) run() {
 		} else {
 			p.replications.Add(int64(report.Replications))
 			p.hyperperiods.Add(int64(report.Replications * report.Hyperperiods))
-			old := p.avgNs.Load()
-			p.avgNs.Store(old + (elapsed.Nanoseconds()-old)/8)
+			p.svc.observe(elapsed, 1)
 			p.histMu.Lock()
 			p.hist.Add(float64(elapsed.Microseconds()))
 			p.histMu.Unlock()
@@ -129,10 +128,9 @@ func (s *Server) Simulate(ctx context.Context, req SimulateRequest) (*whatif.Rep
 	if shed {
 		p.shed.Add(1)
 		return nil, &core.AdmissionError{
-			Reason: "server-overload",
-			Detail: fmt.Sprintf("simulate queue full (%d deep)", cap(p.ch)),
-			RetryAfterNs: (int64(len(p.ch)) + 1) * p.avgNs.Load() /
-				int64(p.workers),
+			Reason:       "server-overload",
+			Detail:       fmt.Sprintf("simulate queue full (%d deep)", cap(p.ch)),
+			RetryAfterNs: p.svc.retryAfterNs(len(p.ch), p.workers),
 		}
 	}
 	select {

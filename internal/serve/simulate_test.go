@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 	"time"
 
@@ -84,13 +83,9 @@ func TestHTTPSimulateRejectsInvalid(t *testing.T) {
 }
 
 // TestSimulateShedsWhenFull: with no workers draining, the queue fills and
-// Simulate sheds with the standard overload error carrying a retry quote.
+// Simulate sheds with the standard overload error carrying a retry quote
+// that grows with the jobs queued ahead of it.
 func TestSimulateShedsWhenFull(t *testing.T) {
-	s, err := newServer(Config{Spec: testSpec, Shards: 1, SimWorkers: 1, SimQueueDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// newServer never started the pool workers, so jobs queue forever.
 	req := SimulateRequest{
 		Scenario: whatif.Scenario{
 			Tasks: []whatif.Task{{PeriodNs: 1_000_000, SliceNs: 100_000}},
@@ -98,29 +93,34 @@ func TestSimulateShedsWhenFull(t *testing.T) {
 		Seed: 1,
 	}
 	ctx := context.Background()
-	errc := make(chan error, 3)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := s.Simulate(ctx, req)
-			errc <- err
-		}()
+	var quotes []int64
+	for _, depth := range []int{2, 4} {
+		s, err := newServer(Config{Spec: testSpec, Shards: 1, SimWorkers: 1, SimQueueDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// newServer never started the pool workers, so jobs queue forever.
+		for i := 0; i < depth; i++ {
+			go s.Simulate(ctx, req) //nolint:errcheck // parks in the queue
+		}
+		// The queued jobs park; the next submit must shed synchronously.
+		waitForQueued(t, func() bool { return len(s.sim.ch) == depth })
+		_, err = s.Simulate(ctx, req)
+		var adm *core.AdmissionError
+		if !errors.As(err, &adm) {
+			t.Fatalf("error = %v, want AdmissionError", err)
+		}
+		if adm.Reason != "server-overload" || adm.RetryAfterNs <= 0 {
+			t.Fatalf("shed error = %+v", adm)
+		}
+		quotes = append(quotes, adm.RetryAfterNs)
+		// Envelope mapping: 429 with Retry-After.
+		status, e, secs := queryError(err)
+		if status != http.StatusTooManyRequests || e.Code != "overloaded" || secs <= 0 {
+			t.Fatalf("mapped to %d %+v secs=%d", status, e, secs)
+		}
 	}
-	// The two queued jobs park; the third submit must shed synchronously.
-	waitForQueued(t, func() bool { return len(s.sim.ch) == 2 })
-	_, err = s.Simulate(ctx, req)
-	var adm *core.AdmissionError
-	if !errors.As(err, &adm) {
-		t.Fatalf("error = %v, want AdmissionError", err)
-	}
-	if adm.Reason != "server-overload" || adm.RetryAfterNs <= 0 {
-		t.Fatalf("shed error = %+v", adm)
-	}
-	// Envelope mapping: 429 with Retry-After.
-	status, e, secs := queryError(err)
-	if status != http.StatusTooManyRequests || e.Code != "overloaded" || secs <= 0 {
-		t.Fatalf("mapped to %d %+v secs=%d", status, e, secs)
-	}
-	if _, err := strconv.ParseInt(strconv.FormatInt(secs, 10), 10, 64); err != nil {
-		t.Fatal(err)
+	if quotes[1] <= quotes[0] {
+		t.Fatalf("retry-after quotes %v do not grow with queue depth", quotes)
 	}
 }
