@@ -119,7 +119,7 @@ func (s *LocalScheduler) threadCtx(t *Thread) *ThreadCtx {
 		T:        t,
 		CPU:      s.cpu.ID(),
 		NowNs:    s.nowNs(0),
-		Rand:     s.k.threadRands[t.id%len(s.k.threadRands)],
+		Rand:     &s.k.threadRands[t.id%len(s.k.threadRands)],
 		AdmitOK:  t.admitOK,
 		AdmitErr: t.admitErr,
 	}

@@ -54,7 +54,7 @@ type Kernel struct {
 	poolStats   PoolStats
 	nextID      int
 	rng         *sim.Rand
-	threadRands []*sim.Rand
+	threadRands []sim.Rand
 	booted      bool
 }
 
@@ -89,9 +89,9 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 	k.Calib = timesync.Calibrate(m, k.rng.Split())
 	k.Clocks = make([]*timesync.Clock, m.NumCPUs())
 	k.Locals = make([]*LocalScheduler, m.NumCPUs())
-	k.threadRands = make([]*sim.Rand, 64)
+	k.threadRands = make([]sim.Rand, 64)
 	for i := range k.threadRands {
-		k.threadRands[i] = k.rng.Split()
+		k.threadRands[i] = *k.rng.Split()
 	}
 	for i := 0; i < m.NumCPUs(); i++ {
 		k.Clocks[i] = timesync.NewClock(m.CPU(i), k.Calib)

@@ -240,3 +240,20 @@ func TestMaxThreadsBound(t *testing.T) {
 	}()
 	k.Spawn("overflow", 0, spin(1000))
 }
+
+// TestBootLeavesRunQueuesUnallocated: the thread bound is a count, not
+// preallocated storage, so booting a kernel for MaxThreads = 1024 leaves
+// every run queue without a backing array until a thread is queued.
+func TestBootLeavesRunQueuesUnallocated(t *testing.T) {
+	k := testKernel(t, 4, 61, func(c *Config) { c.MaxThreads = 1024 })
+	for _, s := range k.Locals {
+		for name, h := range map[string]*threadHeap{"pending": s.pending, "rtq": s.rtq, "aperq": s.aperq} {
+			if h.cap != 1024 {
+				t.Errorf("cpu %d %s: bound %d, want 1024", s.CPU(), name, h.cap)
+			}
+			if c := cap(h.items); c != 0 {
+				t.Errorf("cpu %d %s: cap(items) = %d after boot, want 0", s.CPU(), name, c)
+			}
+		}
+	}
+}

@@ -1,16 +1,21 @@
 package core
 
-// The local scheduler's queues are fixed-capacity binary heaps, mirroring
-// the paper's compile-time bound on the total number of threads: "each
-// local scheduler uses fixed size priority queues to implement the pending
-// and real-time run queues" (Section 3.3). Fixed capacity keeps every
-// scheduler invocation's cost bounded.
+// The local scheduler's queues are bounded binary heaps, mirroring the
+// paper's compile-time bound on the total number of threads: "each local
+// scheduler uses fixed size priority queues to implement the pending and
+// real-time run queues" (Section 3.3). The fixed size is enforced as a
+// count — Push refuses the thread past the bound — while the backing
+// storage starts empty and grows on demand, so a kernel booted for two
+// threads does not allocate room for a thousand. Modelled scheduler cost
+// is unaffected: pass cycles come from machine.Spec, not from the host's
+// slice growth.
 
 // threadOrder compares two threads for a particular queue.
 type threadOrder func(a, b *Thread) bool
 
-// threadHeap is a bounded binary min-heap of threads. Each thread tracks
-// its index via qIdx, enabling O(log n) removal of arbitrary elements.
+// threadHeap is a bounded binary min-heap of threads; cap is the bound.
+// Each thread tracks its index via qIdx, enabling O(log n) removal of
+// arbitrary elements.
 type threadHeap struct {
 	items []*Thread
 	less  threadOrder
@@ -18,7 +23,7 @@ type threadHeap struct {
 }
 
 func newThreadHeap(capacity int, less threadOrder) *threadHeap {
-	return &threadHeap{items: make([]*Thread, 0, capacity), less: less, cap: capacity}
+	return &threadHeap{less: less, cap: capacity}
 }
 
 func (h *threadHeap) Len() int { return len(h.items) }

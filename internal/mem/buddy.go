@@ -28,9 +28,11 @@ type Zone struct {
 	minOrder uint // log2 of the smallest block
 	maxOrder uint // log2 of the whole zone
 
-	// free[o] holds offsets of free blocks of order o (LIFO).
+	// free[o] holds offsets of free blocks of order o (LIFO). It is built
+	// on first use (see materialize); until then the zone is one free block.
 	free [][]uint64
-	// allocated maps offset -> order for live allocations.
+	// allocated maps offset -> order for live allocations; nil until the
+	// first allocation.
 	allocated map[uint64]uint
 
 	// Statistics.
@@ -55,17 +57,33 @@ func NewZone(name string, base, size, minBlock uint64) (*Zone, error) {
 	if base%size != 0 {
 		return nil, fmt.Errorf("%w: base %d not aligned to zone size", ErrBadRequest, base)
 	}
-	z := &Zone{
-		name:      name,
-		base:      base,
-		size:      size,
-		minOrder:  uint(bits.TrailingZeros64(minBlock)),
-		maxOrder:  uint(bits.TrailingZeros64(size)),
-		allocated: map[uint64]uint{},
+	return &Zone{
+		name:     name,
+		base:     base,
+		size:     size,
+		minOrder: uint(bits.TrailingZeros64(minBlock)),
+		maxOrder: uint(bits.TrailingZeros64(size)),
+	}, nil
+}
+
+// materialize builds the free lists and the allocation map on first use,
+// so a zone nobody allocates from (a kernel's DRAM spill zone, usually)
+// costs only its header. Every usable order's list starts with room for
+// one block, carved from a single backing array: a split pushes one buddy
+// per order, so the first allocation costs no allocation per level. A list
+// that outgrows its slot reallocates on append like any other slice.
+func (z *Zone) materialize() {
+	if z.free != nil {
+		return
 	}
 	z.free = make([][]uint64, z.maxOrder+1)
-	z.free[z.maxOrder] = []uint64{0}
-	return z, nil
+	slots := make([]uint64, z.maxOrder+1-z.minOrder)
+	for o := z.minOrder; o <= z.maxOrder; o++ {
+		i := o - z.minOrder
+		z.free[o] = slots[i : i : i+1]
+	}
+	z.free[z.maxOrder] = append(z.free[z.maxOrder], 0)
+	z.allocated = map[uint64]uint{}
 }
 
 // Name returns the zone name.
@@ -108,6 +126,7 @@ func (z *Zone) Alloc(n uint64) (uint64, error) {
 		z.FailedAllocs++
 		return 0, fmt.Errorf("%w: %d bytes from %q", ErrOutOfMemory, n, z.name)
 	}
+	z.materialize()
 	// Find the smallest populated order >= want.
 	o := want
 	for o <= z.maxOrder && len(z.free[o]) == 0 {
@@ -199,6 +218,7 @@ func (z *Zone) BlockSize(addr uint64) uint64 {
 // and live allocations tile the zone exactly, without overlap. Intended
 // for tests.
 func (z *Zone) CheckInvariants() error {
+	z.materialize()
 	covered := uint64(0)
 	type span struct{ off, size uint64 }
 	var spans []span
