@@ -240,8 +240,8 @@ shard-smoke:
 # in-process shard groups (so /v1/simulate rides the router), run the
 # same small distributed sweep grid twice through cmd/sweep and fail
 # unless the outputs are byte-identical, then drive the endpoint with
-# hrtload in simulate mode, which fails on any hard error or a reply
-# that diverged for a repeated seed.
+# hrtload in simulate mode, which fails on any hard error, a reply
+# that diverged for a repeated seed, or one that simulated nothing.
 simulate-smoke:
 	@set -e; dir=$$(mktemp -d); pid=; \
 	cleanup() { [ -n "$$pid" ] && kill $$pid 2>/dev/null || true; rm -rf "$$dir"; }; \

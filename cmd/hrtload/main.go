@@ -36,7 +36,8 @@
 // answer byte-identically; any divergence counts as a determinism
 // mismatch and fails -check. 429 sheds back off for Retry-After like
 // every other mode, and the report scrapes the server's hrtd_whatif_*
-// counters.
+// counters. A reply whose engine_steps is 0 simulated nothing — every
+// body's horizon covers at least one arrival — and also fails -check.
 //
 // Against a replicated hrtd the generator is failover-aware: mutations
 // sent to a follower follow its 307 redirect to the leader (counted and
@@ -84,7 +85,9 @@ type workerResult struct {
 	// mismatches counts simulate-mode replies that diverged from the
 	// first-seen reply for the same request body: determinism violations.
 	mismatches int64
-	latencyUs  []float64
+	// emptySims counts simulate-mode replies reporting zero engine steps.
+	emptySims int64
+	latencyUs []float64
 }
 
 // redirects counts 307 leader redirects the HTTP client followed —
@@ -238,6 +241,7 @@ func main() {
 		total.placed += results[i].placed
 		total.rejected += results[i].rejected
 		total.mismatches += results[i].mismatches
+		total.emptySims += results[i].emptySims
 		total.latencyUs = append(total.latencyUs, results[i].latencyUs...)
 	}
 	ok := int64(len(total.latencyUs))
@@ -285,7 +289,8 @@ func main() {
 			fmt.Println("hrtload: OK")
 		}
 	case "simulate":
-		fmt.Printf("hrtload: %d simulations ok, %d determinism mismatches\n", ok, total.mismatches)
+		fmt.Printf("hrtload: %d simulations ok, %d determinism mismatches, %d empty simulations\n",
+			ok, total.mismatches, total.emptySims)
 		for _, m := range []string{"hrtd_whatif_requests_total", "hrtd_whatif_replications_total", "hrtd_whatif_shed_total"} {
 			if v, err := scrapeMetric(client, base, m); err == nil {
 				fmt.Printf("hrtload: server %s %.0f\n", m, v)
@@ -301,6 +306,9 @@ func main() {
 				os.Exit(1)
 			case total.mismatches > 0:
 				fmt.Fprintf(os.Stderr, "hrtload: FAIL: %d determinism mismatches\n", total.mismatches)
+				os.Exit(1)
+			case total.emptySims > 0:
+				fmt.Fprintf(os.Stderr, "hrtload: FAIL: %d replies simulated no engine steps\n", total.emptySims)
 				os.Exit(1)
 			}
 			fmt.Println("hrtload: OK")
@@ -599,6 +607,12 @@ func simulateWorker(client *http.Client, base string, deadline time.Time,
 			res.latencyUs = append(res.latencyUs, lat)
 			if prev, loaded := seen.LoadOrStore(i, string(b)); loaded && prev.(string) != string(b) {
 				res.mismatches++
+			}
+			var rep struct {
+				EngineSteps uint64 `json:"engine_steps"`
+			}
+			if err := json.Unmarshal(b, &rep); err != nil || rep.EngineSteps == 0 {
+				res.emptySims++
 			}
 		case resp.StatusCode == http.StatusTooManyRequests,
 			resp.StatusCode == http.StatusServiceUnavailable:

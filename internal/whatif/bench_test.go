@@ -1,6 +1,9 @@
 package whatif
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // benchScenario is the unit of the recorded throughput figures: a 2-CPU
 // half-random what-if with a 1 ms hyperperiod.
@@ -40,5 +43,42 @@ func BenchmarkWhatifScenario(b *testing.B) {
 		if _, err := Run(sc, uint64(i)+1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// raceEnabled is set by race_enabled_test.go under -race.
+var raceEnabled bool
+
+// TestReplicationAllocationBudget is the deterministic gate behind the
+// benchmarks above: one benchScenario(1) request — a kernel boot and a
+// full simulated hyperperiod — stays within 200 allocations and 20 KiB.
+// Booting a kernel used to preallocate three 1024-slot run queues per CPU
+// (48 KB for two CPUs) whatever the scenario needed.
+func TestReplicationAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	const (
+		maxAllocs = 200
+		maxBytes  = 20 << 10
+		runs      = 50
+	)
+	sc := benchScenario(1)
+	run := func() {
+		if _, err := Run(sc, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(runs, run); allocs > maxAllocs {
+		t.Errorf("one replication allocates %.0f times, budget %d", allocs, maxAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > maxBytes {
+		t.Errorf("one replication allocates %d bytes, budget %d", bytes, maxBytes)
 	}
 }

@@ -260,7 +260,9 @@ func jobProgram(cons core.Constraints, wcetCycles int64, model ExecModel, rng *s
 // runReplication executes one seeded replication and returns its
 // observations. All randomness derives from machine.New(spec, seed) in a
 // fixed construction order: kernel boot, per-task model streams (in task
-// order), then the fault environment.
+// order), then the fault environment. The simulated window is durationNs
+// long and starts where boot calibration left the clock, at the instant
+// the task threads are spawned.
 func runReplication(sc Scenario, spec machine.Spec, model ExecModel, policy core.DegradePolicy, seed uint64, durationNs int64, recs []*jobRecorder) repOutcome {
 	m := machine.New(spec, seed)
 	cfg := core.DefaultConfig(spec)
@@ -335,7 +337,7 @@ func runReplication(sc Scenario, spec machine.Spec, model ExecModel, policy core
 		}
 	}
 
-	k.RunUntilNs(durationNs)
+	k.RunNs(durationNs)
 
 	for i, t := range threads {
 		out.arrivals[i] = t.Arrivals

@@ -212,7 +212,7 @@ func baselineReplication(sc Scenario, spec machine.Spec, seed uint64, durationNs
 		threads[i] = k.Spawn(task.Name, task.CPU, prog)
 	}
 	_ = &fault.Env{M: m, K: k, Rng: m.Rand()}
-	k.RunUntilNs(durationNs)
+	k.RunNs(durationNs)
 	arrivals = make([]int64, len(threads))
 	misses = make([]int64, len(threads))
 	for i, th := range threads {
@@ -365,5 +365,37 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base.Normalize().Validate(); err != nil {
 		t.Fatalf("base scenario invalid: %v", err)
+	}
+}
+
+// TestReplicationSimulatesItsHorizon: every replication simulates its full
+// Hyperperiods × hp window after boot. Boot calibration advances the
+// clock by about a millisecond; a window measured from time zero instead
+// would have ended before these sub-millisecond tasks ever arrived.
+func TestReplicationSimulatesItsHorizon(t *testing.T) {
+	for _, hps := range []int{1, 3} {
+		sc := Scenario{
+			Name: "horizon",
+			CPUs: 2,
+			Tasks: []Task{
+				{PeriodNs: 100_000, SliceNs: 30_000, CPU: 0},
+				{PeriodNs: 200_000, SliceNs: 50_000, CPU: 1},
+			},
+			Replications: 4,
+			Hyperperiods: hps,
+		}
+		r, err := Run(sc, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.EngineSteps == 0 {
+			t.Fatalf("H=%d: no engine steps", hps)
+		}
+		for _, tr := range r.Tasks {
+			want := int64(r.Replications*r.Hyperperiods) * r.HyperperiodNs / tr.PeriodNs
+			if tr.Arrivals != want {
+				t.Errorf("H=%d %s: %d arrivals, want %d", hps, tr.Name, tr.Arrivals, want)
+			}
+		}
 	}
 }
