@@ -51,9 +51,8 @@ var raceEnabled bool
 
 // TestReplicationAllocationBudget is the deterministic gate behind the
 // benchmarks above: one benchScenario(1) request — a kernel boot and a
-// full simulated hyperperiod — stays within 200 allocations and 20 KiB.
-// Booting a kernel used to preallocate three 1024-slot run queues per CPU
-// (48 KB for two CPUs) whatever the scenario needed.
+// full simulated hyperperiod — stays within 200 allocations and 20 KiB,
+// so a boot costs what the scenario needs, not what MaxThreads allows.
 func TestReplicationAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race measure the detector")

@@ -2,7 +2,7 @@
 
 package whatif
 
-// Under -race every allocation carries instrumentation and sync.Pool
-// drops pooled buffers at random, so the allocation gates would measure
-// the detector, not the code; TestReplicationAllocationBudget skips.
+// Under -race the runtime allocates on the detector's behalf, so the
+// allocation gate would measure the detector, not the code;
+// TestReplicationAllocationBudget skips.
 func init() { raceEnabled = true }

@@ -369,9 +369,9 @@ func TestValidateRejects(t *testing.T) {
 }
 
 // TestReplicationSimulatesItsHorizon: every replication simulates its full
-// Hyperperiods × hp window after boot. Boot calibration advances the
-// clock by about a millisecond; a window measured from time zero instead
-// would have ended before these sub-millisecond tasks ever arrived.
+// Hyperperiods × hp window after boot. A 2-CPU boot calibration advances
+// the clock by about a millisecond, longer than this 200 µs hyperperiod,
+// so the window must be counted from the end of boot.
 func TestReplicationSimulatesItsHorizon(t *testing.T) {
 	for _, hps := range []int{1, 3} {
 		sc := Scenario{
