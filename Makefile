@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race planverify perf-gate chaos bench bench-engine bench-record bench-record-pr5 bench-record-pr7 bench-record-pr8 bench-record-pr9 bench-record-pr10 engine-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
+.PHONY: ci build vet test race planverify perf-gate chaos bench bench-engine bench-record bench-record-pr5 bench-record-pr7 bench-record-pr8 bench-record-pr9 bench-record-pr10 engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
 # ci is the tier-1 gate: every change must pass vet, build, the race-
 # enabled test suite, the planverify cross-check, the non-race perf
@@ -8,7 +8,7 @@ GO ?= go
 # including the kill -9 recovery, leader-failover, DAG-recovery,
 # batched-placement, sharded-router, and what-if simulation smokes —
 # before it lands (see README "Testing").
-ci: vet build race planverify perf-gate engine-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
+ci: vet build race planverify perf-gate engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,12 @@ bench-record-pr10:
 # that panic or assert without paying for stable timings.
 engine-bench-smoke:
 	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngine' -benchtime 100x
+
+# whatif-bench-smoke does the same for the what-if boot rung: a node built
+# from nothing, the same node re-booted in place, and whole what-if
+# requests.
+whatif-bench-smoke:
+	$(GO) test ./internal/core ./internal/whatif -run '^$$' -bench 'BenchmarkBoot|BenchmarkReboot|BenchmarkWhatif' -benchtime 100x
 
 # serve-smoke boots hrtd on an ephemeral port, drives it with hrtload for
 # two seconds, and fails on any hard error or a cache that never hits.

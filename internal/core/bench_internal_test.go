@@ -58,6 +58,42 @@ func BenchmarkThreadHeap(b *testing.B) {
 	}
 }
 
+// whatifBootConfig is the configuration internal/whatif boots its
+// replications with: no admission control, a 10 ms timer watchdog.
+func whatifBootConfig(spec machine.Spec) Config {
+	cfg := DefaultConfig(spec)
+	cfg.Admit = AdmitNone
+	cfg.WatchdogNs = 10_000_000
+	return cfg
+}
+
+// BenchmarkBoot measures building a what-if replication's node from
+// nothing: machine.New plus Boot of a 2-CPU Phi, calibration included.
+func BenchmarkBoot(b *testing.B) {
+	spec := machine.PhiKNL().Scaled(2)
+	cfg := whatifBootConfig(spec)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Boot(machine.New(spec, uint64(i)+1), cfg)
+	}
+}
+
+// BenchmarkReboot measures the same boot done in place, as every
+// replication after a request's first does it: machine.Reset plus
+// Kernel.Reboot of the node the previous iteration booted.
+func BenchmarkReboot(b *testing.B) {
+	spec := machine.PhiKNL().Scaled(2)
+	cfg := whatifBootConfig(spec)
+	m := machine.New(spec, 1)
+	k := Boot(m, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Reset(spec, uint64(i)+1)
+		k.Reboot(m, cfg)
+	}
+}
+
 // BenchmarkSpawnExitWithPool measures the thread pool's reanimation path.
 func BenchmarkSpawnExitWithPool(b *testing.B) {
 	spec := machine.PhiKNL().Scaled(1)

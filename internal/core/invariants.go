@@ -57,16 +57,30 @@ type InvariantChecker struct {
 // hook already present. seed and scenario caption the repro line printed
 // for violations.
 func AttachInvariants(k *Kernel, seed uint64, scenario string) *InvariantChecker {
-	c := &InvariantChecker{
+	c := new(InvariantChecker)
+	c.Reattach(k, seed, scenario)
+	return c
+}
+
+// Reattach makes c the checker AttachInvariants(k, seed, scenario) would
+// return — default slack and cap, no passes, no violations — reusing its
+// per-CPU clock and violation storage. Slices returned by an earlier
+// Violations call are invalid afterwards. k is typically a kernel just
+// rebooted (Kernel.Reboot clears its hooks); on a kernel c is already
+// attached to, the checks would run twice per pass.
+func (c *InvariantChecker) Reattach(k *Kernel, seed uint64, scenario string) {
+	lastCycles := c.lastCycles[:0]
+	for range k.NumCPUs() {
+		lastCycles = append(lastCycles, -(1 << 62))
+	}
+	*c = InvariantChecker{
 		k:             k,
 		seed:          seed,
 		scenario:      scenario,
 		SlackCycles:   4096,
 		MaxViolations: 64,
-		lastCycles:    make([]int64, k.NumCPUs()),
-	}
-	for i := range c.lastCycles {
-		c.lastCycles[i] = -(1 << 62)
+		lastCycles:    lastCycles,
+		violations:    c.violations[:0],
 	}
 	prev := k.Hooks.Pass
 	k.Hooks.Pass = func(cpu int, s *LocalScheduler, nowNs int64) {
@@ -75,7 +89,6 @@ func AttachInvariants(k *Kernel, seed uint64, scenario string) *InvariantChecker
 		}
 		c.checkPass(cpu, s)
 	}
-	return c
 }
 
 // Passes returns how many scheduler passes have been checked.

@@ -53,9 +53,9 @@ type Kernel struct {
 	stackPool   []uint64
 	poolStats   PoolStats
 	nextID      int
-	rng         *sim.Rand
+	rng         sim.Rand
 	threadRands []sim.Rand
-	booted      bool
+	watchdogEv  *sim.Event
 }
 
 // ScopeHook wires the GPIO instrumentation of Section 5.2 to one CPU:
@@ -71,44 +71,97 @@ type ScopeHook struct {
 // calibration, builds the per-CPU clocks and local schedulers, and starts
 // each local scheduler with an initial invocation.
 func Boot(m *machine.Machine, cfg Config) *Kernel {
+	k := new(Kernel)
+	k.Reboot(m, cfg)
+	return k
+}
+
+// Reboot boots k again on m, exactly as Boot(m, cfg) would — the same
+// random draws in the same order, the same events scheduled — but in the
+// storage of the previous boot, the way the paper's kernel reanimates
+// thread stacks instead of reallocating them (Section 3.4). It reuses the
+// local schedulers with their run-queue and steal-event storage, the
+// clocks, the calibration result, the 64 per-thread random streams, the
+// NUMA zones, the stack pool's storage and the Thread objects; it reuses
+// nothing that carries state from the previous boot. m is typically the
+// previous machine after machine.Reset; a machine with a different engine
+// gets new schedulers, since their persistent events belong to an engine.
+//
+// Everything handed out by the previous boot — its *Thread values, its
+// Threads slice, its hooks and its calibration result's contents — is
+// invalid afterwards: a spawn after Reboot may recycle a previous thread
+// object.
+func (k *Kernel) Reboot(m *machine.Machine, cfg Config) {
 	if cfg.MaxThreads <= 0 {
 		cfg.MaxThreads = 1024
 	}
-	k := &Kernel{
+	n := m.NumCPUs()
+	locals, watchdog := k.Locals, k.watchdogEv
+	if k.Eng != m.Eng {
+		locals, watchdog = nil, nil
+	}
+	numa, calib := k.Mem, k.Calib
+	if numa == nil || numa.NumCPUs() != n {
+		var err error
+		if numa, err = mem.PhiLayout(n); err != nil {
+			panic(err)
+		}
+	} else {
+		numa.Reset()
+	}
+	if calib == nil {
+		calib = new(timesync.Result)
+	}
+	*k = Kernel{
 		M:               m,
 		Eng:             m.Eng,
 		Cfg:             cfg,
-		rng:             m.Rand(),
+		Calib:           calib,
+		Clocks:          reuse(k.Clocks, n),
+		Locals:          reuse(locals, n),
+		Mem:             numa,
 		AdmitCostCycles: m.Spec.AdmitCostCycles,
+		threads:         k.threads[:0],
+		stackPool:       k.stackPool[:0],
+		threadRands:     k.threadRands,
+		watchdogEv:      watchdog,
 	}
-	numa, err := mem.PhiLayout(m.NumCPUs())
-	if err != nil {
-		panic(err)
+	m.RandInto(&k.rng)
+	var calibRng sim.Rand
+	k.rng.SplitInto(&calibRng)
+	timesync.CalibrateInto(k.Calib, m, &calibRng)
+	if k.threadRands == nil {
+		k.threadRands = make([]sim.Rand, 64)
 	}
-	k.Mem = numa
-	k.Calib = timesync.Calibrate(m, k.rng.Split())
-	k.Clocks = make([]*timesync.Clock, m.NumCPUs())
-	k.Locals = make([]*LocalScheduler, m.NumCPUs())
-	k.threadRands = make([]sim.Rand, 64)
 	for i := range k.threadRands {
-		k.threadRands[i] = *k.rng.Split()
+		k.rng.SplitInto(&k.threadRands[i])
 	}
-	for i := 0; i < m.NumCPUs(); i++ {
-		k.Clocks[i] = timesync.NewClock(m.CPU(i), k.Calib)
-		k.Locals[i] = newLocalScheduler(k, m.CPU(i), k.Clocks[i], &k.Cfg, k.rng.Split())
+	for i := 0; i < n; i++ {
+		if k.Clocks[i] == nil {
+			k.Clocks[i] = new(timesync.Clock)
+		}
+		k.Clocks[i].Reset(m.CPU(i), k.Calib)
+		if k.Locals[i] == nil {
+			k.Locals[i] = new(LocalScheduler)
+		}
+		k.Locals[i].reset(k, m.CPU(i), k.Clocks[i], &k.Cfg)
 	}
 	// Kick every local scheduler once so it arms its machinery.
-	for i := 0; i < m.NumCPUs(); i++ {
-		s := k.Locals[i]
-		k.Eng.After(1, sim.Hard, func(now sim.Time) {
-			s.invoke(ReasonBoot, now)
-		})
+	for _, s := range k.Locals {
+		s.bootEv.RescheduleAfter(1)
 	}
 	if cfg.WatchdogNs > 0 {
 		k.startWatchdog()
 	}
-	k.booted = true
-	return k
+}
+
+// reuse returns s with length n, keeping the objects already in its
+// capacity for reuse and extending it with nils.
+func reuse[T any](s []*T, n int) []*T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]*T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // startWatchdog arms the cross-CPU timer watchdog: every WatchdogNs it
@@ -117,28 +170,33 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 // only interrupt a priority-filtered real-time CPU still accepts is a
 // scheduling-class IPI from a peer.
 func (k *Kernel) startWatchdog() {
-	period := k.Cfg.WatchdogNs
-	cycles := k.Clocks[0].NanosToCycles(period)
+	if k.watchdogEv == nil {
+		k.watchdogEv = k.Eng.NewEvent(sim.Hard, func(now sim.Time) {
+			period := k.Cfg.WatchdogNs
+			for i, s := range k.Locals {
+				nowNs := s.nowNs(0)
+				if nowNs-s.lastPassNs < period {
+					continue
+				}
+				np, nrt, nap := s.Queues()
+				if s.current == nil && np+nrt+nap == 0 {
+					continue // truly idle: silence is fine
+				}
+				s.Stats.WatchdogKicks++
+				k.Kick(i)
+			}
+			k.armWatchdog()
+		})
+	}
+	k.armWatchdog()
+}
+
+func (k *Kernel) armWatchdog() {
+	cycles := k.Clocks[0].NanosToCycles(k.Cfg.WatchdogNs)
 	if cycles < 1 {
 		cycles = 1
 	}
-	var wd *sim.Event
-	wd = k.Eng.NewEvent(sim.Hard, func(now sim.Time) {
-		for i, s := range k.Locals {
-			nowNs := s.nowNs(0)
-			if nowNs-s.lastPassNs < period {
-				continue
-			}
-			np, nrt, nap := s.Queues()
-			if s.current == nil && np+nrt+nap == 0 {
-				continue // truly idle: silence is fine
-			}
-			s.Stats.WatchdogKicks++
-			k.Kick(i)
-		}
-		wd.RescheduleAfter(sim.Duration(cycles))
-	})
-	wd.RescheduleAfter(sim.Duration(cycles))
+	k.watchdogEv.RescheduleAfter(sim.Duration(cycles))
 }
 
 // NumCPUs returns the machine's hardware thread count.
@@ -192,7 +250,15 @@ func (k *Kernel) spawnOpts(name string, cpu int, prog Program, stealable bool, p
 			panic(fmt.Sprintf("core: spawn: %v", err))
 		}
 	}
-	t := &Thread{
+	// A thread object left over from before the last Reboot is recycled.
+	var t *Thread
+	if n := len(k.threads); n < cap(k.threads) {
+		t = k.threads[:n+1][n]
+	}
+	if t == nil {
+		t = new(Thread)
+	}
+	*t = Thread{
 		id:        k.nextID,
 		name:      name,
 		k:         k,
@@ -336,7 +402,7 @@ func (s *LocalScheduler) deviceIRQ(vec machine.Vector, now sim.Time) {
 	if src != nil {
 		handler = src.HandlerCycles
 	}
-	irq := s.k.M.OverheadJitter(s.rng, s.k.M.Spec.IRQEntryCycles)
+	irq := s.k.M.OverheadJitter(&s.rng, s.k.M.Spec.IRQEntryCycles)
 
 	if s.cfg.InterruptThread {
 		// Acknowledge only; defer the body to the interrupt thread.

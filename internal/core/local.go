@@ -70,7 +70,7 @@ type LocalScheduler struct {
 	cpu   *machine.CPU
 	clock *timesync.Clock
 	cfg   *Config
-	rng   *sim.Rand
+	rng   sim.Rand
 
 	pending *threadHeap // admitted RT threads waiting for their arrival
 	rtq     *threadHeap // arrived RT threads, EDF order
@@ -87,6 +87,7 @@ type LocalScheduler struct {
 	missingAtStart sim.Duration
 	quantumEndNs   int64
 	actionEv       *sim.Event // pooled action-completion event (see armAction)
+	bootEv         *sim.Event // persistent first-invocation event
 	stealEv        *sim.Event // persistent steal-attempt event
 	stealGen       uint64     // s.gen when stealEv was last armed
 	rrCounter      uint64
@@ -161,18 +162,36 @@ func (s *LocalScheduler) Ledger() Ledger {
 	return l
 }
 
-func newLocalScheduler(k *Kernel, cpu *machine.CPU, clock *timesync.Clock, cfg *Config, rng *sim.Rand) *LocalScheduler {
-	s := &LocalScheduler{
+// reset makes s the freshly booted scheduler of cpu, drawing its stream
+// from the kernel's. Only storage survives from a previous boot: the run
+// queues' arrays and the persistent boot and steal events (idle after the
+// engine's reset).
+func (s *LocalScheduler) reset(k *Kernel, cpu *machine.CPU, clock *timesync.Clock, cfg *Config) {
+	pending, rtq, aperq := s.pending, s.rtq, s.aperq
+	if pending == nil {
+		pending, rtq, aperq = new(threadHeap), new(threadHeap), new(threadHeap)
+	}
+	pending.reset(cfg.MaxThreads, byArrival)
+	rtq.reset(cfg.MaxThreads, byDeadline)
+	aperq.reset(cfg.MaxThreads, byPriorityRR)
+	*s = LocalScheduler{
 		k:       k,
 		cpu:     cpu,
 		clock:   clock,
 		cfg:     cfg,
-		rng:     rng,
-		pending: newThreadHeap(cfg.MaxThreads, byArrival),
-		rtq:     newThreadHeap(cfg.MaxThreads, byDeadline),
-		aperq:   newThreadHeap(cfg.MaxThreads, byPriorityRR),
+		pending: pending,
+		rtq:     rtq,
+		aperq:   aperq,
+		bootEv:  s.bootEv,
+		stealEv: s.stealEv,
 	}
+	k.rng.SplitInto(&s.rng)
 	s.sliceSlackCycles = 2*k.M.Spec.APICTickCycles + 64
+	if s.bootEv == nil {
+		s.bootEv = k.Eng.NewEvent(sim.Hard, func(now sim.Time) {
+			s.invoke(ReasonBoot, now)
+		})
+	}
 	// The steal attempt is per-pass churn with an at-most-one-pending
 	// invariant (armed only from dispatch, which follows a cancelling
 	// invocation, or from its own firing), so it re-arms one persistent
@@ -180,18 +199,19 @@ func newLocalScheduler(k *Kernel, cpu *machine.CPU, clock *timesync.Clock, cfg *
 	// variable to stealGen: an invocation bumps s.gen and cancels the
 	// event, so a firing armed under an older generation is ignored
 	// exactly as before.
-	s.stealEv = k.Eng.NewEvent(sim.Soft, func(now sim.Time) {
-		if s.stealGen != s.gen || s.current != nil {
-			return
-		}
-		if s.trySteal() {
-			s.invoke(ReasonThread, now)
-			return
-		}
-		s.armSteal()
-	})
+	if s.stealEv == nil {
+		s.stealEv = k.Eng.NewEvent(sim.Soft, func(now sim.Time) {
+			if s.stealGen != s.gen || s.current != nil {
+				return
+			}
+			if s.trySteal() {
+				s.invoke(ReasonThread, now)
+				return
+			}
+			s.armSteal()
+		})
+	}
 	cpu.SetSink(s)
-	return s
 }
 
 // CPU returns the hardware thread this scheduler owns.
@@ -252,12 +272,12 @@ func (s *LocalScheduler) invoke(reason InvokeReason, now sim.Time) {
 	var irq int64
 	switch reason {
 	case ReasonTimer, ReasonKick:
-		irq = s.k.M.OverheadJitter(s.rng, spec.IRQEntryCycles)
+		irq = s.k.M.OverheadJitter(&s.rng, spec.IRQEntryCycles)
 	case ReasonThread:
 		s.Stats.ThreadCalls++
 	}
-	other := s.k.M.OverheadJitter(s.rng, spec.SchedOtherCycles)
-	resched := s.k.M.OverheadJitter(s.rng, spec.SchedPassCycles)
+	other := s.k.M.OverheadJitter(&s.rng, spec.SchedOtherCycles)
+	resched := s.k.M.OverheadJitter(&s.rng, spec.SchedPassCycles)
 
 	if s.current != nil && s.current.state == Running {
 		s.accountCurrent(now)
@@ -283,7 +303,7 @@ func (s *LocalScheduler) invoke(reason InvokeReason, now sim.Time) {
 
 	var swc int64
 	if next != s.current {
-		swc = s.k.M.OverheadJitter(s.rng, spec.ContextSwitchCycles)
+		swc = s.k.M.OverheadJitter(&s.rng, spec.ContextSwitchCycles)
 		s.switchTo(next, decisionNs)
 	}
 	if entryCurrent != nil && entryCurrent != s.current && s.k.Hooks.SwitchOut != nil {

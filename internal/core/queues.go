@@ -26,6 +26,12 @@ func newThreadHeap(capacity int, less threadOrder) *threadHeap {
 	return &threadHeap{less: less, cap: capacity}
 }
 
+// reset empties the heap for a new boot, keeping its backing array.
+func (h *threadHeap) reset(capacity int, less threadOrder) {
+	clear(h.items)
+	*h = threadHeap{items: h.items[:0], less: less, cap: capacity}
+}
+
 func (h *threadHeap) Len() int { return len(h.items) }
 
 // Peek returns the minimum without removing it, or nil when empty.

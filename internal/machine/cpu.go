@@ -55,8 +55,8 @@ type CPU struct {
 	sink       InterruptSink
 }
 
-func newCPU(m *Machine, id int, bootAt sim.Time, tscOffset int64) *CPU {
-	c := &CPU{id: id, mach: m, bootAt: bootAt, tscOffset: tscOffset}
+func newCPU(m *Machine) *CPU {
+	c := &CPU{mach: m}
 	// The one-shot timer is the hottest churn site in the whole simulator:
 	// every scheduler pass disarms and re-arms it. A single pre-bound
 	// persistent event makes each re-arm an in-place heap fix with zero
@@ -65,6 +65,19 @@ func newCPU(m *Machine, id int, bootAt sim.Time, tscOffset int64) *CPU {
 		c.RaiseInterrupt(VecTimer)
 	})
 	return c
+}
+
+// reset powers the CPU on as hardware thread id, keeping its timer event
+// (idle after the engine's reset) and its pending-vector storage.
+func (c *CPU) reset(id int, bootAt sim.Time, tscOffset int64) {
+	*c = CPU{
+		id:         id,
+		mach:       c.mach,
+		bootAt:     bootAt,
+		tscOffset:  tscOffset,
+		timerEvent: c.timerEvent,
+		pending:    c.pending[:0],
+	}
 }
 
 // ID returns the hardware thread index.

@@ -20,8 +20,9 @@ type Edge struct {
 	Prev uint8    // previous pin state
 }
 
-func newGPIO(m *Machine) *GPIO {
-	return &GPIO{mach: m, limit: 1 << 22}
+// reset drives every pin low and clears the recording, keeping its storage.
+func (g *GPIO) reset() {
+	*g = GPIO{mach: g.mach, edges: g.edges[:0], limit: 1 << 22}
 }
 
 // Write performs an outb: all 8 pins assume the new value and the

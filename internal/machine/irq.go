@@ -12,7 +12,7 @@ type DeviceSource struct {
 	HandlerCycles   int64 // bounded handler cost, advertised to admission
 	target          int
 	ctl             *IRQController
-	rng             *sim.Rand
+	rng             sim.Rand
 	ev              *sim.Event // persistent arrival event, re-armed per gap
 	raised, dropped int64
 	running         bool
@@ -66,34 +66,47 @@ func (d *DeviceSource) Stop() { d.running = false }
 // interrupts at all — they are "interrupt-free" (Figure 1).
 type IRQController struct {
 	mach    *Machine
-	rng     *sim.Rand
+	rng     sim.Rand
 	sources []*DeviceSource
 	nextVec Vector
 	laden   map[int]bool // CPUs in the interrupt-laden partition
 }
 
-func newIRQController(m *Machine, rng *sim.Rand) *IRQController {
-	return &IRQController{
-		mach:    m,
-		rng:     rng,
-		nextVec: VecDeviceBase,
-		laden:   map[int]bool{0: true}, // default: CPU 0 takes all devices
-	}
+// reset reseeds the controller from the machine's root stream, forgets
+// every device source and restores the default partition. The source
+// objects (with their persistent arrival events, idle after the engine's
+// reset) and the partition map are kept for reuse.
+func (c *IRQController) reset() {
+	c.mach.rng.SplitInto(&c.rng)
+	c.sources = c.sources[:0]
+	c.nextVec = VecDeviceBase
+	clear(c.laden)
+	c.laden[0] = true // default: CPU 0 takes all devices
 }
 
 // AddDevice registers a device source steered to the first CPU of the
 // interrupt-laden partition and, if meanGapCycles > 0, starts autonomous
 // interrupt generation.
 func (c *IRQController) AddDevice(name string, meanGapCycles, handlerCycles int64) *DeviceSource {
-	d := &DeviceSource{
+	// A source left over from before the last reset is reused in place,
+	// arrival event included.
+	var d *DeviceSource
+	if n := len(c.sources); n < cap(c.sources) {
+		d = c.sources[:n+1][n]
+	}
+	if d == nil {
+		d = new(DeviceSource)
+	}
+	*d = DeviceSource{
 		Name:          name,
 		Vector:        c.nextVec,
 		MeanGapCycles: meanGapCycles,
 		HandlerCycles: handlerCycles,
 		target:        c.firstLaden(),
 		ctl:           c,
-		rng:           c.rng.Split(),
+		ev:            d.ev,
 	}
+	c.rng.SplitInto(&d.rng)
 	c.nextVec++
 	if c.nextVec.Class() >= VecKick.Class() {
 		panic("machine: too many device vectors")
@@ -119,7 +132,7 @@ func (c *IRQController) SetLadenPartition(cpus []int) {
 	if len(cpus) == 0 {
 		panic("machine: interrupt-laden partition cannot be empty")
 	}
-	c.laden = map[int]bool{}
+	clear(c.laden)
 	for _, i := range cpus {
 		c.laden[i] = true
 	}

@@ -8,7 +8,7 @@ import "hrtsched/internal/sim"
 // schedule is invisible to the kernel; only its effects are observable.
 type SMIController struct {
 	mach    *Machine
-	rng     *sim.Rand
+	rng     sim.Rand
 	ev      *sim.Event // persistent injection event, re-armed per gap
 	enabled bool
 	count   int64
@@ -18,12 +18,16 @@ type SMIController struct {
 	onSMI []func(at sim.Time, d sim.Duration)
 }
 
-func newSMIController(m *Machine, rng *sim.Rand) *SMIController {
-	s := &SMIController{mach: m, rng: rng}
-	if m.Spec.MeanSMIGapCycles > 0 {
+// reset reseeds the controller from the machine's root stream and, if the
+// spec asks for SMIs, re-enables injection. The persistent injection event
+// (idle after the engine's reset) and the observer slice's storage are kept.
+func (s *SMIController) reset() {
+	clear(s.onSMI)
+	*s = SMIController{mach: s.mach, ev: s.ev, onSMI: s.onSMI[:0]}
+	s.mach.rng.SplitInto(&s.rng)
+	if s.mach.Spec.MeanSMIGapCycles > 0 {
 		s.Enable()
 	}
-	return s
 }
 
 // Enable starts SMI injection using the spec's gap and duration model:

@@ -86,6 +86,28 @@ func (z *Zone) materialize() {
 	z.allocated = map[uint64]uint{}
 }
 
+// Reset frees every block and zeroes the statistics, returning the zone to
+// the state NewZone leaves it in while keeping its free-list storage and
+// allocation map. Addresses handed out before the reset are invalid.
+func (z *Zone) Reset() {
+	if z.free != nil {
+		for o := range z.free {
+			z.free[o] = z.free[o][:0]
+		}
+		z.free[z.maxOrder] = append(z.free[z.maxOrder], 0)
+		clear(z.allocated)
+	}
+	*z = Zone{
+		name:      z.name,
+		base:      z.base,
+		size:      z.size,
+		minOrder:  z.minOrder,
+		maxOrder:  z.maxOrder,
+		free:      z.free,
+		allocated: z.allocated,
+	}
+}
+
 // Name returns the zone name.
 func (z *Zone) Name() string { return z.name }
 
@@ -203,6 +225,22 @@ func (z *Zone) Free(addr uint64) error {
 	}
 	z.free[order] = append(z.free[order], off)
 	return nil
+}
+
+// LiveBlocks returns the number of live allocations.
+func (z *Zone) LiveBlocks() int { return len(z.allocated) }
+
+// FreeBlocks returns the number of free blocks across all orders (one for
+// a zone nothing has been allocated from).
+func (z *Zone) FreeBlocks() int {
+	if z.free == nil {
+		return 1
+	}
+	n := 0
+	for _, list := range z.free {
+		n += len(list)
+	}
+	return n
 }
 
 // BlockSize returns the usable size of the block at addr, or 0 if addr is

@@ -38,6 +38,47 @@ func TestAllocFreeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestZoneResetMatchesNew: a used zone, reset, holds no allocation and
+// hands out the same addresses, with the same statistics, as a new zone.
+func TestZoneResetMatchesNew(t *testing.T) {
+	sizes := []uint64{1000, 64, 4096, 300, 20_000}
+	allocAll := func(z *Zone) []uint64 {
+		var addrs []uint64
+		for _, n := range sizes {
+			a, err := z.Alloc(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, a)
+		}
+		return addrs
+	}
+	used := mkZone(t, 1<<16, 64)
+	for _, a := range allocAll(used)[1:] {
+		if err := used.Free(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used.Reset()
+	if err := used.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if used.LiveBlocks() != 0 || used.FreeBlocks() != 1 || used.Allocs != 0 || used.PeakAllocated != 0 {
+		t.Fatalf("reset zone: live=%d free=%d allocs=%d peak=%d",
+			used.LiveBlocks(), used.FreeBlocks(), used.Allocs, used.PeakAllocated)
+	}
+	fresh := mkZone(t, 1<<16, 64)
+	got, want := allocAll(used), allocAll(fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reset zone hands out %v, new zone %v", got, want)
+		}
+	}
+	if used.SplitSteps != fresh.SplitSteps || used.BytesAllocated != fresh.BytesAllocated {
+		t.Fatalf("statistics differ: reset %+v, new %+v", *used, *fresh)
+	}
+}
+
 func TestAllocAlignment(t *testing.T) {
 	z := mkZone(t, 1<<16, 64)
 	for _, n := range []uint64{1, 64, 65, 100, 128, 4096, 5000} {

@@ -43,6 +43,16 @@ func PhiLayout(ncpus int) (*NUMA, error) {
 	return NewNUMA([]*Zone{mcdram, dram}, cpuZone)
 }
 
+// Reset frees every allocation in every zone (see Zone.Reset).
+func (n *NUMA) Reset() {
+	for _, z := range n.zones {
+		z.Reset()
+	}
+}
+
+// NumCPUs returns the number of CPUs the layout maps to zones.
+func (n *NUMA) NumCPUs() int { return len(n.cpuZone) }
+
 // Zones returns the zones.
 func (n *NUMA) Zones() []*Zone { return n.zones }
 

@@ -153,6 +153,27 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reset returns the engine to the state NewEngine leaves it in — clock,
+// sequence numbers, freeze and step counters at zero, nothing queued —
+// while keeping its storage: queued pooled events go back to the free
+// list, queued persistent events are left idle (their owners may re-arm
+// them), and both heap arrays keep their capacity. A simulation built on
+// a reset engine makes the same Schedule calls in the same order as one
+// built on a new engine, so it assigns the same sequence numbers and
+// handles the same events at the same times.
+func (e *Engine) Reset() {
+	for _, h := range [...]*eventHeap{&e.hard, &e.soft} {
+		for i, ev := range h.a {
+			ev.index = -1
+			ev.cancelled = false
+			e.release(ev)
+			h.a[i] = nil
+		}
+		h.a = h.a[:0]
+	}
+	*e = Engine{hard: e.hard, soft: e.soft, free: e.free}
+}
+
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 

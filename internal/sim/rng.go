@@ -15,12 +15,28 @@ type Rand struct {
 
 // NewRand returns a generator seeded with seed.
 func NewRand(seed uint64) *Rand {
-	return &Rand{state: seed}
+	r := new(Rand)
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r in place to the stream NewRand(seed) would return.
+func (r *Rand) Seed(seed uint64) {
+	*r = Rand{state: seed}
 }
 
 // Split derives an independent generator from this one, consuming one draw.
 func (r *Rand) Split() *Rand {
-	return &Rand{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
+	d := new(Rand)
+	r.SplitInto(d)
+	return d
+}
+
+// SplitInto is Split for a stream the caller already stores: it reseeds
+// dst in place with the stream Split would return, consuming the same one
+// draw.
+func (r *Rand) SplitInto(dst *Rand) {
+	dst.Seed(r.Uint64() ^ 0x9e3779b97f4a7c15)
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.

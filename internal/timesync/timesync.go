@@ -38,11 +38,20 @@ const handshakeCostCycles = 4_000
 // machine's clock past the end of the slowest CPU's participation. The rng
 // supplies the measurement and write-back errors.
 func Calibrate(m *machine.Machine, rng *sim.Rand) *Result {
+	res := new(Result)
+	CalibrateInto(res, m, rng)
+	return res
+}
+
+// CalibrateInto is Calibrate writing into res, whose slices are reused
+// when they are large enough. The protocol, its random draws and the
+// clock it advances are exactly Calibrate's.
+func CalibrateInto(res *Result, m *machine.Machine, rng *sim.Rand) {
 	spec := m.Spec
 	n := m.NumCPUs()
-	res := &Result{
-		SoftOffset: make([]int64, n),
-		Residual:   make([]int64, n),
+	*res = Result{
+		SoftOffset: resize(res.SoftOffset, n),
+		Residual:   resize(res.Residual, n),
 		Rounds:     spec.CalibRounds,
 	}
 	if res.Rounds < 1 {
@@ -103,7 +112,17 @@ func Calibrate(m *machine.Machine, rng *sim.Rand) *Result {
 	if m.Eng.Now() < res.DoneAt {
 		m.Eng.Run(res.DoneAt)
 	}
-	return res
+}
+
+// resize returns s with length n and every element zero, reallocating
+// only when s is too small.
+func resize(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // MaxResidual returns the largest ground-truth residual in cycles.
@@ -130,11 +149,18 @@ type Clock struct {
 
 // NewClock builds the wall clock for cpu from a calibration result.
 func NewClock(cpu *machine.CPU, r *Result) *Clock {
+	c := new(Clock)
+	c.Reset(cpu, r)
+	return c
+}
+
+// Reset rebuilds c in place as NewClock(cpu, r) would build it.
+func (c *Clock) Reset(cpu *machine.CPU, r *Result) {
 	off := int64(0)
 	if r != nil {
 		off = r.SoftOffset[cpu.ID()]
 	}
-	return &Clock{cpu: cpu, softOffset: off, freqHz: cpu.Machine().Spec.FreqHz}
+	*c = Clock{cpu: cpu, softOffset: off, freqHz: cpu.Machine().Spec.FreqHz}
 }
 
 // NowCycles returns the estimated wall-clock time in cycles.

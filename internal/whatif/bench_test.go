@@ -49,35 +49,60 @@ func BenchmarkWhatifScenario(b *testing.B) {
 // raceEnabled is set by race_enabled_test.go under -race.
 var raceEnabled bool
 
-// TestReplicationAllocationBudget is the deterministic gate behind the
-// benchmarks above: one benchScenario(1) request — a kernel boot and a
-// full simulated hyperperiod — stays within 200 allocations and 20 KiB,
-// so a boot costs what the scenario needs, not what MaxThreads allows.
-func TestReplicationAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts under -race measure the detector")
-	}
-	const (
-		maxAllocs = 200
-		maxBytes  = 20 << 10
-		runs      = 50
-	)
-	sc := benchScenario(1)
+// requestCost measures one Run of sc: allocations (testing.AllocsPerRun)
+// and bytes allocated, averaged over runs requests.
+func requestCost(t *testing.T, sc Scenario, runs int) (allocs float64, bytes uint64) {
+	t.Helper()
 	run := func() {
 		if _, err := Run(sc, 7); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if allocs := testing.AllocsPerRun(runs, run); allocs > maxAllocs {
-		t.Errorf("one replication allocates %.0f times, budget %d", allocs, maxAllocs)
-	}
+	allocs = testing.AllocsPerRun(runs, run)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > maxBytes {
-		t.Errorf("one replication allocates %d bytes, budget %d", bytes, maxBytes)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestReplicationAllocationBudget is the deterministic gate behind the
+// benchmarks above. One benchScenario(1) request — a kernel boot and a
+// full simulated hyperperiod — stays within 200 allocations and 20 KiB,
+// so a boot costs what the scenario needs, not what MaxThreads allows.
+// Each further replication of a request — the difference between a
+// 16-replication and a 1-replication request, over 15 — stays within 64
+// allocations and 4 KiB: it re-boots the request's replica in place
+// rather than building a machine and kernel of its own.
+func TestReplicationAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	const (
+		maxAllocs         = 200
+		maxBytes          = 20 << 10
+		maxMarginalAllocs = 64
+		maxMarginalBytes  = 4 << 10
+		runs              = 50
+	)
+	allocs1, bytes1 := requestCost(t, benchScenario(1), runs)
+	if allocs1 > maxAllocs {
+		t.Errorf("one replication allocates %.0f times, budget %d", allocs1, maxAllocs)
+	}
+	if bytes1 > maxBytes {
+		t.Errorf("one replication allocates %d bytes, budget %d", bytes1, maxBytes)
+	}
+	allocs16, bytes16 := requestCost(t, benchScenario(16), runs)
+	marginalAllocs := (allocs16 - allocs1) / 15
+	marginalBytes := (int64(bytes16) - int64(bytes1)) / 15
+	t.Logf("one replication: %.0f allocs, %d B; each further one: %.1f allocs, %d B",
+		allocs1, bytes1, marginalAllocs, marginalBytes)
+	if marginalAllocs > maxMarginalAllocs {
+		t.Errorf("each further replication allocates %.1f times, budget %d", marginalAllocs, maxMarginalAllocs)
+	}
+	if marginalBytes > maxMarginalBytes {
+		t.Errorf("each further replication allocates %d bytes, budget %d", marginalBytes, maxMarginalBytes)
 	}
 }

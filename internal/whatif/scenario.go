@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,8 +62,10 @@ type Scenario struct {
 	UtilizationLimit float64 `json:"utilization_limit,omitempty"`
 }
 
-// Normalize returns a copy with defaults applied.
+// Normalize returns a copy with defaults applied. The copy has its own
+// Tasks, so the caller's scenario is left as it was.
 func (sc Scenario) Normalize() Scenario {
+	sc.Tasks = slices.Clone(sc.Tasks)
 	if sc.Machine == "" {
 		sc.Machine = "phiknl"
 	}
@@ -211,60 +214,100 @@ type jobRecorder struct {
 	late int64
 }
 
-// jobProgram is the canonical what-if workload: per period, draw the job's
-// cost from the execution model, compute it, record the observed response
+// job is the canonical what-if workload: per period, draw the job's cost
+// from the execution model, compute it, record the observed response
 // time, and sleep until the next arrival. Overrun periods are abandoned —
 // the scheduler has already rolled the arrivals forward and counted the
 // misses; the program just resynchronizes to the next future boundary.
-func jobProgram(cons core.Constraints, wcetCycles int64, model ExecModel, rng *sim.Rand, rec *jobRecorder) core.Program {
-	const (
-		stAdmit = iota
-		stCompute
-		stRecord
-		stSleep
-	)
-	state := stAdmit
-	var arrivalNs int64
-	return core.ProgramFunc(func(tc *core.ThreadCtx) core.Action {
-		switch state {
-		case stAdmit:
-			state = stCompute
-			return core.ChangeConstraints{C: cons}
-		case stCompute:
-			arrivalNs = tc.T.ArrivalNs()
-			state = stRecord
-			return core.Compute{Cycles: model.Draw(rng, wcetCycles)}
-		case stRecord:
-			state = stSleep
-			return core.Call{Fn: func(tc *core.ThreadCtx) {
-				resp := tc.NowNs - arrivalNs
-				rec.hist.Add(float64(resp))
-				rec.sum.Add(float64(resp))
-				if resp > cons.PeriodNs {
-					rec.late++
-				}
-			}}
-		default:
-			state = stCompute
-			// The task's schedule is anchored at its admission time Gamma,
-			// not at absolute zero, so the next arrival boundary is the
-			// scheduler's current deadline — never recompute it as k*P.
-			// After an overrun the scheduler has already rolled arrival and
-			// deadline forward (counting the misses), so the deadline is
-			// still the first boundary strictly after now.
-			return core.SleepUntil{WallNs: tc.T.DeadlineNs()}
-		}
-	})
+// A replica keeps one job per task and restarts it for each replication.
+type job struct {
+	cons       core.Constraints
+	admit      core.Action // ChangeConstraints{C: cons}
+	record     core.Action // Call of recordResponse
+	wcetCycles int64
+	model      ExecModel
+	rng        sim.Rand
+	rec        *jobRecorder
+	state      int
+	arrivalNs  int64
 }
 
-// runReplication executes one seeded replication and returns its
-// observations. All randomness derives from machine.New(spec, seed) in a
-// fixed construction order: kernel boot, per-task model streams (in task
-// order), then the fault environment. The simulated window is durationNs
-// long and starts where boot calibration left the clock, at the instant
-// the task threads are spawned.
-func runReplication(sc Scenario, spec machine.Spec, model ExecModel, policy core.DegradePolicy, seed uint64, durationNs int64, recs []*jobRecorder) repOutcome {
-	m := machine.New(spec, seed)
+const (
+	jobAdmit = iota
+	jobCompute
+	jobRecord
+	jobSleep
+)
+
+func newJob(cons core.Constraints, wcetCycles int64, model ExecModel, rec *jobRecorder) *job {
+	j := &job{cons: cons, admit: core.ChangeConstraints{C: cons}, wcetCycles: wcetCycles, model: model, rec: rec}
+	j.record = core.Call{Fn: j.recordResponse}
+	return j
+}
+
+// Next implements core.Program.
+func (j *job) Next(tc *core.ThreadCtx) core.Action {
+	switch j.state {
+	case jobAdmit:
+		j.state = jobCompute
+		return j.admit
+	case jobCompute:
+		j.arrivalNs = tc.T.ArrivalNs()
+		j.state = jobRecord
+		return core.Compute{Cycles: j.model.Draw(&j.rng, j.wcetCycles)}
+	case jobRecord:
+		j.state = jobSleep
+		return j.record
+	default:
+		j.state = jobCompute
+		// The task's schedule is anchored at its admission time Gamma,
+		// not at absolute zero, so the next arrival boundary is the
+		// scheduler's current deadline — never recompute it as k*P.
+		// After an overrun the scheduler has already rolled arrival and
+		// deadline forward (counting the misses), so the deadline is
+		// still the first boundary strictly after now.
+		return core.SleepUntil{WallNs: tc.T.DeadlineNs()}
+	}
+}
+
+func (j *job) recordResponse(tc *core.ThreadCtx) {
+	resp := tc.NowNs - j.arrivalNs
+	j.rec.hist.Add(float64(resp))
+	j.rec.sum.Add(float64(resp))
+	if resp > j.cons.PeriodNs {
+		j.rec.late++
+	}
+}
+
+// replica is the simulated node one Run call replicates on. The first
+// replication builds its machine, kernel and invariant checker; every
+// later one resets them in place under its own seed (machine.Reset,
+// core.Kernel.Reboot, core.InvariantChecker.Reattach), along with the
+// jobs, the outcome slices and the hooks. Only storage carries over:
+// every random draw happens in the order a fresh boot makes it, so a
+// replication's outcome does not depend on what ran on the replica
+// before it.
+type replica struct {
+	sc      Scenario
+	spec    machine.Spec
+	cfg     core.Config
+	caption string // the checker's repro-line scenario name
+
+	m         *machine.Machine
+	k         *core.Kernel
+	chk       *core.InvariantChecker
+	env       fault.Env
+	envRng    sim.Rand
+	injectors []fault.Injector
+	jobs      []*job
+	threads   []*core.Thread
+	hooks     core.Hooks
+	out       repOutcome
+}
+
+// newReplica prepares the replications of sc on spec. recs[i] collects
+// task i's response times across every replication.
+func newReplica(sc Scenario, spec machine.Spec, model ExecModel, policy core.DegradePolicy, recs []*jobRecorder) *replica {
 	cfg := core.DefaultConfig(spec)
 	// Admission is judged analytically by plan.Analyze; the engine runs
 	// every task so rejected sets still produce observations (that is the
@@ -276,82 +319,116 @@ func runReplication(sc Scenario, spec machine.Spec, model ExecModel, policy core
 	// A lost one-shot firing under timer-drift otherwise bricks the CPU
 	// for the rest of the replication.
 	cfg.WatchdogNs = 10_000_000
-	k := core.Boot(m, cfg)
-	chk := core.AttachInvariants(k, seed, "whatif:"+sc.Name)
-
-	out := repOutcome{
-		arrivals:  make([]int64, len(sc.Tasks)),
-		misses:    make([]int64, len(sc.Tasks)),
-		maxStreak: make([]int, len(sc.Tasks)),
-		degrades:  make([]int64, len(sc.Tasks)),
-		readmits:  make([]int64, len(sc.Tasks)),
+	n := len(sc.Tasks)
+	r := &replica{
+		sc:      sc,
+		spec:    spec,
+		cfg:     cfg,
+		caption: "whatif:" + sc.Name,
+		jobs:    make([]*job, n),
+		threads: make([]*core.Thread, n),
+		out: repOutcome{
+			arrivals:  make([]int64, n),
+			misses:    make([]int64, n),
+			maxStreak: make([]int, n),
+			degrades:  make([]int64, n),
+			readmits:  make([]int64, n),
+		},
 	}
-
-	threads := make([]*core.Thread, len(sc.Tasks))
-	index := make(map[*core.Thread]int, len(sc.Tasks))
 	for i, task := range sc.Tasks {
 		cons := core.PeriodicConstraints(task.PhaseNs, task.PeriodNs, task.SliceNs)
 		wcet := int64(spec.NanosToCycles(task.WcetNs))
 		if wcet < 1 {
 			wcet = 1
 		}
-		rng := m.Rand()
-		threads[i] = k.Spawn(task.Name, task.CPU, jobProgram(cons, wcet, model, rng, recs[i]))
-		index[threads[i]] = i
+		r.jobs[i] = newJob(cons, wcet, model, recs[i])
 	}
-
-	prevMiss := k.Hooks.Miss
-	k.Hooks.Miss = func(cpu int, t *core.Thread, nowNs, missNs int64) {
-		if prevMiss != nil {
-			prevMiss(cpu, t, nowNs, missNs)
-		}
-		if i, ok := index[t]; ok {
-			if s := t.MissStreak(); s > out.maxStreak[i] {
-				out.maxStreak[i] = s
-			}
-		}
-	}
-	prevDegrade := k.Hooks.Degrade
-	k.Hooks.Degrade = func(cpu int, t *core.Thread, ev core.DegradeEvent) {
-		if prevDegrade != nil {
-			prevDegrade(cpu, t, ev)
-		}
-		if i, ok := index[t]; ok {
-			out.degrades[i]++
-		}
-	}
-	prevReadmit := k.Hooks.Readmit
-	k.Hooks.Readmit = func(cpu int, t *core.Thread, nowNs int64) {
-		if prevReadmit != nil {
-			prevReadmit(cpu, t, nowNs)
-		}
-		if i, ok := index[t]; ok {
-			out.readmits[i]++
-		}
-	}
-
-	env := &fault.Env{M: m, K: k, Rng: m.Rand()}
 	for _, name := range sc.Faults {
-		for _, inj := range fault.Presets[name](spec) {
-			inj.Start(env)
+		r.injectors = append(r.injectors, fault.Presets[name](spec)...)
+	}
+	r.hooks = core.Hooks{Miss: r.onMiss, Degrade: r.onDegrade, Readmit: r.onReadmit}
+	return r
+}
+
+// task returns the scenario index of t, or false for a thread that is
+// not one of the scenario's tasks.
+func (r *replica) task(t *core.Thread) (int, bool) {
+	i := t.ID()
+	return i, i < len(r.threads) && r.threads[i] == t
+}
+
+func (r *replica) onMiss(cpu int, t *core.Thread, nowNs, missNs int64) {
+	if i, ok := r.task(t); ok {
+		if s := t.MissStreak(); s > r.out.maxStreak[i] {
+			r.out.maxStreak[i] = s
 		}
 	}
+}
 
-	k.RunNs(durationNs)
+func (r *replica) onDegrade(cpu int, t *core.Thread, ev core.DegradeEvent) {
+	if i, ok := r.task(t); ok {
+		r.out.degrades[i]++
+	}
+}
 
-	for i, t := range threads {
+func (r *replica) onReadmit(cpu int, t *core.Thread, nowNs int64) {
+	if i, ok := r.task(t); ok {
+		r.out.readmits[i]++
+	}
+}
+
+// run executes one seeded replication and returns its observations, which
+// stay valid until the next run. All randomness derives from the machine's
+// seed in a fixed construction order: kernel boot, per-task model streams
+// (in task order), then the fault environment. The simulated window is
+// durationNs long and starts where boot calibration left the clock, at
+// the instant the task threads are spawned.
+func (r *replica) run(seed uint64, durationNs int64) *repOutcome {
+	if r.m == nil {
+		r.m = machine.New(r.spec, seed)
+		r.k = core.Boot(r.m, r.cfg)
+		r.chk = core.AttachInvariants(r.k, seed, r.caption)
+	} else {
+		r.m.Reset(r.spec, seed)
+		r.k.Reboot(r.m, r.cfg)
+		r.chk.Reattach(r.k, seed, r.caption)
+	}
+	out := &r.out
+	clear(out.maxStreak)
+	clear(out.degrades)
+	clear(out.readmits)
+
+	for i, task := range r.sc.Tasks {
+		j := r.jobs[i]
+		j.state, j.arrivalNs = jobAdmit, 0
+		r.m.RandInto(&j.rng)
+		r.threads[i] = r.k.Spawn(task.Name, task.CPU, j)
+	}
+	r.k.Hooks.Miss = r.hooks.Miss
+	r.k.Hooks.Degrade = r.hooks.Degrade
+	r.k.Hooks.Readmit = r.hooks.Readmit
+
+	r.m.RandInto(&r.envRng)
+	r.env = fault.Env{M: r.m, K: r.k, Rng: &r.envRng}
+	for _, inj := range r.injectors {
+		inj.Start(&r.env)
+	}
+
+	r.k.RunNs(durationNs)
+
+	for i, t := range r.threads {
 		out.arrivals[i] = t.Arrivals
 		out.misses[i] = t.Misses
 	}
-	out.steps = k.Eng.Steps()
-	out.violations = len(chk.Violations())
+	out.steps = r.k.Eng.Steps()
+	out.violations = len(r.chk.Violations())
 	return out
 }
 
 // Run executes the scenario's replications and aggregates the Report.
-// Replication r runs on its own machine seeded from the r-th draw of a
-// root stream over seed, so reports are reproducible per (scenario, seed)
-// and replications are statistically independent.
+// Replication r boots the request's replica under the r-th draw of a root
+// stream over seed, so reports are reproducible per (scenario, seed) and
+// replications are statistically independent.
 func Run(sc Scenario, seed uint64) (*Report, error) {
 	sc = sc.Normalize()
 	if err := sc.Validate(); err != nil {
@@ -405,11 +482,12 @@ func Run(sc Scenario, seed uint64) (*Report, error) {
 	}
 	seeds := sim.NewRand(seed)
 	lateBefore := make([]int64, len(sc.Tasks))
+	node := newReplica(sc, spec, model, policy, recs)
 	for r := 0; r < sc.Replications; r++ {
 		for i := range recs {
 			lateBefore[i] = recs[i].late
 		}
-		out := runReplication(sc, spec, model, policy, seeds.Uint64(), durationNs, recs)
+		out := node.run(seeds.Uint64(), durationNs)
 		// A replication "misses" if any reserved slice went unserved
 		// (scheduler miss) or any job completed past its deadline (late
 		// job); survival demands neither.

@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -249,7 +250,7 @@ func TestWCETInertDifferential(t *testing.T) {
 			return recs
 		}
 		wRecs, bRecs := mkRecs(), mkRecs()
-		out := runReplication(sc, spec, model, core.DegradeOff, seed, durationNs, wRecs)
+		out := newReplica(sc, spec, model, core.DegradeOff, wRecs).run(seed, durationNs)
 		bSteps, bArrivals, bMisses := baselineReplication(sc, spec, seed, durationNs, bRecs)
 		if out.steps != bSteps {
 			t.Fatalf("seed %d: engine steps %d != baseline %d", seed, out.steps, bSteps)
@@ -337,6 +338,35 @@ func TestSimulateSustains1000Hyperperiods(t *testing.T) {
 	}
 	t.Logf("1000 hyperperiod replications in %v (%.0f/s)",
 		elapsed, 1000/elapsed.Seconds())
+}
+
+// TestNormalizeLeavesInputUnchanged: Normalize and Run fill in task names
+// and WcetNs on their own copy, so a caller that edits a slice and runs
+// the same scenario again gets the new slice's default WcetNs.
+func TestNormalizeLeavesInputUnchanged(t *testing.T) {
+	sc := testScenario()
+	want := testScenario()
+	norm := sc.Normalize()
+	if !reflect.DeepEqual(sc, want) {
+		t.Fatalf("Normalize changed its input:\n got %+v\nwant %+v", sc, want)
+	}
+	if norm.Tasks[0].Name != "task0" || norm.Tasks[0].WcetNs != sc.Tasks[0].SliceNs {
+		t.Fatalf("Normalize did not fill in task 0: %+v", norm.Tasks[0])
+	}
+	if _, err := Run(sc, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sc, want) {
+		t.Fatalf("Run changed its input:\n got %+v\nwant %+v", sc, want)
+	}
+	sc.Tasks[0].SliceNs = 200_000
+	r, err := Run(sc, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Tasks[0].WcetNs; got != 200_000 {
+		t.Fatalf("after editing slice_ns, task 0 runs with wcet_ns %d, want the new slice 200000", got)
+	}
 }
 
 func TestValidateRejects(t *testing.T) {
