@@ -2,16 +2,23 @@ GO ?= go
 
 .PHONY: ci build vet test race planverify perf-gate chaos bench bench-engine bench-record bench-record-pr5 bench-record-pr7 bench-record-pr8 bench-record-pr9 bench-record-pr10 engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
-# ci is the tier-1 gate: every change must pass vet, build, the race-
+# ci is the tier-1 gate: every change must pass gofmt, vet, build, the race-
 # enabled test suite, the planverify cross-check, the non-race perf
 # gates, the engine benchmark smoke, and the serving-layer smokes —
 # including the kill -9 recovery, leader-failover, DAG-recovery,
 # batched-placement, sharded-router, and what-if simulation smokes —
 # before it lands (see README "Testing").
-ci: vet build race planverify perf-gate engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
+ci: fmt vet build race planverify perf-gate engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file outside hidden directories (such as the
+# benchmark's .bench_build) is not gofmt-formatted, listing the files.
+.PHONY: fmt
+fmt:
+	@out=$$(find . -name '*.go' -not -path './.*/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -106,9 +113,9 @@ bench-record-pr10:
 engine-bench-smoke:
 	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEngine' -benchtime 100x
 
-# whatif-bench-smoke does the same for the what-if boot rung: a node built
-# from nothing, the same node re-booted in place, and whole what-if
-# requests.
+# whatif-bench-smoke does the same for the what-if rungs: a node built
+# from nothing, the same node re-booted in place, whole what-if requests,
+# and one 100-hyperperiod replication (the steady-state, per-event rung).
 whatif-bench-smoke:
 	$(GO) test ./internal/core ./internal/whatif -run '^$$' -bench 'BenchmarkBoot|BenchmarkReboot|BenchmarkWhatif' -benchtime 100x
 

@@ -10,9 +10,9 @@ import (
 // the admission-control computation runs as thread execution (the paper's
 // "admission control runs in the context of the thread requesting
 // admission"), and when the computation completes the verdict is applied.
-type admitMarker struct {
-	c Constraints
-}
+// The requested constraints wait in the thread's admitCons, so the marker
+// is empty and boxing it allocates nothing.
+type admitMarker struct{}
 
 func (admitMarker) isAction() {}
 
@@ -26,14 +26,16 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 			panic(fmt.Sprintf("core: thread %q livelocked on zero-cost actions", t.name))
 		}
 		if t.cur == nil {
-			tc := s.threadCtx(t)
-			t.cur = t.prog.Next(tc)
-			if _, ok := t.cur.(Compute); ok {
-				t.curRemCycles = t.cur.(Compute).Cycles
+			t.cur = t.prog.Next(s.threadCtx(t))
+			switch a := t.cur.(type) {
+			case Compute:
+				t.curRemCycles = a.Cycles
+			case *Compute:
+				t.curRemCycles = a.Cycles
 			}
 		}
 		switch a := t.cur.(type) {
-		case Compute:
+		case Compute, *Compute:
 			if t.curRemCycles <= 0 {
 				t.cur = nil
 				continue
@@ -64,10 +66,10 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 			s.invoke(ReasonThread, s.k.Eng.Now())
 			return
 		case SleepUntil:
-			t.cur = nil
-			t.state = Sleeping
-			s.scheduleWake(t, a.WallNs)
-			s.invoke(ReasonThread, s.k.Eng.Now())
+			s.sleep(t, a.WallNs)
+			return
+		case *SleepUntil:
+			s.sleep(t, a.WallNs)
 			return
 		case Exit:
 			s.exitThread(t)
@@ -76,7 +78,8 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 		case ChangeConstraints:
 			// Consume the admission-control cost in thread context, then
 			// apply the verdict.
-			t.cur = admitMarker{c: a.C}
+			t.cur = admitMarker{}
+			t.admitCons = a.C
 			cost := s.k.AdmitCostCycles
 			if cost < 1 {
 				cost = 1
@@ -87,7 +90,7 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 			// Reached only on resume after preemption mid-admission; the
 			// remaining cost was already consumed.
 			t.cur = nil
-			s.applyAdmission(t, a.c)
+			s.applyAdmission(t, t.admitCons)
 			return
 		default:
 			panic(fmt.Sprintf("core: unknown action %T", t.cur))
@@ -99,22 +102,24 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 // computation) finishes on time.
 func (s *LocalScheduler) onActionComplete(t *Thread, now sim.Time) {
 	s.accountCurrent(now)
-	switch a := t.cur.(type) {
-	case Compute:
+	switch t.cur.(type) {
+	case Compute, *Compute:
 		t.cur = nil
 		t.curRemCycles = 0
 		s.startAction(t, now)
 	case admitMarker:
 		t.cur = nil
-		s.applyAdmission(t, a.c)
+		s.applyAdmission(t, t.admitCons)
 	default:
 		panic(fmt.Sprintf("core: completion for non-timed action %T", t.cur))
 	}
 }
 
-// threadCtx builds the program-facing context.
+// threadCtx refreshes and returns t's program-facing context. Each thread
+// owns one, rewritten for every Next and Call; no program keeps it past
+// the call it was handed to (see ThreadCtx).
 func (s *LocalScheduler) threadCtx(t *Thread) *ThreadCtx {
-	return &ThreadCtx{
+	t.ctx = ThreadCtx{
 		K:        s.k,
 		T:        t,
 		CPU:      s.cpu.ID(),
@@ -123,6 +128,7 @@ func (s *LocalScheduler) threadCtx(t *Thread) *ThreadCtx {
 		AdmitOK:  t.admitOK,
 		AdmitErr: t.admitErr,
 	}
+	return &t.ctx
 }
 
 // applyAdmission runs the admission test for t's requested constraints and
@@ -401,6 +407,15 @@ func (s *LocalScheduler) exitThread(t *Thread) {
 	}
 }
 
+// sleep parks the running thread t until wall-clock wallNs and re-enters
+// the scheduler.
+func (s *LocalScheduler) sleep(t *Thread, wallNs int64) {
+	t.cur = nil
+	t.state = Sleeping
+	s.scheduleWake(t, wallNs)
+	s.invoke(ReasonThread, s.k.Eng.Now())
+}
+
 // scheduleWake arms a wake event for a sleeping thread at wall-clock ns.
 func (s *LocalScheduler) scheduleWake(t *Thread, wallNs int64) {
 	delta := wallNs - s.nowNs(0)
@@ -408,9 +423,13 @@ func (s *LocalScheduler) scheduleWake(t *Thread, wallNs int64) {
 		delta = 0
 	}
 	cycles := s.clock.NanosToCycles(delta)
-	s.k.Eng.After(sim.Duration(cycles), sim.Hard, func(now sim.Time) {
-		if t.state == Sleeping {
-			s.k.Wake(t)
-		}
-	})
+	s.k.Eng.AfterPayload(sim.Duration(cycles), sim.Hard, wakeDue, t, 0)
+}
+
+// wakeDue fires a sleeping thread's wake event; ref is the thread. A
+// thread woken early by someone else is left alone.
+func wakeDue(_ sim.Time, ref any, _ uint64) {
+	if t := ref.(*Thread); t.state == Sleeping {
+		t.k.Wake(t)
+	}
 }

@@ -223,9 +223,14 @@ func (k *Kernel) scheduleReadmit(t *Thread, attempt int) {
 	if delay < 1 {
 		delay = 1
 	}
-	k.Eng.After(sim.Duration(delay), sim.Hard, func(now sim.Time) {
-		k.tryReadmit(t, attempt)
-	})
+	k.Eng.AfterPayload(sim.Duration(delay), sim.Hard, readmitDue, t, uint64(attempt))
+}
+
+// readmitDue fires a re-admission attempt: ref is the cohort's anchor
+// thread, arg the attempt number.
+func readmitDue(_ sim.Time, ref any, attempt uint64) {
+	t := ref.(*Thread)
+	t.k.tryReadmit(t, int(attempt))
 }
 
 // tryReadmit attempts to restore the shed cohort to its original

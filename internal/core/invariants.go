@@ -51,6 +51,7 @@ type InvariantChecker struct {
 	passes     int64
 	lastCycles []int64
 	violations []Violation
+	check      func(cpu int, s *LocalScheduler, nowNs int64) // c.checkPass, bound once
 }
 
 // AttachInvariants installs a checker on k via Hooks.Pass, chaining any
@@ -81,13 +82,19 @@ func (c *InvariantChecker) Reattach(k *Kernel, seed uint64, scenario string) {
 		MaxViolations: 64,
 		lastCycles:    lastCycles,
 		violations:    c.violations[:0],
+		check:         c.check,
+	}
+	if c.check == nil {
+		c.check = c.checkPass
 	}
 	prev := k.Hooks.Pass
+	if prev == nil {
+		k.Hooks.Pass = c.check
+		return
+	}
 	k.Hooks.Pass = func(cpu int, s *LocalScheduler, nowNs int64) {
-		if prev != nil {
-			prev(cpu, s, nowNs)
-		}
-		c.checkPass(cpu, s)
+		prev(cpu, s, nowNs)
+		c.checkPass(cpu, s, nowNs)
 	}
 }
 
@@ -120,7 +127,7 @@ func (c *InvariantChecker) Report() string {
 	return b.String()
 }
 
-func (c *InvariantChecker) checkPass(cpu int, s *LocalScheduler) {
+func (c *InvariantChecker) checkPass(cpu int, s *LocalScheduler, _ int64) {
 	c.passes++
 	ev := c.k.Eng.Steps()
 

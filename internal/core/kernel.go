@@ -351,10 +351,9 @@ func (k *Kernel) Wake(t *Thread) {
 // platform's IPI latency. If the CPU is mid-pass the kick is held pending
 // by the task-priority mechanism and drains at dispatch.
 func (k *Kernel) Kick(cpu int) {
+	// An IPI's flight time is the platform's, whoever sends it.
 	target := k.M.CPU(cpu)
-	k.Eng.After(sim.Duration(k.M.Spec.IPILatencyCycles), sim.Hard, func(now sim.Time) {
-		target.RaiseInterrupt(machine.VecKick)
-	})
+	target.SendIPI(target, machine.VecKick)
 }
 
 // SetScope installs (or clears, with nil) the GPIO instrumentation hook.
@@ -432,19 +431,44 @@ func (s *LocalScheduler) interruptHandlerWindow(now sim.Time, cost int64) {
 	}
 	s.accountCurrent(now)
 	s.cancelAction()
-	gen := s.gen
 	s.scopeIRQWindow(now, cost)
-	s.k.Eng.After(sim.Duration(cost), sim.Soft, func(dn sim.Time) {
-		if gen != s.gen || s.current != t || t.state != Running {
-			return
-		}
-		// The window ran to completion unpreempted; attribute it. A window
-		// cut short by a new pass is left to the idle residual instead.
-		s.irqWindowCycles += cost
-		s.runStartWall = dn
-		s.missingAtStart = s.k.Eng.MissingTime()
-		s.startAction(t, dn)
-	})
+	w := s.freeWindows
+	if w != nil {
+		s.freeWindows = w.next
+	} else {
+		w = new(irqWindow)
+	}
+	*w = irqWindow{t: t, cost: cost}
+	s.k.Eng.AfterPayload(sim.Duration(cost), sim.Soft, s.windowDone, w, s.gen)
+}
+
+// irqWindow is one interrupt-handler window in flight: the thread it
+// interrupted and what it costs. Windows can overlap — a device interrupt
+// arriving inside another's window opens a second one while the first is
+// pending — so each carries its own cost; the records are recycled
+// through the scheduler's free list.
+type irqWindow struct {
+	t    *Thread
+	cost int64
+	next *irqWindow // free-list link
+}
+
+// onWindowDone is the window-completion handler interruptHandlerWindow
+// binds: ref is the window, gen the generation it opened under.
+func (s *LocalScheduler) onWindowDone(dn sim.Time, ref any, gen uint64) {
+	w := ref.(*irqWindow)
+	t, cost := w.t, w.cost
+	*w = irqWindow{next: s.freeWindows}
+	s.freeWindows = w
+	if gen != s.gen || s.current != t || t.state != Running {
+		return
+	}
+	// The window ran to completion unpreempted; attribute it. A window
+	// cut short by a new pass is left to the idle residual instead.
+	s.irqWindowCycles += cost
+	s.runStartWall = dn
+	s.missingAtStart = s.k.Eng.MissingTime()
+	s.startAction(t, dn)
 }
 
 // --- GPIO instrumentation -------------------------------------------------

@@ -92,6 +92,16 @@ type LocalScheduler struct {
 	stealGen       uint64     // s.gen when stealEv was last armed
 	rrCounter      uint64
 
+	// Cost of pass s.gen, booked by its completion event (see passDone).
+	passOverheadCycles int64 // IRQ entry + other + resched + switch
+	passInlineCycles   int64 // size-tagged tasks run inline
+
+	// Completion handlers bound to s once, shared by every action and
+	// interrupt-handler-window event, and the window records' free list.
+	actionDone  sim.PayloadHandler
+	windowDone  sim.PayloadHandler
+	freeWindows *irqWindow
+
 	periodicUtil float64
 	sporadicUtil float64
 
@@ -164,8 +174,8 @@ func (s *LocalScheduler) Ledger() Ledger {
 
 // reset makes s the freshly booted scheduler of cpu, drawing its stream
 // from the kernel's. Only storage survives from a previous boot: the run
-// queues' arrays and the persistent boot and steal events (idle after the
-// engine's reset).
+// queues' arrays, the persistent boot and steal events (idle after the
+// engine's reset), the bound completion handlers and the window records.
 func (s *LocalScheduler) reset(k *Kernel, cpu *machine.CPU, clock *timesync.Clock, cfg *Config) {
 	pending, rtq, aperq := s.pending, s.rtq, s.aperq
 	if pending == nil {
@@ -184,6 +194,14 @@ func (s *LocalScheduler) reset(k *Kernel, cpu *machine.CPU, clock *timesync.Cloc
 		aperq:   aperq,
 		bootEv:  s.bootEv,
 		stealEv: s.stealEv,
+
+		actionDone:  s.actionDone,
+		windowDone:  s.windowDone,
+		freeWindows: s.freeWindows,
+	}
+	if s.actionDone == nil {
+		s.actionDone = s.onActionDone
+		s.windowDone = s.onWindowDone
 	}
 	k.rng.SplitInto(&s.rng)
 	s.sliceSlackCycles = 2*k.M.Spec.APICTickCycles + 64
@@ -327,17 +345,24 @@ func (s *LocalScheduler) invoke(reason InvokeReason, now sim.Time) {
 		s.k.Hooks.Pass(s.cpu.ID(), s, decisionNs)
 	}
 
-	gen := s.gen
-	s.k.Eng.After(sim.Duration(total), sim.Soft, func(dn sim.Time) {
-		if gen == s.gen {
-			// The invocation ran to completion: attribute its cost. A pass
-			// superseded by a newer one leaves its cost to the idle residual.
-			s.overheadCycles += irq + other + resched + swc
-			s.inlineCycles += inline
-			s.dispatch(dn)
-		}
-	})
+	s.passOverheadCycles = irq + other + resched + swc
+	s.passInlineCycles = inline
+	s.k.Eng.AfterPayload(sim.Duration(total), sim.Soft, passDone, s, s.gen)
 	s.scopeInvoke(now, irq, other+resched+inline, swc)
+}
+
+// passDone completes pass gen of the scheduler in ref. A pass superseded
+// by a newer invocation still fires (an engine step) but does nothing: its
+// cost is left to the idle residual, so the scheduler keeps only the
+// newest pass's cost.
+func passDone(dn sim.Time, ref any, gen uint64) {
+	s := ref.(*LocalScheduler)
+	if gen != s.gen {
+		return
+	}
+	s.overheadCycles += s.passOverheadCycles
+	s.inlineCycles += s.passInlineCycles
+	s.dispatch(dn)
 }
 
 // accountCurrent credits the running thread with the cycles it actually
@@ -355,8 +380,8 @@ func (s *LocalScheduler) accountCurrent(now sim.Time) {
 	}
 	s.busyCycles += elapsed
 	t.SupplyCycles += elapsed
-	if c, ok := t.cur.(Compute); ok {
-		_ = c
+	switch t.cur.(type) {
+	case Compute, *Compute:
 		t.curRemCycles -= elapsed
 		if t.curRemCycles < 0 {
 			t.curRemCycles = 0
@@ -701,15 +726,19 @@ func (s *LocalScheduler) cancelAction() {
 // overlapping interrupt-handler windows (kernel.interruptHandlerWindow)
 // can arm a second completion while an earlier one is still pending, and
 // both firings are part of the engine-pinned deterministic behaviour. The
-// event object itself still comes from the engine's free list.
+// event object itself still comes from the engine's free list, and its
+// payload is the thread and the generation.
 func (s *LocalScheduler) armAction(t *Thread, d sim.Duration) {
-	gen := s.gen
-	s.actionEv = s.k.Eng.After(d, sim.Soft, func(dn sim.Time) {
-		if gen == s.gen {
-			s.actionEv = nil
-			s.onActionComplete(t, dn)
-		}
-	})
+	s.actionEv = s.k.Eng.AfterPayload(d, sim.Soft, s.actionDone, t, s.gen)
+}
+
+// onActionDone is the action-completion handler armAction binds: ref is
+// the thread, gen the generation the action was armed under.
+func (s *LocalScheduler) onActionDone(dn sim.Time, ref any, gen uint64) {
+	if gen == s.gen {
+		s.actionEv = nil
+		s.onActionComplete(ref.(*Thread), dn)
+	}
 }
 
 func (s *LocalScheduler) mustPush(h *threadHeap, t *Thread) {

@@ -20,7 +20,10 @@ type ProgramFunc func(tc *ThreadCtx) Action
 func (f ProgramFunc) Next(tc *ThreadCtx) Action { return f(tc) }
 
 // Action is one step of a thread's execution. The concrete types below are
-// the full set.
+// the full set. Compute and SleepUntil may also be handed over by pointer
+// (*Compute, *SleepUntil): the scheduler reads the pointee when Next
+// returns it, so a program can keep one such value and rewrite it for
+// every call instead of boxing a fresh one into the interface each time.
 type Action interface{ isAction() }
 
 // Compute consumes the given number of CPU cycles. It is the only action
@@ -64,7 +67,9 @@ func (Call) isAction()              {}
 func (ChangeConstraints) isAction() {}
 
 // ThreadCtx is the execution context handed to a Program. It is only valid
-// during the Next or Call invocation it is passed to.
+// during the Next or Call invocation it is passed to: each thread owns one
+// context, which the scheduler rewrites for every call, so a program must
+// copy out what it needs rather than keep the pointer.
 type ThreadCtx struct {
 	K     *Kernel
 	T     *Thread

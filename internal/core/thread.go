@@ -78,9 +78,15 @@ type Thread struct {
 	// by increasing rrSeq.
 	rrSeq uint64
 
-	// Current program action.
+	// Current program action. A Compute (or *Compute) owes curRemCycles;
+	// an admission in flight (admitMarker) awaits its verdict on admitCons.
 	cur          Action
 	curRemCycles int64
+	admitCons    Constraints
+
+	// ctx is the context handed to the program's Next and Call functions,
+	// refreshed for each call (see LocalScheduler.threadCtx).
+	ctx ThreadCtx
 
 	// Queue bookkeeping (fixed-size priority queues index by position).
 	qIdx int

@@ -11,11 +11,11 @@ import (
 
 // diamond is the canonical 4-node test graph:
 //
-//	    0 (100us)
-//	   / \
-//	  1   2 (300us, 200us)
-//	   \ /
-//	    3 (100us)
+//	  0 (100us)
+//	 / \
+//	1   2 (300us, 200us)
+//	 \ /
+//	  3 (100us)
 //
 // Critical path 0->1->3 = 500us, volume 700us.
 func diamond() *Task {

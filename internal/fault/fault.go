@@ -60,49 +60,65 @@ func (f *SMIStorm) Name() string { return "smi-storm" }
 
 // Start implements Injector.
 func (f *SMIStorm) Start(env *Env) {
-	rng := env.Rng.Split()
-	eng := env.M.Eng
-	storm := false
-	epoch := 0
+	r := &smiStormRun{f: f, m: env.M}
+	env.Rng.SplitInto(&r.rng)
+	r.arm()
+	r.flip()
+}
 
-	var arm func(e int)
-	arm = func(e int) {
-		gap := f.CalmGapCycles
-		if storm {
-			gap = f.StormGapCycles
-		}
-		if gap <= 0 {
-			return // no arrivals in this state; the next flip re-arms
-		}
-		eng.After(expAfter(rng, gap), sim.Hard, func(now sim.Time) {
-			if e != epoch {
-				return // the state flipped; a fresh arrival chain owns it
-			}
-			d := f.DurationCycles
-			if j := f.DurationJitter; j > 0 {
-				d += rng.Range(-j, j)
-			}
-			if d > 0 {
-				env.M.SMI.InjectNow(sim.Duration(d))
-			}
-			arm(e)
-		})
+// smiStormRun is one started SMIStorm: its stream, the firmware state, and
+// the epoch that retires an arrival chain when the state flips. Its events
+// carry it as their ref; an arrival's arg is the epoch of its chain.
+type smiStormRun struct {
+	f     *SMIStorm
+	m     *machine.Machine
+	rng   sim.Rand
+	storm bool
+	epoch uint64
+}
+
+// arm schedules the next arrival of the current state's chain.
+func (r *smiStormRun) arm() {
+	gap := r.f.CalmGapCycles
+	if r.storm {
+		gap = r.f.StormGapCycles
 	}
-	var flip func()
-	flip = func() {
-		mean := f.MeanCalmCycles
-		if storm {
-			mean = f.MeanStormCycles
-		}
-		eng.After(expAfter(rng, mean), sim.Hard, func(now sim.Time) {
-			storm = !storm
-			epoch++
-			arm(epoch)
-			flip()
-		})
+	if gap <= 0 {
+		return // no arrivals in this state; the next flip re-arms
 	}
-	arm(epoch)
-	flip()
+	r.m.Eng.AfterPayload(expAfter(&r.rng, gap), sim.Hard, smiStormArrive, r, r.epoch)
+}
+
+// flip schedules the next state change.
+func (r *smiStormRun) flip() {
+	mean := r.f.MeanCalmCycles
+	if r.storm {
+		mean = r.f.MeanStormCycles
+	}
+	r.m.Eng.AfterPayload(expAfter(&r.rng, mean), sim.Hard, smiStormFlip, r, 0)
+}
+
+func smiStormArrive(_ sim.Time, ref any, epoch uint64) {
+	r := ref.(*smiStormRun)
+	if epoch != r.epoch {
+		return // the state flipped; a fresh arrival chain owns it
+	}
+	d := r.f.DurationCycles
+	if j := r.f.DurationJitter; j > 0 {
+		d += r.rng.Range(-j, j)
+	}
+	if d > 0 {
+		r.m.SMI.InjectNow(sim.Duration(d))
+	}
+	r.arm()
+}
+
+func smiStormFlip(_ sim.Time, ref any, _ uint64) {
+	r := ref.(*smiStormRun)
+	r.storm = !r.storm
+	r.epoch++
+	r.arm()
+	r.flip()
 }
 
 // TimerDrift miscalibrates the APIC one-shot timer beyond the conservative
@@ -173,55 +189,75 @@ func (f *IRQStorm) Device() *machine.DeviceSource { return f.dev }
 
 // Start implements Injector.
 func (f *IRQStorm) Start(env *Env) {
-	rng := env.Rng.Split()
-	eng := env.M.Eng
+	r := &irqStormRun{f: f, m: env.M}
+	env.Rng.SplitInto(&r.rng)
 	handler := f.HandlerCycles
 	if handler <= 0 {
 		handler = 2000
 	}
 	f.dev = env.M.IRQ.AddDevice("storm-nic", 0, handler) // manual-fire only
-	target := 0
-	bursting := false
-	epoch := 0
+	r.flip()
+}
 
-	raise := func() {
-		if len(f.Targets) > 0 {
-			env.M.IRQ.Steer(f.dev, f.Targets[target%len(f.Targets)])
-			target++
-		}
-		f.dev.Raise()
+// irqStormRun is one started IRQStorm: its stream, the round-robin target
+// position, the burst state, and the epoch that retires an arrival chain
+// when the state flips. Its events carry it as their ref; an arrival's arg
+// is the epoch of its chain.
+type irqStormRun struct {
+	f        *IRQStorm
+	m        *machine.Machine
+	rng      sim.Rand
+	target   int
+	bursting bool
+	epoch    uint64
+}
+
+// raise fires one interrupt at the next target.
+func (r *irqStormRun) raise() {
+	f := r.f
+	if len(f.Targets) > 0 {
+		r.m.IRQ.Steer(f.dev, f.Targets[r.target%len(f.Targets)])
+		r.target++
 	}
-	var arm func(e int)
-	arm = func(e int) {
-		if !bursting {
-			return
-		}
-		gap := f.BurstGapCycles
-		if gap <= 0 {
-			gap = 50_000
-		}
-		eng.After(expAfter(rng, gap), sim.Hard, func(now sim.Time) {
-			if e != epoch {
-				return
-			}
-			raise()
-			arm(e)
-		})
+	f.dev.Raise()
+}
+
+// arm schedules the next arrival of the current burst's chain.
+func (r *irqStormRun) arm() {
+	if !r.bursting {
+		return
 	}
-	var flip func()
-	flip = func() {
-		mean := f.MeanCalmCycles
-		if bursting {
-			mean = f.MeanBurstCycles
-		}
-		eng.After(expAfter(rng, mean), sim.Hard, func(now sim.Time) {
-			bursting = !bursting
-			epoch++
-			arm(epoch)
-			flip()
-		})
+	gap := r.f.BurstGapCycles
+	if gap <= 0 {
+		gap = 50_000
 	}
-	flip()
+	r.m.Eng.AfterPayload(expAfter(&r.rng, gap), sim.Hard, irqStormArrive, r, r.epoch)
+}
+
+// flip schedules the next state change.
+func (r *irqStormRun) flip() {
+	mean := r.f.MeanCalmCycles
+	if r.bursting {
+		mean = r.f.MeanBurstCycles
+	}
+	r.m.Eng.AfterPayload(expAfter(&r.rng, mean), sim.Hard, irqStormFlip, r, 0)
+}
+
+func irqStormArrive(_ sim.Time, ref any, epoch uint64) {
+	r := ref.(*irqStormRun)
+	if epoch != r.epoch {
+		return
+	}
+	r.raise()
+	r.arm()
+}
+
+func irqStormFlip(_ sim.Time, ref any, _ uint64) {
+	r := ref.(*irqStormRun)
+	r.bursting = !r.bursting
+	r.epoch++
+	r.arm()
+	r.flip()
 }
 
 // TSCReskew models a calibration regression at runtime: firmware or a deep
@@ -241,32 +277,44 @@ func (f *TSCReskew) Name() string { return "tsc-reskew" }
 
 // Start implements Injector.
 func (f *TSCReskew) Start(env *Env) {
-	rng := env.Rng.Split()
-	eng := env.M.Eng
-	cpus := f.CPUs
-	if cpus == nil {
+	r := &tscReskewRun{f: f, m: env.M, cpus: f.CPUs}
+	env.Rng.SplitInto(&r.rng)
+	if r.cpus == nil {
 		for i := 1; i < env.M.NumCPUs(); i++ {
-			cpus = append(cpus, i)
+			r.cpus = append(r.cpus, i)
 		}
 	}
-	if len(cpus) == 0 || f.MaxSkewCycles <= 0 {
+	if len(r.cpus) == 0 || f.MaxSkewCycles <= 0 {
 		return
 	}
-	var tick func()
-	tick = func() {
-		eng.After(expAfter(rng, f.MeanGapCycles), sim.Hard, func(now sim.Time) {
-			id := cpus[rng.Intn(len(cpus))]
-			var delta int64
-			if f.PositiveOnly {
-				delta = rng.Range(1, f.MaxSkewCycles)
-			} else {
-				delta = rng.Range(-f.MaxSkewCycles, f.MaxSkewCycles)
-			}
-			env.M.CPU(id).SkewTSC(delta)
-			tick()
-		})
+	r.tick()
+}
+
+// tscReskewRun is one started TSCReskew; its events carry it as their ref.
+type tscReskewRun struct {
+	f    *TSCReskew
+	m    *machine.Machine
+	rng  sim.Rand
+	cpus []int
+}
+
+// tick schedules the next re-skew.
+func (r *tscReskewRun) tick() {
+	r.m.Eng.AfterPayload(expAfter(&r.rng, r.f.MeanGapCycles), sim.Hard, tscReskewDue, r, 0)
+}
+
+func tscReskewDue(_ sim.Time, ref any, _ uint64) {
+	r := ref.(*tscReskewRun)
+	f := r.f
+	id := r.cpus[r.rng.Intn(len(r.cpus))]
+	var delta int64
+	if f.PositiveOnly {
+		delta = r.rng.Range(1, f.MaxSkewCycles)
+	} else {
+		delta = r.rng.Range(-f.MaxSkewCycles, f.MaxSkewCycles)
 	}
-	tick()
+	r.m.CPU(id).SkewTSC(delta)
+	r.tick()
 }
 
 // StackPressure churns the thread stack pool: bursts of short-lived thread
@@ -284,33 +332,46 @@ func (f *StackPressure) Name() string { return "stack-pressure" }
 
 // Start implements Injector.
 func (f *StackPressure) Start(env *Env) {
-	rng := env.Rng.Split()
-	eng := env.M.Eng
-	burst := f.Burst
-	if burst < 1 {
-		burst = 4
+	r := &stackPressureRun{f: f, m: env.M, k: env.K, burst: f.Burst, life: f.LifeCycles}
+	env.Rng.SplitInto(&r.rng)
+	if r.burst < 1 {
+		r.burst = 4
 	}
-	life := f.LifeCycles
-	if life < 1 {
-		life = 10_000
+	if r.life < 1 {
+		r.life = 10_000
 	}
-	n := 0
-	var tick func()
-	tick = func() {
-		eng.After(expAfter(rng, f.MeanGapCycles), sim.Hard, func(now sim.Time) {
-			n++
-			for i := 0; i < burst; i++ {
-				cpu := rng.Intn(env.M.NumCPUs())
-				env.K.Spawn("churn", cpu, core.Seq(
-					core.Compute{Cycles: life},
-					core.Exit{},
-				))
-			}
-			if f.DrainEvery > 0 && n%f.DrainEvery == 0 {
-				env.K.DrainPool()
-			}
-			tick()
-		})
+	r.tick()
+}
+
+// stackPressureRun is one started StackPressure; its events carry it as
+// their ref.
+type stackPressureRun struct {
+	f      *StackPressure
+	m      *machine.Machine
+	k      *core.Kernel
+	rng    sim.Rand
+	burst  int
+	life   int64
+	bursts int
+}
+
+// tick schedules the next churn burst.
+func (r *stackPressureRun) tick() {
+	r.m.Eng.AfterPayload(expAfter(&r.rng, r.f.MeanGapCycles), sim.Hard, stackPressureDue, r, 0)
+}
+
+func stackPressureDue(_ sim.Time, ref any, _ uint64) {
+	r := ref.(*stackPressureRun)
+	r.bursts++
+	for i := 0; i < r.burst; i++ {
+		cpu := r.rng.Intn(r.m.NumCPUs())
+		r.k.Spawn("churn", cpu, core.Seq(
+			core.Compute{Cycles: r.life},
+			core.Exit{},
+		))
 	}
-	tick()
+	if r.f.DrainEvery > 0 && r.bursts%r.f.DrainEvery == 0 {
+		r.k.DrainPool()
+	}
+	r.tick()
 }

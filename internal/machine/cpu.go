@@ -253,7 +253,10 @@ func (c *CPU) TimerArmed() bool { return c.timerEvent.Armed() }
 // platform's IPI flight latency.
 func (c *CPU) SendIPI(dst *CPU, v Vector) {
 	lat := sim.Duration(c.mach.Spec.IPILatencyCycles)
-	c.mach.Eng.After(lat, sim.Hard, func(now sim.Time) {
-		dst.RaiseInterrupt(v)
-	})
+	c.mach.Eng.AfterPayload(lat, sim.Hard, ipiArrive, dst, uint64(v))
+}
+
+// ipiArrive delivers an IPI: ref is the destination CPU, arg the vector.
+func ipiArrive(_ sim.Time, ref any, v uint64) {
+	ref.(*CPU).RaiseInterrupt(Vector(v))
 }

@@ -62,9 +62,13 @@ func (s *SMIController) Observe(fn func(at sim.Time, d sim.Duration)) {
 // regardless of whether periodic injection is enabled. Used by failure-
 // injection tests and the eager-vs-lazy ablation.
 func (s *SMIController) InjectAt(at sim.Time, d sim.Duration) {
-	s.mach.Eng.Schedule(at, sim.Hard, func(now sim.Time) {
-		s.fire(now, d)
-	})
+	s.mach.Eng.SchedulePayload(at, sim.Hard, smiDue, s, uint64(d))
+}
+
+// smiDue fires an SMI forced by InjectAt: ref is the controller, arg the
+// duration.
+func smiDue(now sim.Time, ref any, d uint64) {
+	ref.(*SMIController).fire(now, sim.Duration(d))
 }
 
 // InjectNow fires a single SMI of duration d at the current instant. It is

@@ -117,9 +117,9 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{[]Group{g}, Config{Names: []string{"a", "b"}}},
 		{[]Group{g, g}, Config{Names: []string{"dup", "dup"}}},
 		{[]Group{g}, Config{Names: []string{""}}},
-		{[]Group{g}, Config{Partition: [][]int{{0}}}},          // group owns 2 nodes
+		{[]Group{g}, Config{Partition: [][]int{{0}}}},               // group owns 2 nodes
 		{[]Group{g, g}, Config{Partition: [][]int{{0, 1}, {1, 2}}}}, // node 1 twice
-		{[]Group{g}, Config{Partition: [][]int{{0, 1}, {2}}}},  // extra partition group
+		{[]Group{g}, Config{Partition: [][]int{{0, 1}, {2}}}},       // extra partition group
 	}
 	for i, tc := range cases {
 		if _, err := New(tc.groups, tc.cfg); err == nil {

@@ -20,9 +20,28 @@ const (
 // later than the time the event was scheduled for.
 type Handler func(now Time)
 
+// PayloadHandler is an event callback that also receives the payload its
+// event was scheduled with. It is bound once — a package-level function or
+// a method value its owner makes at construction — and shared by every
+// event of its kind, so scheduling one allocates nothing: what differs
+// from event to event travels in ref and arg, not in a fresh closure.
+type PayloadHandler func(now Time, ref any, arg uint64)
+
+// callHandler is the PayloadHandler behind Schedule, After and NewEvent:
+// the plain Handler rides in ref. A func value is pointer-shaped, so
+// storing it in ref does not allocate either.
+func callHandler(now Time, ref any, _ uint64) { ref.(Handler)(now) }
+
 // Event is a scheduled occurrence in the simulation: an intrusive node in
-// one of the engine's two class heaps plus, for pooled events, a free-list
-// link.
+// one of the engine's two class heaps, its payload, and, for pooled events,
+// a free-list link.
+//
+// Payload contract: an event carries a handler and a payload (ref, arg),
+// and Step hands the payload back to the handler when the event fires.
+// ref should hold a pointer (or another pointer-shaped value: a func, a
+// map, a chan) so that storing it does not allocate. A pooled event drops
+// its handler and ref when the engine reclaims it, so the free list never
+// keeps the referenced objects alive.
 //
 // Ownership contract: events returned by Schedule/After are pooled — the
 // engine reclaims them once they fire or once their cancellation is
@@ -41,7 +60,9 @@ type Event struct {
 	// missingTime — O(1) instead of the former rescan-and-reheapify.
 	key       Time
 	seq       uint64
-	fn        Handler
+	fn        PayloadHandler
+	ref       any
+	arg       uint64
 	engine    *Engine
 	next      *Event // free-list link while pooled and idle
 	index     int32  // position in its class heap, -1 when not queued
@@ -208,13 +229,14 @@ func (e *Engine) alloc() *Event {
 	return &Event{engine: e, index: -1}
 }
 
-// release returns a collected pooled event to the free list; persistent
-// events are simply left unqueued.
+// release returns a collected pooled event to the free list, dropping its
+// handler and payload; persistent events are simply left unqueued.
 func (e *Engine) release(ev *Event) {
 	if !ev.pooled {
 		return
 	}
 	ev.fn = nil
+	ev.ref = nil
 	ev.next = e.free
 	e.free = ev
 }
@@ -223,12 +245,26 @@ func (e *Engine) release(ev *Event) {
 // at precedes the current time. The returned event is pooled: see the
 // ownership contract on Event.
 func (e *Engine) Schedule(at Time, class EventClass, fn Handler) *Event {
+	return e.SchedulePayload(at, class, callHandler, fn, 0)
+}
+
+// After enqueues fn to run d cycles from now.
+func (e *Engine) After(d Duration, class EventClass, fn Handler) *Event {
+	return e.SchedulePayload(e.now+d, class, callHandler, fn, 0)
+}
+
+// SchedulePayload enqueues fn(now, ref, arg) to run at time at with the
+// given class. It panics if at precedes the current time. The returned
+// event is pooled: see the ownership and payload contracts on Event.
+func (e *Engine) SchedulePayload(at Time, class EventClass, fn PayloadHandler, ref any, arg uint64) *Event {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
 	ev := e.alloc()
 	ev.class = class
 	ev.fn = fn
+	ev.ref = ref
+	ev.arg = arg
 	ev.pooled = true
 	ev.cancelled = false
 	e.seq++
@@ -244,9 +280,9 @@ func (e *Engine) Schedule(at Time, class EventClass, fn Handler) *Event {
 	return ev
 }
 
-// After enqueues fn to run d cycles from now.
-func (e *Engine) After(d Duration, class EventClass, fn Handler) *Event {
-	return e.Schedule(e.now+d, class, fn)
+// AfterPayload enqueues fn(now, ref, arg) to run d cycles from now.
+func (e *Engine) AfterPayload(d Duration, class EventClass, fn PayloadHandler, ref any, arg uint64) *Event {
+	return e.SchedulePayload(e.now+d, class, fn, ref, arg)
 }
 
 // NewEvent returns an idle persistent event bound to class and fn. It is
@@ -256,7 +292,7 @@ func (e *Engine) After(d Duration, class EventClass, fn Handler) *Event {
 // re-arm primitive behind one-shot timers, device interrupt sources and
 // the other steady-state churn sites.
 func (e *Engine) NewEvent(class EventClass, fn Handler) *Event {
-	return &Event{engine: e, class: class, fn: fn, index: -1}
+	return &Event{engine: e, class: class, fn: callHandler, ref: fn, index: -1}
 }
 
 // Freeze models an SMI: all software progress stops for d cycles starting
@@ -373,7 +409,7 @@ func (e *Engine) Step() bool {
 		}
 		e.now = at
 		e.steps++
-		ev.fn(at)
+		ev.fn(at, ev.ref, ev.arg)
 		// Reclaim the event unless the handler re-armed it (persistent
 		// events rescheduling themselves).
 		if ev.pooled && ev.index < 0 {

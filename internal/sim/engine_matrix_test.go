@@ -333,6 +333,80 @@ func TestPooledChurnZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPayloadChurnZeroAllocs asserts the steady state of the payload
+// path — schedule pooled events carrying a pointer ref and a varying arg
+// to one bound handler, fire them — allocates nothing, and that every
+// firing delivers its own payload.
+func TestPayloadChurnZeroAllocs(t *testing.T) {
+	type counter struct{ sum, fires uint64 }
+	e := NewEngine()
+	c := &counter{}
+	fn := func(_ Time, ref any, arg uint64) {
+		r := ref.(*counter)
+		r.sum += arg
+		r.fires++
+	}
+	// Prime the pool with two events.
+	e.AfterPayload(1, Soft, fn, c, 0)
+	e.AfterPayload(1, Hard, fn, c, 0)
+	e.RunAll(2)
+	var i uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		e.AfterPayload(1, Soft, fn, c, i)
+		e.SchedulePayload(e.Now()+2, Hard, fn, c, 2*i)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("payload churn allocates %v per op, want 0", allocs)
+	}
+	if want := 3 * i * (i + 1) / 2; c.sum != want || c.fires != 2*i+2 {
+		t.Fatalf("delivered sum %d over %d fires, want %d over %d", c.sum, c.fires, want, 2*i+2)
+	}
+}
+
+// TestReclaimedEventDropsRef checks the payload half of the ownership
+// contract: a pooled event the engine reclaims — fired, cancelled and
+// collected at a heap head, cancelled and compacted away, or dropped by
+// Reset — no longer references its payload, so the free list keeps
+// nothing alive (a finished thread, a retired fault injector).
+func TestReclaimedEventDropsRef(t *testing.T) {
+	type obj struct{ id int }
+	nop := func(Time, any, uint64) {}
+	e := NewEngine()
+	fired := e.SchedulePayload(10, Soft, nop, &obj{1}, 1)
+	collected := e.SchedulePayload(5, Hard, nop, &obj{2}, 2)
+	collected.Cancel()
+	var compacted []*Event
+	for i := 0; i < 128; i++ {
+		compacted = append(compacted, e.SchedulePayload(Time(1000+i), Soft, nop, &obj{3}, 3))
+	}
+	for _, ev := range compacted {
+		ev.Cancel() // crosses the compaction threshold
+	}
+	e.RunAll(10)
+	dropped := e.SchedulePayload(e.Now()+5, Hard, nop, &obj{4}, 4)
+	e.Reset()
+
+	reclaimed := map[*Event]bool{fired: true, collected: true, dropped: true}
+	for _, ev := range compacted {
+		reclaimed[ev] = true
+	}
+	want := len(reclaimed) // dropped reuses one of the others' objects
+	onFree := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		onFree++
+		if ev.ref != nil || ev.fn != nil {
+			t.Fatalf("pooled event on the free list still holds ref %v", ev.ref)
+		}
+		delete(reclaimed, ev)
+	}
+	if len(reclaimed) != 0 || onFree != want {
+		t.Fatalf("%d of the reclaimed events missing from a free list of %d", len(reclaimed), onFree)
+	}
+}
+
 // TestFreezeZeroAllocs asserts Freeze allocates nothing regardless of the
 // number of pending soft events (it is two counter updates).
 func TestFreezeZeroAllocs(t *testing.T) {
@@ -362,7 +436,11 @@ const (
 // preserved legacy engine with an identical randomized mix of schedules,
 // cancels, reschedules (cancel+schedule on the legacy side, which consumes
 // the same sequence numbers), freezes and steps, and asserts the firing
-// sequences (id, time) and final clocks are identical.
+// sequences (id, time) and final clocks are identical. The rewritten
+// engine schedules a random half of its events through the payload path
+// (pooled, one bound handler, the record as ref, the id as arg) and the
+// rest through closures, persistent or pooled; each payload firing must
+// deliver its own record and id.
 func TestRandomizedEquivalenceWithLegacy(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
@@ -400,19 +478,33 @@ func runEquivalenceTrial(t *testing.T, seed int64) {
 	}
 	var recs []*rec
 
-	schedule := func(d Duration, class EventClass, persistent bool) {
+	// deliver is the payload path's bound handler, shared by every event
+	// scheduled through it.
+	deliver := func(now Time, ref any, arg uint64) {
+		r := ref.(*rec)
+		if arg != uint64(r.id) {
+			t.Errorf("event %d fired with arg %d", r.id, arg)
+		}
+		r.fired = true
+		gotNew = append(gotNew, fire{r.id, now})
+	}
+
+	schedule := func(d Duration, class EventClass, persistent, payload bool) {
 		r := &rec{id: len(recs), class: class, persistent: persistent}
 		at := eNew.now + Time(d)
 		onNew := func(now Time) {
 			r.fired = true
 			gotNew = append(gotNew, fire{r.id, now})
 		}
-		if persistent {
+		switch {
+		case persistent:
 			// NewEvent consumes no sequence number; the arming Reschedule
 			// consumes one, exactly like the legacy Schedule below.
 			r.nv = eNew.NewEvent(class, onNew)
 			r.nv.Reschedule(at)
-		} else {
+		case payload:
+			r.nv = eNew.SchedulePayload(at, class, deliver, r, uint64(r.id))
+		default:
 			r.nv = eNew.Schedule(at, class, onNew)
 		}
 		r.ov = eOld.Schedule(at, class, func(now Time) {
@@ -427,7 +519,8 @@ func runEquivalenceTrial(t *testing.T, seed int64) {
 		switch op {
 		case opSchedule:
 			class := EventClass(rng.Intn(2))
-			schedule(Duration(rng.Range(1, 500)), class, rng.Intn(2) == 0)
+			payload := rng.Intn(2) == 0
+			schedule(Duration(rng.Range(1, 500)), class, !payload && rng.Intn(2) == 0, payload)
 		case opCancel:
 			if len(recs) == 0 {
 				continue

@@ -33,7 +33,7 @@ func (h *eventHeap) head() *Event {
 
 func (h *eventHeap) push(ev *Event) {
 	h.a = append(h.a, ev)
-	h.siftUp(len(h.a) - 1, ev)
+	h.siftUp(len(h.a)-1, ev)
 }
 
 // popMin removes and returns the minimum event. It must not be called on

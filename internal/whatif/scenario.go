@@ -220,10 +220,14 @@ type jobRecorder struct {
 // the scheduler has already rolled the arrivals forward and counted the
 // misses; the program just resynchronizes to the next future boundary.
 // A replica keeps one job per task and restarts it for each replication.
+// Its Compute and SleepUntil are handed over by pointer, rewritten for
+// each period, so a period boxes no action.
 type job struct {
 	cons       core.Constraints
 	admit      core.Action // ChangeConstraints{C: cons}
 	record     core.Action // Call of recordResponse
+	compute    core.Compute
+	sleep      core.SleepUntil
 	wcetCycles int64
 	model      ExecModel
 	rng        sim.Rand
@@ -254,7 +258,8 @@ func (j *job) Next(tc *core.ThreadCtx) core.Action {
 	case jobCompute:
 		j.arrivalNs = tc.T.ArrivalNs()
 		j.state = jobRecord
-		return core.Compute{Cycles: j.model.Draw(&j.rng, j.wcetCycles)}
+		j.compute.Cycles = j.model.Draw(&j.rng, j.wcetCycles)
+		return &j.compute
 	case jobRecord:
 		j.state = jobSleep
 		return j.record
@@ -266,7 +271,8 @@ func (j *job) Next(tc *core.ThreadCtx) core.Action {
 		// After an overrun the scheduler has already rolled arrival and
 		// deadline forward (counting the misses), so the deadline is
 		// still the first boundary strictly after now.
-		return core.SleepUntil{WallNs: tc.T.DeadlineNs()}
+		j.sleep.WallNs = tc.T.DeadlineNs()
+		return &j.sleep
 	}
 }
 
