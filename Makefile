@@ -115,9 +115,12 @@ engine-bench-smoke:
 
 # whatif-bench-smoke does the same for the what-if rungs: a node built
 # from nothing, the same node re-booted in place, whole what-if requests,
-# and one 100-hyperperiod replication (the steady-state, per-event rung).
+# one 100-hyperperiod replication (the steady-state, per-event rung), and
+# the /v1/simulate handler driven in parallel at one and two CPUs (what
+# the second simulation slot buys).
 whatif-bench-smoke:
 	$(GO) test ./internal/core ./internal/whatif -run '^$$' -bench 'BenchmarkBoot|BenchmarkReboot|BenchmarkWhatif' -benchtime 100x
+	$(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkSimulateParallel' -cpu 1,2 -benchtime 100x
 
 # serve-smoke boots hrtd on an ephemeral port, drives it with hrtload for
 # two seconds, and fails on any hard error or a cache that never hits.

@@ -26,9 +26,11 @@
 // /capacity remain as deprecated aliases.
 //
 // POST /v1/simulate runs stochastic what-if replications (internal/whatif)
-// on a bounded worker pool (-sim-workers, -sim-queue); a full queue sheds
-// with 429 + Retry-After. Routing daemons forward the run to a shard
-// group by rendezvous hash of (scenario name, seed).
+// on the request's own goroutine once it holds one of -sim-workers slots
+// (default GOMAXPROCS), each carrying a warm simulated node; at most
+// -sim-queue requests wait for a slot, and the next one sheds with 429 +
+// Retry-After. Routing daemons forward the run to a shard group by
+// rendezvous hash of (scenario name, seed).
 //
 // Horizontal scale-out shards the node fleet into independent groups
 // behind the placement router (internal/route):
@@ -80,8 +82,8 @@ func main() {
 		replicas = flag.Int("replicas", 1, "total replica count (>1 replicates the placement log)")
 		replID   = flag.Int("id", 0, "this replica's id in [0,replicas)")
 		groups   = flag.Int("shard-groups", 1, "partition the node fleet into this many in-process shard groups behind the placement router")
-		simWork  = flag.Int("sim-workers", 0, "what-if simulation workers (0 = GOMAXPROCS/2)")
-		simQueue = flag.Int("sim-queue", 0, "what-if simulation queue depth (0 = default 16)")
+		simWork  = flag.Int("sim-workers", 0, "what-if simulations run at once, each with a warm simulated node (0 = GOMAXPROCS)")
+		simQueue = flag.Int("sim-queue", 0, "what-if simulations allowed to wait for a slot (0 = default 16)")
 	)
 	var routes []string
 	flag.Func("route", "shard-group daemon base URL (repeat once per group); makes this daemon a stateless router", func(v string) error {

@@ -60,11 +60,16 @@ func (s *serviceTime) end(start time.Time, items int) {
 	}
 }
 
-// observe folds in a batch of items that took elapsed to serve.
+// observe folds in a batch of items that took elapsed to serve. Several
+// simulation slots may finish at once, so the fold is a CAS loop.
 func (s *serviceTime) observe(elapsed time.Duration, items int) {
 	per := elapsed.Nanoseconds() / int64(items)
-	old := s.ns.Load()
-	s.ns.Store(old + (per-old)/8)
+	for {
+		old := s.ns.Load()
+		if s.ns.CompareAndSwap(old, old+(per-old)/8) {
+			return
+		}
+	}
 }
 
 // retryAfterNs quotes (queued+1) items of service time spread over workers.

@@ -63,12 +63,14 @@ type Config struct {
 	// larger batches answer 400 quoting the cap. Default
 	// DefaultMaxBatchItems (1024).
 	MaxBatchItems int
-	// SimWorkers sizes the /v1/simulate worker pool; default
-	// max(1, GOMAXPROCS/2) — simulation runs are CPU-bound for
-	// milliseconds, so they never get the whole machine.
+	// SimWorkers is how many /v1/simulate requests run at once, each on
+	// its caller's goroutine with a warm simulated node of its own;
+	// default GOMAXPROCS. A request simulates for about a hundred
+	// microseconds, so every CPU can take one.
 	SimWorkers int
-	// SimQueueDepth bounds the /v1/simulate queue; default 16. A full
-	// queue sheds with 429 and a Retry-After quote.
+	// SimQueueDepth bounds how many /v1/simulate requests wait for a
+	// slot; default 16. The next one sheds with 429 and a Retry-After
+	// quote.
 	SimQueueDepth int
 }
 
@@ -89,10 +91,7 @@ func (c *Config) fillDefaults() {
 		c.MaxBatchItems = DefaultMaxBatchItems
 	}
 	if c.SimWorkers == 0 {
-		c.SimWorkers = runtime.GOMAXPROCS(0) / 2
-		if c.SimWorkers < 1 {
-			c.SimWorkers = 1
-		}
+		c.SimWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.SimQueueDepth == 0 {
 		c.SimQueueDepth = 16
@@ -192,10 +191,6 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.runShard(sh)
 	}
-	for i := 0; i < s.sim.workers; i++ {
-		s.sim.wg.Add(1)
-		go s.sim.run()
-	}
 	return s, nil
 }
 
@@ -232,7 +227,8 @@ func (s *Server) Registry() *Registry { return s.reg }
 func (s *Server) Config() Config { return s.cfg }
 
 // Close stops accepting queries, drains the queues, and waits for the
-// shard workers to exit. Safe to call more than once.
+// shard workers to exit and for the simulations running or waiting for a
+// slot to return. Safe to call more than once.
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	if s.closed {
@@ -244,9 +240,8 @@ func (s *Server) Close() {
 	for _, sh := range s.shards {
 		close(sh.ch)
 	}
-	close(s.sim.ch)
 	s.wg.Wait()
-	s.sim.wg.Wait()
+	s.sim.calls.Wait()
 }
 
 // AnalyzeContext answers an admission query for set, from cache when

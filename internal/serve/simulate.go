@@ -21,8 +21,8 @@ type SimulateRequest struct {
 	Seed     uint64          `json:"seed"`
 }
 
-// simSeedServiceNs seeds the shed retry-after quote before the pool has
-// observed any run.
+// simSeedServiceNs seeds the shed retry-after quote before any run has
+// been observed.
 const simSeedServiceNs = int64(100 * time.Millisecond)
 
 const (
@@ -31,27 +31,17 @@ const (
 	simHistNBuckets = 48
 )
 
-type simResult struct {
-	report *whatif.Report
-	err    error
-}
-
-type simJob struct {
-	ctx  context.Context
-	req  SimulateRequest
-	done chan simResult
-}
-
-// simPool is the bounded worker pool behind /v1/simulate. Simulation is
-// CPU-bound for whole milliseconds at a time — orders of magnitude heavier
-// than an admission query — so it gets its own small pool and queue with
-// the same shed contract as the query shards: a full queue answers 429
-// with a Retry-After quote sized from the queue depth and the observed
-// mean run time.
+// simPool is the bounded gate in front of /v1/simulate. A simulation runs
+// on its caller's goroutine once it holds a slot, and each slot carries a
+// warm whatif.Node, so the slots are also the replica pool. At most depth
+// callers wait for a slot; the next one sheds with the same contract as
+// the query shards: 429 with a Retry-After quote sized from the callers
+// waiting and the observed mean run time.
 type simPool struct {
-	workers int
-	ch      chan *simJob
-	wg      sync.WaitGroup
+	slots   chan *whatif.Node
+	depth   int
+	waiting atomic.Int64
+	calls   sync.WaitGroup // running and waiting calls, for Close
 
 	requests     atomic.Int64
 	shed         atomic.Int64
@@ -59,7 +49,6 @@ type simPool struct {
 	canceled     atomic.Int64
 	replications atomic.Int64
 	hyperperiods atomic.Int64
-	inflight     atomic.Int64
 	// svc tracks run wall time, feeding retry-after.
 	svc serviceTime
 
@@ -67,78 +56,80 @@ type simPool struct {
 	hist   *stats.Histogram
 }
 
-func newSimPool(workers, depth int) *simPool {
+func newSimPool(slots, depth int) *simPool {
 	p := &simPool{
-		workers: workers,
-		ch:      make(chan *simJob, depth),
-		hist:    stats.NewLogHistogram(simHistLoUs, simHistHiUs, simHistNBuckets),
+		slots: make(chan *whatif.Node, slots),
+		depth: depth,
+		hist:  stats.NewLogHistogram(simHistLoUs, simHistHiUs, simHistNBuckets),
+	}
+	for range slots {
+		p.slots <- new(whatif.Node)
 	}
 	p.svc.ns.Store(simSeedServiceNs)
 	return p
 }
 
-func (p *simPool) run() {
-	defer p.wg.Done()
-	for job := range p.ch {
-		if job.ctx.Err() != nil {
-			p.canceled.Add(1)
-			job.done <- simResult{err: job.ctx.Err()}
-			continue
+// acquire takes a slot's node, waiting behind at most depth other callers.
+func (p *simPool) acquire(ctx context.Context) (*whatif.Node, error) {
+	select {
+	case node := <-p.slots:
+		return node, nil
+	default:
+	}
+	if w := p.waiting.Add(1); w > int64(p.depth) {
+		p.waiting.Add(-1)
+		p.shed.Add(1)
+		return nil, &core.AdmissionError{
+			Reason:       "server-overload",
+			Detail:       fmt.Sprintf("simulate queue full (%d waiting)", p.depth),
+			RetryAfterNs: p.svc.retryAfterNs(int(w-1), cap(p.slots)),
 		}
-		p.inflight.Add(1)
-		start := time.Now()
-		report, err := whatif.Run(job.req.Scenario, job.req.Seed)
-		elapsed := time.Since(start)
-		p.inflight.Add(-1)
-		if err != nil {
-			p.errors.Add(1)
-		} else {
-			p.replications.Add(int64(report.Replications))
-			p.hyperperiods.Add(int64(report.Replications * report.Hyperperiods))
-			p.svc.observe(elapsed, 1)
-			p.histMu.Lock()
-			p.hist.Add(float64(elapsed.Microseconds()))
-			p.histMu.Unlock()
-		}
-		job.done <- simResult{report: report, err: err}
+	}
+	defer p.waiting.Add(-1)
+	select {
+	case node := <-p.slots:
+		return node, nil
+	case <-ctx.Done():
+		p.canceled.Add(1)
+		return nil, ctx.Err()
 	}
 }
 
-// Simulate runs one what-if scenario on the simulation pool. The scenario
-// must already be normalized and validated (the HTTP handler and router do
-// this so malformed scenarios answer 400, not 500). A full queue sheds
-// with the standard overload error.
+// Simulate runs one what-if scenario on the caller's goroutine once a
+// slot is free. The scenario must already be normalized and validated (the
+// HTTP handler and router do this so malformed scenarios answer 400, not
+// 500). A full wait line sheds with the standard overload error.
 func (s *Server) Simulate(ctx context.Context, req SimulateRequest) (*whatif.Report, error) {
 	p := s.sim
 	p.requests.Add(1)
-	job := &simJob{ctx: ctx, req: req, done: make(chan simResult, 1)}
-
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
 		return nil, ErrServerClosed
 	}
-	shed := false
-	select {
-	case p.ch <- job:
-	default:
-		shed = true
-	}
+	p.calls.Add(1)
 	s.closeMu.RUnlock()
-	if shed {
-		p.shed.Add(1)
-		return nil, &core.AdmissionError{
-			Reason:       "server-overload",
-			Detail:       fmt.Sprintf("simulate queue full (%d deep)", cap(p.ch)),
-			RetryAfterNs: p.svc.retryAfterNs(len(p.ch), p.workers),
-		}
+	defer p.calls.Done()
+
+	node, err := p.acquire(ctx)
+	if err != nil {
+		return nil, err
 	}
-	select {
-	case res := <-job.done:
-		return res.report, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	defer func() { p.slots <- node }()
+	start := time.Now()
+	report, err := node.Run(req.Scenario, req.Seed)
+	elapsed := time.Since(start)
+	if err != nil {
+		p.errors.Add(1)
+		return nil, err
 	}
+	p.replications.Add(int64(report.Replications))
+	p.hyperperiods.Add(int64(report.Replications * report.Hyperperiods))
+	p.svc.observe(elapsed, 1)
+	p.histMu.Lock()
+	p.hist.Add(float64(elapsed.Microseconds()))
+	p.histMu.Unlock()
+	return report, nil
 }
 
 // handleSimulate answers POST /v1/simulate.
@@ -165,22 +156,22 @@ func (s *Server) registerSimMetrics() {
 	r := s.reg
 	r.Counter("hrtd_whatif_requests_total", "Simulation requests received.",
 		func() float64 { return float64(p.requests.Load()) })
-	r.Counter("hrtd_whatif_shed_total", "Simulation requests shed: queue full.",
+	r.Counter("hrtd_whatif_shed_total", "Simulation requests shed: too many waiting for a slot.",
 		func() float64 { return float64(p.shed.Load()) })
 	r.Counter("hrtd_whatif_errors_total", "Simulation runs that failed.",
 		func() float64 { return float64(p.errors.Load()) })
-	r.Counter("hrtd_whatif_canceled_total", "Simulation jobs dropped: context canceled while queued.",
+	r.Counter("hrtd_whatif_canceled_total", "Simulation requests dropped: context canceled while waiting for a slot.",
 		func() float64 { return float64(p.canceled.Load()) })
 	r.Counter("hrtd_whatif_replications_total", "Seeded replications executed.",
 		func() float64 { return float64(p.replications.Load()) })
 	r.Counter("hrtd_whatif_hyperperiods_total", "Hyperperiods simulated across all replications.",
 		func() float64 { return float64(p.hyperperiods.Load()) })
-	r.Gauge("hrtd_whatif_workers", "Simulation worker pool size.",
-		func() float64 { return float64(p.workers) })
-	r.Gauge("hrtd_whatif_queue_depth", "Simulation jobs queued.",
-		func() float64 { return float64(len(p.ch)) })
-	r.Gauge("hrtd_whatif_inflight", "Simulation jobs executing now.",
-		func() float64 { return float64(p.inflight.Load()) })
+	r.Gauge("hrtd_whatif_workers", "Simulation slots, each with a warm simulated node.",
+		func() float64 { return float64(cap(p.slots)) })
+	r.Gauge("hrtd_whatif_queue_depth", "Simulation requests waiting for a slot.",
+		func() float64 { return float64(p.waiting.Load()) })
+	r.Gauge("hrtd_whatif_inflight", "Simulation requests executing now.",
+		func() float64 { return float64(cap(p.slots) - len(p.slots)) })
 	r.Histogram("hrtd_whatif_run_duration_us", "Simulation run wall time in microseconds.",
 		func() []HistSample {
 			p.histMu.Lock()

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,11 +67,17 @@ func TestHTTPSimulateRejectsInvalid(t *testing.T) {
 		`{"scenario":{"tasks":[{"period_ns":1000000,"slice_ns":1000}],"model":"bogus"},"seed":1}`,
 		`{"scenario":{"tasks":[{"period_ns":1000000,"slice_ns":1000}],"faults":["nope"]},"seed":1}`,
 		`{"bogus_field":1}`,
+		`{"scenario":{"cpus":65536,"tasks":[{"period_ns":1000000,"slice_ns":1000}]},"seed":1}`,
+		`{"scenario":{"machine":"r415","cpus":9,"tasks":[{"period_ns":1000000,"slice_ns":1000}]},"seed":1}`,
 	}
 	for _, body := range cases {
 		code, resp, _ := postJSON(t, ts.URL+"/v1/simulate", body)
 		if code != http.StatusBadRequest {
 			t.Fatalf("body %s: status %d (%s), want 400", body, code, resp)
+		}
+		// A machine larger than its preset is a scenario error.
+		if strings.Contains(body, `"cpus"`) && !strings.Contains(resp, `"invalid_scenario"`) {
+			t.Fatalf("body %s: %s, want code invalid_scenario", body, resp)
 		}
 	}
 	// GET is not allowed.
@@ -82,29 +91,49 @@ func TestHTTPSimulateRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestSimulateShedsWhenFull: with no workers draining, the queue fills and
-// Simulate sheds with the standard overload error carrying a retry quote
-// that grows with the jobs queued ahead of it.
-func TestSimulateShedsWhenFull(t *testing.T) {
-	req := SimulateRequest{
+// testSimRequest is a small normalized simulate request.
+func testSimRequest() SimulateRequest {
+	return SimulateRequest{
 		Scenario: whatif.Scenario{
 			Tasks: []whatif.Task{{PeriodNs: 1_000_000, SliceNs: 100_000}},
 		}.Normalize(),
 		Seed: 1,
 	}
-	ctx := context.Background()
+}
+
+// holdSlots takes every slot's node out of s, so callers wait until
+// release puts them back.
+func holdSlots(s *Server) (release func()) {
+	held := make([]*whatif.Node, cap(s.sim.slots))
+	for i := range held {
+		held[i] = <-s.sim.slots
+	}
+	return func() {
+		for _, n := range held {
+			s.sim.slots <- n
+		}
+	}
+}
+
+// TestSimulateShedsWhenFull: with every slot held, depth callers wait and
+// the next one sheds with the standard overload error carrying a retry
+// quote that grows with the callers waiting ahead of it.
+func TestSimulateShedsWhenFull(t *testing.T) {
+	req := testSimRequest()
 	var quotes []int64
 	for _, depth := range []int{2, 4} {
 		s, err := newServer(Config{Spec: testSpec, Shards: 1, SimWorkers: 1, SimQueueDepth: depth})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// newServer never started the pool workers, so jobs queue forever.
+		release := holdSlots(s)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, depth)
 		for i := 0; i < depth; i++ {
-			go s.Simulate(ctx, req) //nolint:errcheck // parks in the queue
+			go func() { _, err := s.Simulate(ctx, req); done <- err }()
 		}
-		// The queued jobs park; the next submit must shed synchronously.
-		waitForQueued(t, func() bool { return len(s.sim.ch) == depth })
+		// The callers wait for a slot; the next one must shed synchronously.
+		waitForQueued(t, func() bool { return s.sim.waiting.Load() == int64(depth) })
 		_, err = s.Simulate(ctx, req)
 		var adm *core.AdmissionError
 		if !errors.As(err, &adm) {
@@ -119,8 +148,139 @@ func TestSimulateShedsWhenFull(t *testing.T) {
 		if status != http.StatusTooManyRequests || e.Code != "overloaded" || secs <= 0 {
 			t.Fatalf("mapped to %d %+v secs=%d", status, e, secs)
 		}
+		if got := s.sim.shed.Load(); got != 1 {
+			t.Fatalf("shed counter %d, want 1", got)
+		}
+		cancel()
+		for i := 0; i < depth; i++ {
+			<-done
+		}
+		release()
+		s.Close()
 	}
 	if quotes[1] <= quotes[0] {
 		t.Fatalf("retry-after quotes %v do not grow with queue depth", quotes)
 	}
+}
+
+// TestSimulateCanceledWhileWaiting: a caller whose context ends before it
+// gets a slot returns the context's error without running and is counted
+// in hrtd_whatif_canceled_total.
+func TestSimulateCanceledWhileWaiting(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1, SimWorkers: 1})
+	release := holdSlots(s)
+	defer release()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { _, err := s.Simulate(ctx, testSimRequest()); done <- err }()
+	waitForQueued(t, func() bool { return s.sim.waiting.Load() == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter returned %v, want context.Canceled", err)
+	}
+	if got := s.sim.canceled.Load(); got != 1 {
+		t.Fatalf("canceled counter %d, want 1", got)
+	}
+	if got := s.sim.waiting.Load(); got != 0 {
+		t.Fatalf("%d callers still counted as waiting", got)
+	}
+	if got := s.sim.replications.Load(); got != 0 {
+		t.Fatalf("canceled waiter ran %d replications", got)
+	}
+}
+
+// TestCloseWaitsForSimulations: Close returns only after the simulations
+// running and waiting for a slot have returned, and every later call
+// answers ErrServerClosed.
+func TestCloseWaitsForSimulations(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1, SimWorkers: 2})
+	release := holdSlots(s)
+	req := testSimRequest()
+	const callers = 3
+	done := make(chan error, callers)
+	for range callers {
+		go func() { _, err := s.Simulate(context.Background(), req); done <- err }()
+	}
+	waitForQueued(t, func() bool { return s.sim.waiting.Load() == callers })
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	waitForQueued(t, func() bool {
+		s.closeMu.RLock()
+		defer s.closeMu.RUnlock()
+		return s.closed
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned while simulations were waiting for a slot")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-closed
+	// Close returned, so every call has already answered.
+	for range callers {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("simulation under Close: %v", err)
+			}
+		default:
+			t.Fatal("Close returned before a simulation did")
+		}
+	}
+	if got := s.sim.replications.Load(); got != callers*int64(req.Scenario.Replications) {
+		t.Fatalf("%d replications, want %d", got, callers*req.Scenario.Replications)
+	}
+	if _, err := s.Simulate(context.Background(), req); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Simulate after Close = %v, want ErrServerClosed", err)
+	}
+}
+
+// benchSimBodies are shaped like the whatif-simulate benchmark's bodies:
+// two tasks on two CPUs at a per-body period, a model from its menu,
+// smi-storm on every other body, 16 replications.
+func benchSimBodies() []string {
+	periodsUs := []int64{100, 200, 250, 500, 1000}
+	models := []string{"wcet", "full-random", "half-random", "random-0.6,1.1:normal"}
+	bodies := make([]string, 8)
+	for i := range bodies {
+		p := periodsUs[i%len(periodsUs)] * 1000
+		var faults string
+		if i%2 == 0 {
+			faults = `"faults":["smi-storm"],`
+		}
+		bodies[i] = fmt.Sprintf(`{"scenario":{"name":"perf-%d","cpus":2,"tasks":[`+
+			`{"period_ns":%d,"slice_ns":%d,"cpu":0},{"period_ns":%d,"slice_ns":%d,"cpu":1}],`+
+			`"model":%q,%s"replications":16},"seed":%d}`,
+			i, p, p/5+p/11, p, p/10+p/23, models[i%len(models)], faults, 1000+i)
+	}
+	return bodies
+}
+
+// BenchmarkSimulateParallel drives the /v1/simulate handler from
+// GOMAXPROCS goroutines over the benchmark-shaped bodies, against a
+// server with its default GOMAXPROCS slots: at -cpu 1,2 it shows what the
+// second slot buys.
+func BenchmarkSimulateParallel(b *testing.B) {
+	s, err := New(Config{Spec: testSpec, Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	bodies := benchSimBodies()
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1))
+		for pb.Next() {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(bodies[i%len(bodies)])))
+			if w.Code != http.StatusOK {
+				b.Errorf("status %d: %s", w.Code, w.Body)
+				return
+			}
+			i++
+		}
+	})
 }

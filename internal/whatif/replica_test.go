@@ -306,15 +306,14 @@ func TestReplicaRebootMatchesFreshBoot(t *testing.T) {
 		name := fmt.Sprintf("%s(%s,%dcpu)->%s(%s,%dcpu)", a.sc.Name, a.sc.Machine, a.sc.CPUs,
 			b.sc.Name, b.sc.Machine, b.sc.CPUs)
 		t.Run(name, func(t *testing.T) {
-			node := newReplica(a.sc, a.spec, a.model, a.policy, a.recorders())
+			node := newReplica(new(Node), a.sc, a.spec, a.model, a.policy, a.recorders())
 			seeds := sim.NewRand(c.seedA)
 			for range a.sc.Replications {
 				node.run(seeds.Uint64(), a.durationNs)
 			}
 			scribble(t, node)
 
-			reused := newReplica(b.sc, b.spec, b.model, b.policy, b.recorders())
-			reused.m, reused.k, reused.chk = node.m, node.k, node.chk
+			reused := newReplica(node.Node, b.sc, b.spec, b.model, b.policy, b.recorders())
 			seeds = sim.NewRand(c.seedB)
 			for rep := range b.sc.Replications {
 				seed := seeds.Uint64()
@@ -328,7 +327,7 @@ func TestReplicaRebootMatchesFreshBoot(t *testing.T) {
 				got := snapshot(reused, reused.run(seed, b.durationNs), reusedRecs)
 
 				freshRecs := b.recorders()
-				fresh := newReplica(b.sc, b.spec, b.model, b.policy, freshRecs)
+				fresh := newReplica(new(Node), b.sc, b.spec, b.model, b.policy, freshRecs)
 				want := snapshot(fresh, fresh.run(seed, b.durationNs), freshRecs)
 
 				if want.Out.steps == 0 {

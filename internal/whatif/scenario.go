@@ -116,9 +116,13 @@ func degradePolicy(s string) (core.DegradePolicy, error) {
 
 // Validate checks a normalized scenario without running it.
 func (sc Scenario) Validate() error {
-	if _, ok := machine.SpecByName(sc.Machine); !ok {
+	spec, ok := machine.SpecByName(sc.Machine)
+	if !ok {
 		return fmt.Errorf("whatif: unknown machine %q (want %s)",
 			sc.Machine, strings.Join(machine.SpecNames(), ", "))
+	}
+	if sc.CPUs > spec.NumCPUs {
+		return fmt.Errorf("whatif: %d cpus exceeds machine %s's %d", sc.CPUs, sc.Machine, spec.NumCPUs)
 	}
 	if len(sc.Tasks) == 0 {
 		return fmt.Errorf("whatif: scenario has no tasks")
@@ -285,23 +289,31 @@ func (j *job) recordResponse(tc *core.ThreadCtx) {
 	}
 }
 
-// replica is the simulated node one Run call replicates on. The first
-// replication builds its machine, kernel and invariant checker; every
-// later one resets them in place under its own seed (machine.Reset,
-// core.Kernel.Reboot, core.InvariantChecker.Reattach), along with the
-// jobs, the outcome slices and the hooks. Only storage carries over:
-// every random draw happens in the order a fresh boot makes it, so a
-// replication's outcome does not depend on what ran on the replica
-// before it.
+// Node is a simulated machine, kernel and invariant checker that outlive
+// one Run. Its first replication builds them; every later one — of the
+// same request or of the next one, on any preset, CPU count, model, fault
+// mix or degrade policy — re-boots them in place under its own seed
+// (machine.Reset, core.Kernel.Reboot, core.InvariantChecker.Reattach).
+// Only storage carries over: every random draw happens in the order a
+// fresh boot makes it, so a report does not depend on what ran on the
+// node before it. The zero Node is ready to use; a Node must not run two
+// scenarios at once.
+type Node struct {
+	m   *machine.Machine
+	k   *core.Kernel
+	chk *core.InvariantChecker
+}
+
+// replica is one scenario's replications on a Node: the jobs, the fault
+// injectors, the outcome slices and the hooks, reset for every
+// replication.
 type replica struct {
 	sc      Scenario
 	spec    machine.Spec
 	cfg     core.Config
 	caption string // the checker's repro-line scenario name
 
-	m         *machine.Machine
-	k         *core.Kernel
-	chk       *core.InvariantChecker
+	*Node
 	env       fault.Env
 	envRng    sim.Rand
 	injectors []fault.Injector
@@ -311,9 +323,9 @@ type replica struct {
 	out       repOutcome
 }
 
-// newReplica prepares the replications of sc on spec. recs[i] collects
-// task i's response times across every replication.
-func newReplica(sc Scenario, spec machine.Spec, model ExecModel, policy core.DegradePolicy, recs []*jobRecorder) *replica {
+// newReplica prepares the replications of sc on spec, run on node. recs[i]
+// collects task i's response times across every replication.
+func newReplica(node *Node, sc Scenario, spec machine.Spec, model ExecModel, policy core.DegradePolicy, recs []*jobRecorder) *replica {
 	cfg := core.DefaultConfig(spec)
 	// Admission is judged analytically by plan.Analyze; the engine runs
 	// every task so rejected sets still produce observations (that is the
@@ -331,6 +343,7 @@ func newReplica(sc Scenario, spec machine.Spec, model ExecModel, policy core.Deg
 		spec:    spec,
 		cfg:     cfg,
 		caption: "whatif:" + sc.Name,
+		Node:    node,
 		jobs:    make([]*job, n),
 		threads: make([]*core.Thread, n),
 		out: repOutcome{
@@ -431,11 +444,17 @@ func (r *replica) run(seed uint64, durationNs int64) *repOutcome {
 	return out
 }
 
-// Run executes the scenario's replications and aggregates the Report.
-// Replication r boots the request's replica under the r-th draw of a root
-// stream over seed, so reports are reproducible per (scenario, seed) and
-// replications are statistically independent.
+// Run executes the scenario's replications on a node of their own and
+// aggregates the Report.
 func Run(sc Scenario, seed uint64) (*Report, error) {
+	return new(Node).Run(sc, seed)
+}
+
+// Run executes the scenario's replications on n and aggregates the
+// Report. Replication r re-boots n under the r-th draw of a root stream
+// over seed, so reports are reproducible per (scenario, seed), whatever
+// n ran before, and replications are statistically independent.
+func (n *Node) Run(sc Scenario, seed uint64) (*Report, error) {
 	sc = sc.Normalize()
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -488,12 +507,12 @@ func Run(sc Scenario, seed uint64) (*Report, error) {
 	}
 	seeds := sim.NewRand(seed)
 	lateBefore := make([]int64, len(sc.Tasks))
-	node := newReplica(sc, spec, model, policy, recs)
-	for r := 0; r < sc.Replications; r++ {
+	r := newReplica(n, sc, spec, model, policy, recs)
+	for range sc.Replications {
 		for i := range recs {
 			lateBefore[i] = recs[i].late
 		}
-		out := node.run(seeds.Uint64(), durationNs)
+		out := r.run(seeds.Uint64(), durationNs)
 		// A replication "misses" if any reserved slice went unserved
 		// (scheduler miss) or any job completed past its deadline (late
 		// job); survival demands neither.

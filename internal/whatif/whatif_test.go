@@ -250,7 +250,7 @@ func TestWCETInertDifferential(t *testing.T) {
 			return recs
 		}
 		wRecs, bRecs := mkRecs(), mkRecs()
-		out := newReplica(sc, spec, model, core.DegradeOff, wRecs).run(seed, durationNs)
+		out := newReplica(new(Node), sc, spec, model, core.DegradeOff, wRecs).run(seed, durationNs)
 		bSteps, bArrivals, bMisses := baselineReplication(sc, spec, seed, durationNs, bRecs)
 		if out.steps != bSteps {
 			t.Fatalf("seed %d: engine steps %d != baseline %d", seed, out.steps, bSteps)
