@@ -13,6 +13,15 @@ ci: fmt vet build race planverify perf-gate engine-bench-smoke whatif-bench-smok
 build:
 	$(GO) build ./...
 
+# loc prints the lines of Go outside bench/ and hidden directories (such
+# as the benchmark's .bench_build module cache): non-test, test, total.
+.PHONY: loc
+loc:
+	@files=$$(find . -name '*.go' -not -path './.*/*' -not -path './bench/*'); \
+	src=$$(echo "$$files" | grep -v '_test\.go$$' | xargs cat | wc -l); \
+	tst=$$(echo "$$files" | grep '_test\.go$$' | xargs cat | wc -l); \
+	echo "go lines outside bench/: non-test $$src, test $$tst, total $$((src + tst))"
+
 # fmt fails when any Go file outside hidden directories (such as the
 # benchmark's .bench_build) is not gofmt-formatted, listing the files.
 .PHONY: fmt

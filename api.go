@@ -1,31 +1,15 @@
 package hrtsched
 
 import (
-	"context"
-	"time"
-
 	"hrtsched/internal/bsp"
 	"hrtsched/internal/core"
 	"hrtsched/internal/cyclic"
-	"hrtsched/internal/dag"
-	"hrtsched/internal/durable"
 	"hrtsched/internal/group"
-	"hrtsched/internal/ksync"
 	"hrtsched/internal/legion"
 	"hrtsched/internal/machine"
-	"hrtsched/internal/mem"
-	"hrtsched/internal/ndp"
 	"hrtsched/internal/omp"
-	"hrtsched/internal/paging"
-	"hrtsched/internal/pgas"
 	"hrtsched/internal/plan"
-	"hrtsched/internal/route"
-	"hrtsched/internal/scope"
 	"hrtsched/internal/serve"
-	"hrtsched/internal/sim"
-	"hrtsched/internal/timesync"
-	"hrtsched/internal/trace"
-	"hrtsched/internal/whatif"
 )
 
 // --- Platform (internal/machine) -------------------------------------------
@@ -36,18 +20,9 @@ type Spec = machine.Spec
 // Machine is one simulated shared-memory x64 node.
 type Machine = machine.Machine
 
-// CPU is one simulated hardware thread.
-type CPU = machine.CPU
-
-// DeviceSource is a steerable external interrupt source.
-type DeviceSource = machine.DeviceSource
-
 // PhiKNL returns the paper's Xeon Phi 7210 testbed model (256 CPUs,
 // 1.3 GHz).
 func PhiKNL() Spec { return machine.PhiKNL() }
-
-// R415 returns the paper's Dell R415 testbed model (8 CPUs, 2.2 GHz).
-func R415() Spec { return machine.R415() }
 
 // NewMachine builds a machine from a spec with all randomness derived from
 // seed; equal seeds give bit-identical simulations.
@@ -61,28 +36,9 @@ type Kernel = core.Kernel
 // Config is the boot-time local scheduler configuration.
 type Config = core.Config
 
-// LocalScheduler is the per-CPU eager EDF engine.
-type LocalScheduler = core.LocalScheduler
-
-// Thread is a kernel thread.
-type Thread = core.Thread
-
-// Task is a queued callback cheaper than a thread (softIRQ/DPC analogue).
-type Task = core.Task
-
 // Constraints is the admission-control interface: aperiodic, periodic
 // (phase, period, slice) or sporadic (phase, size, deadline, priority).
 type Constraints = core.Constraints
-
-// ConstraintType selects the timing-constraint class.
-type ConstraintType = core.ConstraintType
-
-// Timing constraint classes.
-const (
-	Aperiodic = core.Aperiodic
-	Periodic  = core.Periodic
-	Sporadic  = core.Sporadic
-)
 
 // Program is the body of a thread: a state machine yielding Actions.
 type Program = core.Program
@@ -100,16 +56,6 @@ type Action = core.Action
 type (
 	// Compute consumes CPU cycles.
 	Compute = core.Compute
-	// Exit terminates the thread.
-	Exit = core.Exit
-	// Yield invokes the scheduler without blocking.
-	Yield = core.Yield
-	// SleepUntil parks the thread until a wall-clock time.
-	SleepUntil = core.SleepUntil
-	// Block parks the thread until woken.
-	Block = core.Block
-	// Call runs a function instantaneously in thread context.
-	Call = core.Call
 	// ChangeConstraints performs individual admission control.
 	ChangeConstraints = core.ChangeConstraints
 )
@@ -131,19 +77,6 @@ func PeriodicConstraints(phaseNs, periodNs, sliceNs int64) Constraints {
 	return core.PeriodicConstraints(phaseNs, periodNs, sliceNs)
 }
 
-// SporadicConstraints builds (phase, size, deadline, priority) constraints.
-func SporadicConstraints(phaseNs, sizeNs, deadlineNs int64, prio uint32) Constraints {
-	return core.SporadicConstraints(phaseNs, sizeNs, deadlineNs, prio)
-}
-
-// AperiodicConstraints builds priority-only constraints.
-func AperiodicConstraints(priority uint32) Constraints {
-	return core.AperiodicConstraints(priority)
-}
-
-// FlowProgram turns a step chain into a Program.
-func FlowProgram(start Step) Program { return core.FlowProgram(start) }
-
 // FlowThen runs a step chain, then continues with cont.
 func FlowThen(start Step, cont Program) Program { return core.FlowThen(start, cont) }
 
@@ -151,9 +84,6 @@ func FlowThen(start Step, cont Program) Program { return core.FlowThen(start, co
 
 // Group is a named thread group with distributed admission control.
 type Group = group.Group
-
-// GroupBarrier is a reusable group barrier with measured release stagger.
-type GroupBarrier = group.Barrier
 
 // GroupCosts models the coordination costs inside group operations.
 type GroupCosts = group.Costs
@@ -167,12 +97,6 @@ func NewGroup(k *Kernel, name string, size int, costs GroupCosts) (*Group, error
 	return group.New(k, name, size, costs)
 }
 
-// MustNewGroup is NewGroup for statically-sized call sites; it panics on
-// error.
-func MustNewGroup(k *Kernel, name string, size int, costs GroupCosts) *Group {
-	return group.MustNew(k, name, size, costs)
-}
-
 // DefaultGroupCosts returns the Figure 10 calibration.
 func DefaultGroupCosts() GroupCosts { return group.DefaultCosts() }
 
@@ -181,17 +105,11 @@ func DefaultGroupCosts() GroupCosts { return group.DefaultCosts() }
 // BSPParams configures the Section 6.1 microbenchmark.
 type BSPParams = bsp.Params
 
-// BSPResult reports one benchmark run.
-type BSPResult = bsp.Result
-
 // BSPBench is one instantiated benchmark.
 type BSPBench = bsp.Bench
 
 // NewBSP builds the benchmark on a kernel.
 func NewBSP(k *Kernel, p BSPParams) *BSPBench { return bsp.New(k, p) }
-
-// BSPCoarseGrain returns the coarsest granularity of the paper's study.
-func BSPCoarseGrain(p, n int) BSPParams { return bsp.CoarseGrain(p, n) }
 
 // BSPFineGrain returns the finest granularity of the paper's study.
 func BSPFineGrain(p, n int) BSPParams { return bsp.FineGrain(p, n) }
@@ -204,9 +122,6 @@ type CyclicTask = cyclic.Task
 // CyclicTable is a compiled cyclic-executive schedule.
 type CyclicTable = cyclic.Table
 
-// CyclicExecutive runs a compiled table on one CPU, time-driven.
-type CyclicExecutive = cyclic.Executive
-
 // BuildCyclic compiles a task set into a static schedule (offline EDF),
 // validating schedulability — the paper's future-work direction of
 // real-time behavior by static construction.
@@ -214,26 +129,7 @@ func BuildCyclic(tasks []CyclicTask, utilizationLimit float64) (*CyclicTable, er
 	return cyclic.Build(tasks, utilizationLimit)
 }
 
-// NewCyclicExecutive prepares an executive for the table on the given CPU.
-func NewCyclicExecutive(k *Kernel, cpu int, table *CyclicTable) *CyclicExecutive {
-	return cyclic.NewExecutive(k, cpu, table)
-}
-
-// --- Memory substrate (internal/mem) -----------------------------------------
-
-// MemZone is one NUMA zone managed by a buddy allocator with bounded,
-// deterministic operation path lengths.
-type MemZone = mem.Zone
-
-// NUMA is the zone-selected allocation layer.
-type NUMA = mem.NUMA
-
-// NewMemZone creates a buddy-managed zone.
-func NewMemZone(name string, base, size, minBlock uint64) (*MemZone, error) {
-	return mem.NewZone(name, base, size, minBlock)
-}
-
-// --- Parallel run-times (internal/omp, internal/ndp) -------------------------
+// --- Parallel run-times (internal/omp, internal/legion) ----------------------
 
 // OMPTeam is the OpenMP-like worker team: statically-scheduled parallel-for
 // regions, optionally gang-scheduled, optionally barrier-free.
@@ -242,136 +138,23 @@ type OMPTeam = omp.Team
 // OMPConfig configures a team.
 type OMPConfig = omp.Config
 
-// OMPRegion is one parallel-for region.
-type OMPRegion = omp.Region
-
-// OMP synchronization modes.
-const (
-	OMPSyncBarrier = omp.SyncBarrier
-	OMPSyncTimed   = omp.SyncTimed
-)
+// OMPSyncTimed synchronizes a team's regions by time instead of barriers.
+const OMPSyncTimed = omp.SyncTimed
 
 // NewOMPTeam creates and starts a worker team. It returns an error for a
 // non-positive worker count or timed sync without periodic constraints.
 func NewOMPTeam(k *Kernel, cfg OMPConfig) (*OMPTeam, error) { return omp.NewTeam(k, cfg) }
-
-// MustNewOMPTeam is NewOMPTeam for statically-correct call sites; it panics
-// on error.
-func MustNewOMPTeam(k *Kernel, cfg OMPConfig) *OMPTeam { return omp.MustNewTeam(k, cfg) }
 
 // LegionRuntime is the Legion-like task-based run-time: tasks with region
 // requirements, implicit dependence extraction, greedy worker-pool
 // execution.
 type LegionRuntime = legion.Runtime
 
-// LegionTask is a unit of work with declared region requirements.
-type LegionTask = legion.Task
-
-// LegionRegion is a logical region tasks operate on.
-type LegionRegion = legion.Region
-
-// LegionReq is one region requirement.
-type LegionReq = legion.Req
-
-// Legion access modes.
-const (
-	LegionReadOnly  = legion.ReadOnly
-	LegionReadWrite = legion.ReadWrite
-)
-
 // NewLegion creates a Legion-like runtime with a worker pool. It returns an
 // error for a non-positive worker count.
 func NewLegion(k *Kernel, cfg legion.Config) (*LegionRuntime, error) { return legion.New(k, cfg) }
 
-// MustNewLegion is NewLegion for statically-correct call sites; it panics
-// on error.
-func MustNewLegion(k *Kernel, cfg legion.Config) *LegionRuntime { return legion.MustNew(k, cfg) }
-
-// PGASArray is a shared array partitioned across a team (UPC-like).
-type PGASArray = pgas.Array
-
-// PGAS distributions and placements.
-const (
-	PGASBlocked    = pgas.Blocked
-	PGASCyclic     = pgas.Cyclic
-	PGASByAffinity = pgas.ByAffinity
-	PGASByChunk    = pgas.ByChunk
-)
-
-// NewPGASArray allocates a shared array on the team.
-func NewPGASArray(team *OMPTeam, n int, dist pgas.Distribution) *PGASArray {
-	return pgas.NewArray(team, n, dist)
-}
-
-// PGASForAll runs an affinity-aware parallel loop over [0, n).
-func PGASForAll(team *OMPTeam, name string, n int, placement pgas.Placement,
-	touches []*PGASArray, body func(i int), maxEvents uint64) error {
-	return pgas.ForAll(team, name, n, placement, touches, body, maxEvents)
-}
-
-// SegVector is a flattened nested vector for the NESL-like run-time.
-type SegVector = ndp.SegVector
-
-// NewSegVector builds a segmented vector from nested slices.
-func NewSegVector(segments [][]float64) *SegVector { return ndp.NewSegVector(segments) }
-
-// --- Kernel synchronization (internal/ksync) ---------------------------------
-
-// WaitQueue is the event-signaling primitive.
-type WaitQueue = ksync.WaitQueue
-
-// KMutex is a blocking kernel mutex with FIFO handoff.
-type KMutex = ksync.Mutex
-
-// KSemaphore is a counting semaphore with blocking acquire.
-type KSemaphore = ksync.Semaphore
-
-// NewWaitQueue creates a wait queue.
-func NewWaitQueue(k *Kernel) *WaitQueue { return ksync.NewWaitQueue(k) }
-
-// NewKMutex creates a mutex.
-func NewKMutex(k *Kernel) *KMutex { return ksync.NewMutex(k) }
-
-// NewKSemaphore creates a semaphore.
-func NewKSemaphore(k *Kernel, initial int64) *KSemaphore {
-	return ksync.NewSemaphore(k, initial)
-}
-
-// --- Tracing (internal/trace) -------------------------------------------------
-
-// TraceRecorder accumulates a structured execution timeline.
-type TraceRecorder = trace.Recorder
-
-// NewTraceRecorder creates a recorder holding up to limit events.
-func NewTraceRecorder(limit int) *TraceRecorder { return trace.NewRecorder(limit) }
-
-// AttachTrace wires a recorder into a kernel's instrumentation hooks.
-func AttachTrace(k *Kernel, r *TraceRecorder) { trace.Attach(k, r) }
-
-// --- Paging (internal/paging) --------------------------------------------------
-
-// MMU models identity-mapped translation with a TLB.
-type MMU = paging.MMU
-
-// PagingPageSize selects the mapping granularity.
-type PagingPageSize = paging.PageSize
-
-// Page sizes.
-const (
-	Page4K = paging.Page4K
-	Page2M = paging.Page2M
-	Page1G = paging.Page1G
-)
-
-// NewMMU builds an MMU over an identity map.
-func NewMMU(physBytes uint64, size PagingPageSize, tlbEntries int, walkCostPerLevel int64) *MMU {
-	return paging.NewMMU(physBytes, size, tlbEntries, walkCostPerLevel)
-}
-
 // --- Schedulability analysis (internal/plan) ---------------------------------
-
-// PlanTask is one periodic task (period, slice) for offline analysis.
-type PlanTask = plan.Task
 
 // PlanTaskSet is a set of periodic tasks under analysis.
 type PlanTaskSet = plan.TaskSet
@@ -383,12 +166,6 @@ type PlanSpec = plan.Spec
 // PlanVerdict is a full admission answer: the closed-form bound, the
 // hyperperiod simulation, and the combined decision.
 type PlanVerdict = plan.Verdict
-
-// CapacityReport is the what-if headroom answer of PlanCapacity.
-type CapacityReport = plan.CapacityReport
-
-// Placement is a first-fit assignment of task sets to CPUs.
-type Placement = plan.Placement
 
 // PlanSpecFor derives the analysis spec for a machine spec at a
 // utilization limit, charging the same per-invocation overhead the
@@ -402,93 +179,6 @@ func AnalyzeTaskSet(spec PlanSpec, set PlanTaskSet) PlanVerdict {
 	return plan.Analyze(spec, set)
 }
 
-// AnalyzeGang answers all-or-nothing admission for a gang of tasks
-// arriving together on a CPU that already runs `existing`.
-func AnalyzeGang(spec PlanSpec, existing, gang PlanTaskSet) PlanVerdict {
-	return plan.AnalyzeGang(spec, existing, gang)
-}
-
-// PlanCapacity reports how much additional utilization a CPU running
-// `set` can still take at the probe period (0 = the set's largest period).
-func PlanCapacity(spec PlanSpec, set PlanTaskSet, probePeriodNs int64) CapacityReport {
-	return plan.Capacity(spec, set, probePeriodNs)
-}
-
-// PlaceFirstFit packs task sets onto ncpus CPUs first-fit, consulting the
-// full analysis (bound + simulation) for every placement decision.
-func PlaceFirstFit(spec PlanSpec, ncpus int, sets []PlanTaskSet) (Placement, error) {
-	return plan.PlaceFirstFit(spec, ncpus, sets)
-}
-
-// IncrementalPlan is the stateful admission analyzer for one CPU: it
-// retains the admitted task set and its demand decomposition so a
-// one-task delta is answered by patching rather than re-simulating the
-// whole hyperperiod, falling back to the full analysis whenever the
-// hyperperiod shifts. Its verdicts are equivalent (PlanVerdictsEquivalent)
-// to AnalyzeTaskSet on the same candidate set — asserted on every verdict
-// under `go test -tags planverify`.
-type IncrementalPlan = plan.Incremental
-
-// IncrementalPlanStats counts how often an IncrementalPlan answered by
-// patching versus falling back to the full analysis.
-type IncrementalPlanStats = plan.IncrementalStats
-
-// NewIncrementalPlan creates an empty per-CPU incremental analyzer.
-func NewIncrementalPlan(spec PlanSpec) *IncrementalPlan { return plan.NewIncremental(spec) }
-
-// PlanVerdictsEquivalent reports whether two verdicts agree on everything
-// but the simulation step counter (a work measure, not a decision).
-func PlanVerdictsEquivalent(a, b PlanVerdict) bool { return plan.VerdictsEquivalent(a, b) }
-
-// PlanAnalysis is the pluggable admission-analysis interface: stateless
-// verdicts (Analyze/AnalyzeGang/Capacity) plus a factory for stateful
-// engines. The default plug-in, named DefaultPlanAnalysis, is the EDF
-// hyperperiod analysis every function above delegates to.
-type PlanAnalysis = plan.Analysis
-
-// PlanEngine is the stateful half of a PlanAnalysis — exactly
-// IncrementalPlan's method set.
-type PlanEngine = plan.Engine
-
-// DefaultPlanAnalysis names the registry's incumbent analysis.
-const DefaultPlanAnalysis = plan.DefaultAnalysisName
-
-// NewPlanAnalysis instantiates a registered analysis by name for a spec.
-func NewPlanAnalysis(name string, spec PlanSpec) (PlanAnalysis, error) {
-	return plan.NewAnalysis(name, spec)
-}
-
-// PlanAnalysisNames lists the registered analyses, sorted.
-func PlanAnalysisNames() []string { return plan.AnalysisNames() }
-
-// PlanMemo is a demand-bound-curve cache: a digest-keyed LRU over
-// canonically-equal task sets whose entries retain the incremental curve,
-// so repeated Analyze/Capacity calls and gang probes against the same set
-// skip the hyperperiod simulation. Answers are bit-identical to the
-// uncached analysis of the canonical task ordering (see DESIGN.md §12).
-type PlanMemo = plan.Memo
-
-// PlanMemoStats counts a PlanMemo's hits, misses, and live entries.
-type PlanMemoStats = plan.MemoStats
-
-// NewPlanMemo creates a curve cache holding up to entries task sets
-// (0 = DefaultMemoEntries).
-func NewPlanMemo(spec PlanSpec, entries int) *PlanMemo { return plan.NewMemo(spec, entries) }
-
-// AnalyzeTaskSetBatch answers many admission queries in one pass, sharing
-// demand-bound curves across canonically-equal sets; out[i] is
-// bit-identical to AnalyzeTaskSet on sets[i]'s canonical ordering.
-func AnalyzeTaskSetBatch(spec PlanSpec, sets []PlanTaskSet) []PlanVerdict {
-	return plan.AnalyzeBatch(spec, sets)
-}
-
-// AnalyzeGangBatch evaluates many candidate gangs against one existing
-// set with a single demand-curve pass; out[i] is equivalent
-// (PlanVerdictsEquivalent) to AnalyzeGang(spec, existing, gangs[i]).
-func AnalyzeGangBatch(spec PlanSpec, existing PlanTaskSet, gangs []PlanTaskSet) []PlanVerdict {
-	return plan.TryGangBatch(spec, existing, gangs)
-}
-
 // --- Admission-query service (internal/serve) --------------------------------
 
 // ServeConfig configures the sharded admission-query server.
@@ -498,262 +188,5 @@ type ServeConfig = serve.Config
 // cmd/hrtd.
 type Server = serve.Server
 
-// MetricsRegistry is the pull-based Prometheus-text metrics registry.
-type MetricsRegistry = serve.Registry
-
 // NewServer starts an admission-query server; Close releases its shards.
 func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
-
-// MustNewServer is NewServer for statically-correct configurations; it
-// panics on error.
-func MustNewServer(cfg ServeConfig) *Server {
-	s, err := serve.New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Cluster is the stateful placement session behind cmd/hrtd's
-// /v1/cluster routes: N simulated nodes, each owning an IncrementalPlan
-// behind a bounded mutation queue, with first-fit/worst-fit placement,
-// node drain, and rebalancing.
-type Cluster = serve.Cluster
-
-// ClusterConfig configures a Cluster.
-type ClusterConfig = serve.ClusterConfig
-
-// PlacePolicy selects how a Cluster orders candidate nodes.
-type PlacePolicy = serve.Policy
-
-// Placement policies.
-const (
-	PlaceFirstFitPolicy = serve.FirstFit
-	PlaceWorstFitPolicy = serve.WorstFit
-)
-
-// PlaceResult reports one Cluster placement attempt.
-type PlaceResult = serve.PlaceResult
-
-// ClusterBatchPlaceItem is one placement request of Cluster.PlaceBatch.
-type ClusterBatchPlaceItem = serve.BatchPlaceItem
-
-// ClusterBatchPlaceResult is one per-item answer of Cluster.PlaceBatch,
-// in input order: exactly what Place would have returned for that item.
-type ClusterBatchPlaceResult = serve.BatchPlaceResult
-
-// DrainReport summarizes one Cluster node drain.
-type DrainReport = serve.DrainReport
-
-// ClusterStatus is a Cluster's session-wide status snapshot.
-type ClusterStatus = serve.ClusterStatus
-
-// NewCluster starts a placement session; Close releases its node workers.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return serve.NewCluster(cfg) }
-
-// MustNewCluster is NewCluster for statically-correct configurations; it
-// panics on error.
-func MustNewCluster(cfg ClusterConfig) *Cluster {
-	c, err := serve.NewCluster(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// ClusterDurabilityConfig makes a Cluster crash-recoverable: committed
-// mutations are group-committed to a write-ahead log in Dir before the
-// client's reply, periodic snapshots bound replay, and NewCluster
-// recovers the pre-crash state on boot (see DESIGN.md §9).
-type ClusterDurabilityConfig = serve.DurabilityConfig
-
-// ClusterDurabilityStatus is the durability block of ClusterStatus,
-// present only when durability is enabled.
-type ClusterDurabilityStatus = serve.DurabilityStatus
-
-// ClusterRecoveryResult reports what a durable Cluster rebuilt at boot:
-// snapshot LSN, records replayed and rejected, torn bytes truncated,
-// segments dropped, orphans released.
-type ClusterRecoveryResult = durable.RecoveryResult
-
-// --- DAG tasks (internal/dag) ------------------------------------------------
-
-// DAGTask is a parallel task with precedence structure: WCET-annotated
-// nodes, precedence edges, a period, a constrained deadline, and a core
-// budget. Validate rejects malformed graphs with typed codes before any
-// analysis runs.
-type DAGTask = dag.Task
-
-// DAGNode is one unit of sequential work inside a DAGTask.
-type DAGNode = dag.Node
-
-// DAGEdge is a precedence constraint between two DAGTask nodes.
-type DAGEdge = dag.Edge
-
-// DAGResult is one response-time analysis outcome: the admission bit, a
-// typed rejection reason, the bound, and the blocking path that set it.
-type DAGResult = dag.Result
-
-// DAGValidationError is the typed structural rejection (cycle, bad WCET,
-// edge out of range, ...) with the offending node/edge/path.
-type DAGValidationError = dag.ValidationError
-
-// DAGAnalyzer computes a response-time bound for a validated DAGTask;
-// "classical" is the 1/m interference bound, "alpha-beta" the
-// interference-set refinement.
-type DAGAnalyzer = dag.Analyzer
-
-// NewDAGAnalyzer resolves an analyzer by name ("" = classical).
-func NewDAGAnalyzer(name string) (DAGAnalyzer, error) { return dag.NewAnalyzer(name) }
-
-// DAGAnalyzerNames lists the registered DAG analyzers, sorted.
-func DAGAnalyzerNames() []string { return dag.AnalyzerNames() }
-
-// AnalyzeDAG validates t and runs the named response-time analysis
-// against spec — the library form of hrtd's POST /v1/dag/analyze.
-func AnalyzeDAG(spec PlanSpec, t DAGTask, analyzer string) (DAGResult, error) {
-	rta, err := dag.NewAnalyzer(analyzer)
-	if err != nil {
-		return DAGResult{}, err
-	}
-	return dag.New(spec, rta).AnalyzeDAG(&t)
-}
-
-// DAGPlaceResult reports one Cluster DAG admission: the analysis, the
-// derived periodic server task, and where it was placed.
-type DAGPlaceResult = serve.DAGPlaceResult
-
-// ClusterDAGStatus is the DAG block of ClusterStatus, present once any
-// DAG has been submitted.
-type ClusterDAGStatus = serve.DAGStatus
-
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return serve.NewRegistry() }
-
-// RegisterKernelMetrics exposes a kernel's robustness counters (deadline
-// misses, degradation, watchdog) on a registry — the same code path
-// cmd/chaos -metrics and hrtd use.
-func RegisterKernelMetrics(r *MetricsRegistry, k *Kernel) { serve.RegisterKernel(r, k) }
-
-// --- Placement router (internal/route) ---------------------------------------
-
-// PlacementRouter shards a node fleet into independent placement groups
-// behind a thin stateless routing layer: task-set ids map to owning
-// groups by rendezvous hashing, batches split and re-merge in input
-// order, and cross-shard drain/rebalance move sets between groups with
-// admit-before-release safety (see DESIGN.md §13).
-type PlacementRouter = route.Router
-
-// RouterConfig configures a PlacementRouter.
-type RouterConfig = route.Config
-
-// RouterGroup is one shard group behind a router: the subset of the
-// Cluster surface the router fans requests to.
-type RouterGroup = route.Group
-
-// RouterBatchResult is the merged, input-ordered answer of a routed
-// PlaceBatch, with the owning group recorded per item.
-type RouterBatchResult = route.BatchResult
-
-// RoutedStatus is the aggregated fleet status of Router.Status: global
-// totals plus a per-group breakdown with staleness ages.
-type RoutedStatus = route.RoutedStatus
-
-// RoutedGroupStatus is one group's entry in RoutedStatus.
-type RoutedGroupStatus = route.GroupStatus
-
-// RouterDrainReport summarizes one cross-shard node drain.
-type RouterDrainReport = route.DrainReport
-
-// RouterRebalanceReport summarizes one cross-shard rebalance pass.
-type RouterRebalanceReport = route.RebalanceReport
-
-// RouteEnvelopeError is a structured error proxied verbatim from a
-// remote shard group (status code, error envelope, Retry-After).
-type RouteEnvelopeError = route.EnvelopeError
-
-// ErrShardGroupUnreachable reports that a shard group could not be
-// reached at all (transport failure, not a structured rejection).
-var ErrShardGroupUnreachable = route.ErrGroupUnreachable
-
-// ShardGroupHeader is the response header naming the shard group(s)
-// that served a routed request.
-const ShardGroupHeader = route.ShardGroupHeader
-
-// NewPlacementRouter builds a router over shard groups. It returns an
-// error for an empty group list or inconsistent configuration.
-func NewPlacementRouter(groups []RouterGroup, cfg RouterConfig) (*PlacementRouter, error) {
-	return route.New(groups, cfg)
-}
-
-// NewLocalShardGroup wraps an in-process Cluster as a shard group
-// (migratable in cross-shard drain/rebalance).
-func NewLocalShardGroup(c *Cluster) *route.LocalGroup { return route.NewLocalGroup(c) }
-
-// NewRemoteShardGroup dials a remote hrtd group endpoint and wraps it
-// as a shard group (served, but not migratable).
-func NewRemoteShardGroup(ctx context.Context, baseURL string, timeout time.Duration) (*route.RemoteGroup, error) {
-	return route.NewRemoteGroup(ctx, baseURL, timeout)
-}
-
-// PartitionFleetNodes deterministically partitions node indices
-// [0, total) into the given number of shard groups by rendezvous
-// hashing, evened to within one node per group.
-func PartitionFleetNodes(total, groups int) [][]int { return route.PartitionNodes(total, groups) }
-
-// --- What-if simulation (internal/whatif) ------------------------------------
-
-// WhatifScenario describes one stochastic what-if experiment: a task set,
-// an execution-time model, optional fault presets, and a replication
-// count. Equal (scenario, seed) pairs produce byte-identical reports.
-type WhatifScenario = whatif.Scenario
-
-// WhatifTask is one periodic task in a what-if scenario.
-type WhatifTask = whatif.Task
-
-// WhatifReport is the aggregated outcome of a what-if run: per-task miss
-// counts and response-time quantiles, survival probability, and the
-// admission-verdict-vs-observed disagreement counters.
-type WhatifReport = whatif.Report
-
-// WhatifTaskReport is the per-task slice of a what-if report.
-type WhatifTaskReport = whatif.TaskReport
-
-// WhatifExecModel is a parsed execution-time model ("wcet",
-// "full-random", "half-random", "random-a,b", with an optional
-// ":uniform" or ":normal" distribution suffix).
-type WhatifExecModel = whatif.ExecModel
-
-// SimulateRequest is the body of POST /v1/simulate.
-type SimulateRequest = serve.SimulateRequest
-
-// RunWhatif normalizes, validates, and runs one what-if scenario with
-// the given root seed.
-func RunWhatif(sc WhatifScenario, seed uint64) (*WhatifReport, error) {
-	return whatif.Run(sc, seed)
-}
-
-// ParseExecModel parses an execution-time model string.
-func ParseExecModel(s string) (WhatifExecModel, error) { return whatif.ParseModel(s) }
-
-// WhatifFaultNames lists the fault-injection presets a scenario may name.
-func WhatifFaultNames() []string { return whatif.FaultNames() }
-
-// --- Instruments ------------------------------------------------------------
-
-// ScopeTrace is the analysis of one GPIO pin (external verification).
-type ScopeTrace = scope.Trace
-
-// AnalyzeScope extracts a trace for a GPIO pin.
-func AnalyzeScope(m *Machine, pin uint, label string) *ScopeTrace {
-	return scope.Analyze(m, pin, label)
-}
-
-// ScopeHook wires GPIO instrumentation to one CPU and thread.
-type ScopeHook = core.ScopeHook
-
-// CalibResult is the outcome of boot-time cycle-counter calibration.
-type CalibResult = timesync.Result
-
-// SimTime is a point in simulated time (cycles of the reference clock).
-type SimTime = sim.Time

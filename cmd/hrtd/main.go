@@ -20,10 +20,12 @@
 // GET /v1/cluster/status from its own durable view. On SIGTERM a leader
 // hands leadership to the most caught-up follower before draining.
 //
-// Endpoints: POST /v1/analyze, POST /v1/capacity, POST /v1/simulate,
-// POST /v1/cluster/{place,remove,drain,undrain,rebalance},
-// GET /v1/cluster/status, GET /metrics, GET /healthz. POST /analyze and
-// /capacity remain as deprecated aliases.
+// Endpoints: POST /v1/analyze, POST /v1/analyze-batch, POST /v1/capacity,
+// POST /v1/simulate,
+// POST /v1/cluster/{place,place-batch,remove,drain,undrain,rebalance},
+// GET /v1/cluster/status, POST /v1/dag/{place,analyze}, GET /metrics,
+// GET /healthz. Any other path, the pre-v1 /analyze and /capacity
+// included, answers 404 with the not_found envelope.
 //
 // POST /v1/simulate runs stochastic what-if replications (internal/whatif)
 // on the request's own goroutine once it holds one of -sim-workers slots
@@ -75,7 +77,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "per-shard queue depth (0 = default 1024)")
 		batch    = flag.Int("batch", 0, "max queued requests a shard answers as one batch (0 = default 64)")
-		cache    = flag.Int("cache", 0, "per-shard verdict cache entries (0 = default 4096)")
+		cache    = flag.Int("cache", 0, "per-shard cache entries, shared by analyze and capacity queries (0 = default 4096)")
 		nodes    = flag.Int("nodes", 4, "placement-cluster nodes (0 disables the cluster routes)")
 		policy   = flag.String("policy", "first-fit", "placement policy: first-fit or worst-fit")
 		dataDir  = flag.String("data-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")

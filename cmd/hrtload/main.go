@@ -2,7 +2,7 @@
 //
 // In -mode query (the default) N connections each fire admission queries
 // back-to-back for a fixed duration, mixing repeated task sets (drawn
-// from a popular pool, exercising the verdict cache) with unique ones
+// from a popular pool, exercising the shard cache) with unique ones
 // (forcing fresh analyses), then report throughput, latency quantiles,
 // error counts, and the server-side cache hit rate scraped from /metrics.
 //

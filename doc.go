@@ -16,8 +16,10 @@
 // for the substitution table and EXPERIMENTS.md for paper-vs-measured
 // results on every figure.
 //
-// This package is a facade: it re-exports the stable public surface of the
-// internal packages so that library consumers have a single import.
+// This package is a small facade over the internal packages: the
+// simulated platform and kernel, thread groups, the BSP benchmark, cyclic
+// executives, the OpenMP- and Legion-like run-times, offline admission
+// analysis, and the admission-query service.
 //
 //	spec := hrtsched.PhiKNL()
 //	m := hrtsched.NewMachine(spec, 42)
@@ -27,29 +29,15 @@
 //	}))
 //	k.RunNs(50_000_000)
 //
-// # Constructors
+// # Constructors and cancellation
 //
-// Fallible constructors follow one convention across the whole surface:
-// NewX(...) (*X, error) validates its arguments and returns an error —
-// use it whenever the inputs come from configuration or callers; and
-// MustNewX(...) *X is the same constructor for statically-correct call
-// sites (literal sizes, compile-time configs), panicking on error the way
-// regexp.MustCompile does. Every MustNewX is exactly NewX with the error
-// turned into a panic — never a different code path. Infallible
-// constructors (NewMachine, NewIncrementalPlan, NewMetricsRegistry, …)
-// return the value alone and have no Must variant.
-//
-// # Cancellation and deprecation
-//
-// Service methods that can queue, block, or shed take a context.Context
-// and carry the Context suffix (AnalyzeContext, CapacityContext,
-// AnalyzeBatchContext); batched forms answer many items per call with
-// each item bit-identical to its single-item twin. Context-less variants
-// of the same operations are retained only as deprecated shims over the
-// *Context forms — they behave identically with context.Background() —
-// and new code should call the *Context form directly. The same policy
-// governs the HTTP surface: a retired route answers 410 Gone with a Link
-// header naming its /v1 successor rather than silently vanishing.
+// A constructor that can fail validates its arguments and returns
+// (*X, error); infallible constructors (NewMachine, NewBSP) return the
+// value alone. Service methods that can queue, block, or shed take a
+// context.Context and carry the Context suffix (AnalyzeContext,
+// CapacityContext, AnalyzeBatchContext); a batched form answers each item
+// bit-identically to its single-item call. Each call has this one
+// spelling, in Go and over HTTP, where every route lives under /v1.
 //
 // The cmd/hrtbench tool regenerates every figure of the paper's evaluation;
 // cmd/scopeview renders the oscilloscope verification; cmd/sweep runs

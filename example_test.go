@@ -91,21 +91,6 @@ func ExampleNewBSP() {
 	// Output: iterations: 160 write errors: 0 skew: true
 }
 
-// ExampleNewMMU demonstrates the Section 2 paging claim: a TLB that covers
-// the identity map never misses after startup.
-func ExampleNewMMU() {
-	mmu := hrtsched.NewMMU(112<<30, hrtsched.Page1G, 128, 40)
-	mmu.Warmup()
-	before := mmu.TLB.Misses
-	for addr := uint64(0); addr < 112<<30; addr += 7 << 28 {
-		if _, err := mmu.Translate(addr); err != nil {
-			panic(err)
-		}
-	}
-	fmt.Println("covered:", mmu.Covered(), "misses after startup:", mmu.TLB.Misses-before)
-	// Output: covered: true misses after startup: 0
-}
-
 // ExampleAnalyzeTaskSet answers offline admission for a periodic task set
 // on the Phi platform model: the closed-form utilization bound plus an
 // exact hyperperiod simulation with charged scheduler overhead.
@@ -122,7 +107,7 @@ func ExampleAnalyzeTaskSet() {
 
 // ExampleNewServer runs the admission-query service in-process: queries
 // are sharded by task-set digest and repeated sets answer from the
-// verdict cache.
+// shard's cache.
 func ExampleNewServer() {
 	srv, err := hrtsched.NewServer(hrtsched.ServeConfig{
 		Spec:   hrtsched.PlanSpecFor(hrtsched.PhiKNL(), 0.99),

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 )
 
@@ -9,22 +9,23 @@ import (
 const DefaultMemoEntries = 1024
 
 // Memo is a digest-keyed LRU over canonically-equal task sets that caches
-// both the admission verdict and the retained demand-bound curve of each
-// set, so repeated Analyze/Capacity/gang questions about an equivalent
-// set skip the hyperperiod simulation entirely. The serving layer's
-// verdict LRU proved the keying approach; the Memo goes further by
-// keeping the *curve* (an Incremental committed to the canonical set),
-// which answers gang probes and capacity binary-search steps by patching
-// instead of simulating.
+// the admission verdict of each set and, once a gang or capacity question
+// asks for it, the set's retained demand-bound curve (an Incremental
+// committed to the canonical set), so repeated Analyze questions skip the
+// hyperperiod simulation and gang probes and capacity binary-search steps
+// patch the curve instead of simulating. It is the serving layer's one
+// cache: each shard's analyze and capacity queries share one Memo.
 //
-// Answer convention: like the serving layer, the Memo canonicalizes
-// before analyzing, so Memo.Analyze(set) is bit-identical to
-// Analyze(spec, set.Canonical()) — the order a client listed tasks in
-// does not perturb float summation. Gang answers describe the
-// canonical(existing) ++ gang candidate. Verdicts never go stale —
-// they are pure functions of (spec, canonical set) — so the only
-// invalidation is LRU eviction; a 64-bit digest collision would alias
-// two sets, the same accepted risk as the serving layer's cache.
+// Answer convention: the Memo canonicalizes before analyzing, so
+// Memo.Analyze(set) is bit-identical to Analyze(spec, set.Canonical()) —
+// the order a client listed tasks in does not perturb float summation.
+// Gang answers describe the canonical(existing) ++ gang candidate.
+// Verdicts never go stale — they are pure functions of (spec, canonical
+// set) — so the only invalidation is LRU eviction. Each entry keeps its
+// canonical set, and a hit must match it task for task, not just by the
+// 64-bit digest: a set whose digest collides with a cached set's evicts
+// that entry and is analyzed as a miss, so a collision can never answer
+// with another set's verdict.
 //
 // A Memo is safe for concurrent use; operations serialize on an internal
 // lock because the cached curves are stateful single-owner engines.
@@ -33,18 +34,36 @@ type Memo struct {
 	cap  int
 
 	mu      sync.Mutex
-	ll      *list.List // front = most recently used
-	entries map[uint64]*list.Element
+	lru     memoEntry // recency ring sentinel: next is most recent, prev is evicted first
+	entries map[uint64]*memoEntry
 
 	hits   int64
 	misses int64
 }
 
-// memoEntry is one cached set: its verdict and its demand-bound curve.
+// memoEntry is one cached set: its canonical tasks, its verdict, and its
+// demand-bound curve once a gang or capacity question has built it. The
+// recency ring is intrusive rather than a container/list so that an entry
+// is one heap object besides its set: a serving shard holds thousands of
+// entries, and every object adds to each garbage collection's mark work.
 type memoEntry struct {
-	key     uint64
-	verdict Verdict
-	curve   *Incremental // committed to the canonical set
+	prev, next *memoEntry // recency ring
+	key        uint64
+	set        TaskSet // canonical; a hit must equal it
+	verdict    Verdict
+	curve      *Incremental // committed to set; nil until curveFor builds it
+}
+
+// curveFor returns the entry's demand-bound curve, building it from the
+// stored set and verdict on first use, so a set that is only ever
+// analyzed never pays for one. Callers hold the Memo's lock.
+func (e *memoEntry) curveFor(spec Spec) *Incremental {
+	if e.curve == nil {
+		e.curve = NewIncremental(spec)
+		// Restore without re-running the analysis the verdict came from.
+		e.curve.rebuild(e.set, e.verdict)
+	}
+	return e.curve
 }
 
 // MemoStats reports cache effectiveness.
@@ -60,12 +79,9 @@ func NewMemo(spec Spec, entries int) *Memo {
 	if entries <= 0 {
 		entries = DefaultMemoEntries
 	}
-	return &Memo{
-		spec:    spec,
-		cap:     entries,
-		ll:      list.New(),
-		entries: make(map[uint64]*list.Element, entries),
-	}
+	m := &Memo{spec: spec, cap: entries, entries: make(map[uint64]*memoEntry, entries)}
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	return m
 }
 
 // Spec returns the platform spec answers are computed under.
@@ -75,45 +91,58 @@ func (m *Memo) Spec() Spec { return m.spec }
 func (m *Memo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ll.Len()
+	return len(m.entries)
 }
 
 // Stats reports hit/miss counts and the live entry count.
 func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MemoStats{Hits: m.hits, Misses: m.misses, Entries: m.ll.Len()}
+	return MemoStats{Hits: m.hits, Misses: m.misses, Entries: len(m.entries)}
 }
 
 // Analyze returns the admission verdict for the set — bit-identical to
 // Analyze(spec, set.Canonical()). A hit returns the stored verdict
 // without touching the simulation (and without allocating); a miss runs
-// the full analysis once and caches verdict and curve.
+// the full analysis once and caches the verdict.
 func (m *Memo) Analyze(set TaskSet) Verdict {
-	digest := set.Digest()
+	bp := canonScratch(set)
+	v, _ := m.AnalyzeCanonical(*bp, digestOf(*bp))
+	digestScratch.Put(bp)
+	return v
+}
+
+// AnalyzeCanonical is Analyze for a set already in canonical order, with
+// its digest (the serving layer has both from routing the query). hit
+// reports whether the verdict came from the cache. The Memo copies canon
+// only on a miss, so the caller may reuse it afterwards.
+func (m *Memo) AnalyzeCanonical(canon TaskSet, digest uint64) (v Verdict, hit bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.entryLocked(set, digest).verdict
+	e, hit := m.entryLocked(canon, digest)
+	return e.verdict, hit
 }
 
 // AnalyzeGang answers all-or-nothing group admission for existing plus
 // gang: the verdict of the canonical(existing) ++ gang candidate,
 // answered by patching existing's cached demand curve when eligible.
 func (m *Memo) AnalyzeGang(existing, gang TaskSet) Verdict {
-	digest := existing.Digest()
+	bp := canonScratch(existing)
+	defer digestScratch.Put(bp)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.entryLocked(existing, digest).curve.EvaluateGang(gang)
+	return m.curveLocked(*bp).EvaluateGang(gang)
 }
 
 // TryGangBatch evaluates many candidate gangs against one existing set in
 // a single retained-curve pass: out[i] describes canonical(existing) ++
 // gangs[i], and nothing is committed anywhere.
 func (m *Memo) TryGangBatch(existing TaskSet, gangs []TaskSet) []Verdict {
-	digest := existing.Digest()
+	bp := canonScratch(existing)
+	defer digestScratch.Put(bp)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.entryLocked(existing, digest).curve.TryGangBatch(gangs)
+	return m.curveLocked(*bp).TryGangBatch(gangs)
 }
 
 // Capacity produces the what-if headroom report for a CPU running set —
@@ -121,36 +150,61 @@ func (m *Memo) TryGangBatch(existing TaskSet, gangs []TaskSet) []Verdict {
 // every binary-search probe answered from the cached demand curve
 // instead of a fresh hyperperiod simulation.
 func (m *Memo) Capacity(set TaskSet, probePeriodNs int64) CapacityReport {
-	digest := set.Digest()
+	bp := canonScratch(set)
+	defer digestScratch.Put(bp)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.entryLocked(set, digest)
+	curve := m.curveLocked(*bp)
 	var probeBuf [1]Task
-	return capacitySearch(m.spec, e.curve.tasks, probePeriodNs, func(probe Task) bool {
+	return capacitySearch(m.spec, curve.tasks, probePeriodNs, func(probe Task) bool {
 		probeBuf[0] = probe
-		return e.curve.EvaluateGang(probeBuf[:]).Admit
+		return curve.EvaluateGang(probeBuf[:]).Admit
 	})
 }
 
-// entryLocked returns the cached entry for the set's digest, building and
-// inserting it (with LRU eviction) on a miss. Callers hold m.mu.
-func (m *Memo) entryLocked(set TaskSet, digest uint64) *memoEntry {
-	if el, ok := m.entries[digest]; ok {
-		m.hits++
-		m.ll.MoveToFront(el)
-		return el.Value.(*memoEntry)
+// curveLocked returns the demand-bound curve of a canonical set's entry.
+// Callers hold m.mu.
+func (m *Memo) curveLocked(canon TaskSet) *Incremental {
+	e, _ := m.entryLocked(canon, digestOf(canon))
+	return e.curveFor(m.spec)
+}
+
+// entryLocked returns the cached entry for a canonical set and whether it
+// was a hit, analyzing and inserting it (with LRU eviction) on a miss. An
+// entry under the same digest that holds a different set is a digest
+// collision: it is evicted and the lookup counts as a miss. Callers hold
+// m.mu.
+func (m *Memo) entryLocked(canon TaskSet, digest uint64) (*memoEntry, bool) {
+	if e, ok := m.entries[digest]; ok {
+		e.unlink()
+		if slices.Equal(e.set, canon) {
+			m.hits++
+			m.pushFront(e)
+			return e, true
+		}
+		delete(m.entries, digest)
 	}
 	m.misses++
-	curve := NewIncremental(m.spec)
-	e := &memoEntry{key: digest, curve: curve, verdict: curve.Restore(set.Canonical())}
-	m.entries[digest] = m.ll.PushFront(e)
-	for m.ll.Len() > m.cap {
-		oldest := m.ll.Back()
-		m.ll.Remove(oldest)
-		delete(m.entries, oldest.Value.(*memoEntry).key)
+	set := append(TaskSet(nil), canon...)
+	e := &memoEntry{key: digest, set: set, verdict: Analyze(m.spec, set)}
+	m.entries[digest] = e
+	m.pushFront(e)
+	if len(m.entries) > m.cap {
+		oldest := m.lru.prev
+		oldest.unlink()
+		delete(m.entries, oldest.key)
 	}
-	return e
+	return e, false
 }
+
+// pushFront links e in as the most recently used entry. Callers hold m.mu.
+func (m *Memo) pushFront(e *memoEntry) {
+	e.prev, e.next = &m.lru, m.lru.next
+	e.next.prev, m.lru.next = e, e
+}
+
+// unlink takes e out of the recency ring. Callers hold the Memo's lock.
+func (e *memoEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
 
 // AnalyzeBatch answers many admission questions in one pass, sharing
 // analysis work across canonically-equal sets: each distinct digest is

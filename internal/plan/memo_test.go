@@ -59,6 +59,40 @@ func TestMemoLRUEviction(t *testing.T) {
 	}
 }
 
+// fnvCollision is a pair of distinct one-task sets with the same 64-bit
+// digest. A distinguished-point search over one-task sets (period
+// 2^32 + x>>32, slice x mod 2^32 for a 64-bit x) found it after about
+// 5e9 digest evaluations, a minute on two cores.
+var fnvCollision = [2]TaskSet{
+	{{PeriodNs: 7_407_247_001, SliceNs: 3_395_736_401}},
+	{{PeriodNs: 7_815_327_059, SliceNs: 2_963_696_194}},
+}
+
+func TestMemoDigestCollisionMisses(t *testing.T) {
+	a, b := fnvCollision[0], fnvCollision[1]
+	if a.Digest() != b.Digest() {
+		t.Fatalf("digests differ: %x vs %x", a.Digest(), b.Digest())
+	}
+	want := Analyze(specPhi79, b)
+	if want == Analyze(specPhi79, a) {
+		t.Fatal("the colliding sets share a verdict, so an aliased hit would go unseen")
+	}
+	m := NewMemo(specPhi79, 8)
+	m.Analyze(a)
+	if got := m.Analyze(b); got != want {
+		t.Fatalf("colliding set answered from the other set's entry:\n got %+v\nwant %+v", got, want)
+	}
+	if st := m.Stats(); st.Hits != 0 || st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 misses and b's entry replacing a's", st)
+	}
+	if got := m.Analyze(b); got != want {
+		t.Fatalf("repeat of b diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if st := m.Stats(); st.Hits != 1 {
+		t.Fatalf("stats = %+v, want the repeat of b to hit", st)
+	}
+}
+
 // TestMemoAndBatchPropertyRandomSequences is the cached/batched
 // counterpart of TestIncrementalPropertyRandomSequences: 1000 random
 // mutation sequences driven through a committed engine, where every
@@ -155,6 +189,31 @@ func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
 			if want := Analyze(specPhi79, cand); !VerdictsEquivalent(got, want) {
 				t.Fatalf("seq %d: TryGangBatch[%d] diverged\n got %+v\nwant %+v", seq, i, got, want)
 			}
+		}
+
+		// (d) the final state analyzed first, then asked a gang and a
+		// capacity question: Analyze leaves the entry without a curve,
+		// the first curve question builds it, and both answer like the
+		// uncached functions from the one entry.
+		lazy := NewMemo(specPhi79, 4)
+		lazy.Analyze(mirror)
+		entry := lazy.entries[mirror.Digest()]
+		if entry.curve != nil {
+			t.Fatalf("seq %d: Analyze built a demand curve", seq)
+		}
+		canon := mirror.Canonical()
+		if got, want := lazy.AnalyzeGang(mirror, gangs[0]), AnalyzeGang(specPhi79, canon, gangs[0]); !VerdictsEquivalent(got, want) {
+			t.Fatalf("seq %d: lazy AnalyzeGang diverged\n got %+v\nwant %+v", seq, got, want)
+		}
+		if entry.curve == nil {
+			t.Fatalf("seq %d: AnalyzeGang did not build the demand curve", seq)
+		}
+		probe := periods[r.Intn(len(periods))]
+		if got, want := lazy.Capacity(mirror, probe), Capacity(specPhi79, canon, probe); got != want {
+			t.Fatalf("seq %d: lazy Capacity diverged\n got %+v\nwant %+v", seq, got, want)
+		}
+		if st := lazy.Stats(); st.Misses != 1 || st.Entries != 1 {
+			t.Fatalf("seq %d: lazy stats = %+v, want one entry answering all three", seq, st)
 		}
 	}
 	if st := memo.Stats(); st.Hits == 0 || st.Misses == 0 {

@@ -71,9 +71,9 @@ func canonCmp(a, b Task) int {
 // comparisons. Unstable sorting is safe — ties are identical Task values.
 func canonSort(ts TaskSet) { slices.SortFunc(ts, canonCmp) }
 
-// digestScratch pools the sort buffer Digest canonicalizes into, so
-// digesting — which every Analyze, cache lookup, and shard route does —
-// allocates nothing in the steady state.
+// digestScratch pools the sort buffer canonScratch fills, so digesting
+// and Memo lookups — which every Analyze, cache lookup, and shard route
+// does — allocate nothing in the steady state.
 var digestScratch = sync.Pool{New: func() any {
 	buf := make(TaskSet, 0, 64)
 	return &buf
@@ -83,13 +83,19 @@ var digestScratch = sync.Pool{New: func() any {
 // multisets of tasks have equal digests; the digest is the cache key and
 // the shard-routing key of the serving layer.
 func (ts TaskSet) Digest() uint64 {
-	bp := digestScratch.Get().(*TaskSet)
-	buf := append((*bp)[:0], ts...)
-	canonSort(buf)
-	h := digestOf(buf)
-	*bp = buf
+	bp := canonScratch(ts)
+	h := digestOf(*bp)
 	digestScratch.Put(bp)
 	return h
+}
+
+// canonScratch copies ts into a pooled buffer and sorts it canonically;
+// the caller returns the buffer with digestScratch.Put.
+func canonScratch(ts TaskSet) *TaskSet {
+	bp := digestScratch.Get().(*TaskSet)
+	*bp = append((*bp)[:0], ts...)
+	canonSort(*bp)
+	return bp
 }
 
 // fnvOffset64 is the FNV-1a initial state: the digest of the empty set.

@@ -126,17 +126,14 @@ func (s *Server) Handler() http.Handler { return s.HandlerWithCluster(nil) }
 // header whose value (in whole seconds, rounded up) mirrors the body's
 // retry_after_ms. Cached and uncached analyze answers are byte-identical:
 // the cache indicator travels in the X-Hrtd-Cache header, never the body.
-//
-// The pre-v1 aliases /analyze and /capacity are retired: they answer
-// 410 Gone with the envelope and a Link header naming the /v1 successor.
+// Any other path, the pre-v1 /analyze and /capacity included, answers 404
+// with the not_found envelope.
 func (s *Server) HandlerWithCluster(c *Cluster) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("/v1/analyze-batch", s.handleAnalyzeBatch)
 	mux.HandleFunc("/v1/capacity", s.handleCapacity)
 	mux.HandleFunc("/v1/simulate", s.handleSimulate)
-	mux.HandleFunc("/analyze", gone("/v1/analyze"))
-	mux.HandleFunc("/capacity", gone("/v1/capacity"))
 	if c != nil {
 		mux.HandleFunc("/v1/cluster/place", c.handlePlace)
 		mux.HandleFunc("/v1/cluster/place-batch", c.handlePlaceBatch)
@@ -161,17 +158,6 @@ func (s *Server) HandlerWithCluster(c *Cluster) http.Handler {
 		writeError(w, http.StatusNotFound, "not_found", "no such route: "+req.URL.Path, 0)
 	})
 	return mux
-}
-
-// gone answers a retired pre-v1 alias: 410 with the envelope and a Link
-// header naming the /v1 successor. The aliases shipped deprecated (RFC
-// 9745 Deprecation header) for two releases before retirement.
-func gone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		writeError(w, http.StatusGone, "gone",
-			fmt.Sprintf("%s was retired; use %s", req.URL.Path, successor), 0)
-	}
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {

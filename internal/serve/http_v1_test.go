@@ -24,31 +24,28 @@ func postJSON(t *testing.T, url, body string) (int, string, http.Header) {
 	return resp.StatusCode, string(b), resp.Header
 }
 
-func TestHTTPLegacyAliasesAreGone(t *testing.T) {
+// TestHTTPAnalyzeDigestCollisionMisses sends two distinct sets whose
+// 64-bit digests collide (see plan's fnvCollision): the second must miss
+// the cache and answer its own verdict, not the first set's.
+func TestHTTPAnalyzeDigestCollisionMisses(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := `{"tasks":[{"period_ns":1000000,"slice_ns":600000}]}`
-	for _, route := range []string{"/analyze", "/capacity"} {
-		code, respBody, hdr := postJSON(t, ts.URL+route, body)
-		if code != http.StatusGone {
-			t.Fatalf("%s: status = %d, want 410", route, code)
+	a := plan.TaskSet{{PeriodNs: 7_407_247_001, SliceNs: 3_395_736_401}}
+	b := plan.TaskSet{{PeriodNs: 7_815_327_059, SliceNs: 2_963_696_194}}
+	if a.Digest() != b.Digest() {
+		t.Fatalf("digests differ: %x vs %x", a.Digest(), b.Digest())
+	}
+	for _, set := range []plan.TaskSet{a, b} {
+		req, _ := json.Marshal(analyzeRequest{Tasks: set})
+		code, body, hdr := postJSON(t, ts.URL+"/v1/analyze", string(req))
+		if code != http.StatusOK || hdr.Get("X-Hrtd-Cache") != "miss" {
+			t.Fatalf("%v: %d, X-Hrtd-Cache %q, want 200 and a miss", set, code, hdr.Get("X-Hrtd-Cache"))
 		}
-		var e APIError
-		if err := json.Unmarshal([]byte(respBody), &e); err != nil || e.Code != "gone" {
-			t.Fatalf("%s: envelope = %s (%v)", route, respBody, err)
-		}
-		if !strings.Contains(e.Reason, "/v1"+route) {
-			t.Fatalf("%s: reason does not name the successor: %q", route, e.Reason)
-		}
-		if !strings.Contains(hdr.Get("Link"), `rel="successor-version"`) ||
-			!strings.Contains(hdr.Get("Link"), "/v1"+route) {
-			t.Fatalf("%s: retired route lacks successor link: %q", route, hdr.Get("Link"))
-		}
-		// The successor still answers.
-		if v1Code, v1Body, _ := postJSON(t, ts.URL+"/v1"+route, body); v1Code != http.StatusOK {
-			t.Fatalf("/v1%s: %d %s", route, v1Code, v1Body)
+		want, _ := json.Marshal(plan.Analyze(testSpec, set))
+		if strings.TrimSuffix(body, "\n") != string(want) {
+			t.Fatalf("%v: body diverges from plan.Analyze:\n got %s\nwant %s", set, body, want)
 		}
 	}
 }
@@ -197,9 +194,20 @@ func TestHTTPErrorEnvelopeShape(t *testing.T) {
 	if e := decode(string(b)); resp.StatusCode != http.StatusMethodNotAllowed || e.Code != "method_not_allowed" {
 		t.Fatalf("method not allowed: %d %s", resp.StatusCode, b)
 	}
-	code, body, _ = postJSON(t, ts.URL+"/v1/cluster/place", `{"id":"x","tasks":[]}`)
-	if e := decode(body); code != http.StatusNotFound || e.Code != "not_found" {
-		t.Fatalf("cluster route without cluster: %d %s", code, body)
+	// Unknown routes answer the 404 envelope: the cluster routes on a
+	// server without a cluster, and the retired pre-v1 spellings of the
+	// query routes, whose /v1 forms still answer.
+	query := `{"tasks":[{"period_ns":1000000,"slice_ns":600000}]}`
+	for _, route := range []string{"/v1/cluster/place", "/analyze", "/capacity"} {
+		code, body, _ = postJSON(t, ts.URL+route, query)
+		if e := decode(body); code != http.StatusNotFound || e.Code != "not_found" {
+			t.Fatalf("%s: %d %s", route, code, body)
+		}
+	}
+	for _, route := range []string{"/v1/analyze", "/v1/capacity"} {
+		if code, body, _ = postJSON(t, ts.URL+route, query); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", route, code, body)
+		}
 	}
 }
 

@@ -2,10 +2,10 @@
 // layer over the pure schedulability engine in internal/plan. Queries are
 // routed to worker shards by canonical task-set digest (so identical sets
 // always land on the shard holding their cached verdict), batched per shard
-// by a greedy drain of a bounded queue, answered from a per-shard LRU when
-// possible, and shed with a structured retry-after error when the queue is
-// full. Everything observable is exported through the pull-based
-// metrics Registry.
+// by a greedy drain of a bounded queue, answered from the shard's
+// plan.Memo when possible, and shed with a structured retry-after error
+// when the queue is full. Everything observable is exported through the
+// pull-based metrics Registry.
 package serve
 
 import (
@@ -57,7 +57,8 @@ type Config struct {
 	// BatchSize caps how many queued requests one shard worker answers
 	// as a batch; default 64.
 	BatchSize int
-	// CacheEntries bounds each shard's verdict LRU; default 4096.
+	// CacheEntries bounds each shard's plan.Memo, which its analyze and
+	// capacity queries share; default 4096.
 	CacheEntries int
 	// MaxBatchItems caps the item count of one /v1/analyze-batch request;
 	// larger batches answer 400 quoting the cap. Default
@@ -137,12 +138,12 @@ type response struct {
 }
 
 type shard struct {
-	id    int
-	ch    chan *request
-	cache *lru
-	// memo caches demand-bound curves for capacity queries, so a repeated
-	// what-if probe patches a retained curve instead of re-simulating the
-	// hyperperiod per binary-search step. Owned by the shard goroutine.
+	id int
+	ch chan *request
+	// memo is the shard's one cache: analyze queries answer from its
+	// verdicts, and capacity queries patch its demand-bound curves
+	// instead of re-simulating the hyperperiod per binary-search step.
+	// Only the shard goroutine queries it.
 	memo *plan.Memo
 
 	// svc sizes the shed retry-after quote.
@@ -167,9 +168,6 @@ type Server struct {
 	shards []*shard
 	sim    *simPool
 	reg    *Registry
-	// analysis is the default plan.Analysis for cfg.Spec; every query
-	// verdict dispatches through the interface.
-	analysis plan.Analysis
 
 	wg sync.WaitGroup // shard goroutines
 
@@ -201,14 +199,13 @@ func newServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.fillDefaults()
-	s := &Server{cfg: cfg, shards: make([]*shard, cfg.Shards), analysis: plan.DefaultEDF(cfg.Spec)}
+	s := &Server{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range s.shards {
 		s.shards[i] = &shard{
-			id:    i,
-			ch:    make(chan *request, cfg.QueueDepth),
-			cache: newLRU(cfg.CacheEntries),
-			memo:  plan.NewMemo(cfg.Spec, cfg.CacheEntries),
-			hist:  stats.NewHistogram(latHistLoUs, latHistHiUs, latHistNBuckets),
+			id:   i,
+			ch:   make(chan *request, cfg.QueueDepth),
+			memo: plan.NewMemo(cfg.Spec, cfg.CacheEntries),
+			hist: stats.NewHistogram(latHistLoUs, latHistHiUs, latHistNBuckets),
 		}
 		s.shards[i].svc.ns.Store(queueSeedServiceNs)
 	}
@@ -289,22 +286,6 @@ func (s *Server) CapacityContext(ctx context.Context, set plan.TaskSet, probeNs 
 	return resp.capacity, err
 }
 
-// Analyze answers an admission query without cancellation.
-//
-// Deprecated: use AnalyzeContext, which can abandon queued queries when
-// the caller gives up. Analyze is AnalyzeContext(context.Background(), …).
-func (s *Server) Analyze(set plan.TaskSet) (plan.Verdict, bool, error) {
-	return s.AnalyzeContext(context.Background(), set)
-}
-
-// Capacity answers a what-if capacity query without cancellation.
-//
-// Deprecated: use CapacityContext. Capacity is
-// CapacityContext(context.Background(), …).
-func (s *Server) Capacity(set plan.TaskSet, probeNs int64) (plan.CapacityReport, error) {
-	return s.CapacityContext(context.Background(), set, probeNs)
-}
-
 func (s *Server) submit(ctx context.Context, r *request) (response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -372,22 +353,22 @@ func (s *Server) process(sh *shard, batch []*request) {
 		var resp response
 		switch r.kind {
 		case analyzeQuery:
-			if v, ok := sh.cache.get(r.digest); ok {
+			// r.set is canonical and r.digest is its digest, so a hit
+			// costs a map lookup and a set comparison.
+			v, hit := sh.memo.AnalyzeCanonical(r.set, r.digest)
+			if hit {
 				sh.hits.Add(1)
-				resp = response{verdict: v, cached: true}
 			} else {
 				sh.misses.Add(1)
-				v := s.analysis.Analyze(r.set)
-				sh.cache.put(r.digest, v)
-				sh.entries.Store(int64(sh.cache.len()))
-				resp = response{verdict: v}
 			}
+			resp = response{verdict: v, cached: hit}
 		case capacityQuery:
-			// r.set is already canonical, so the memoized answer is
-			// bit-identical to s.analysis.Capacity(r.set, r.probeNs) with
-			// the hyperperiod simulations replaced by curve patches.
+			// The memoized answer is bit-identical to plan.Capacity on
+			// the canonical set, with the hyperperiod simulations
+			// replaced by curve patches.
 			resp = response{capacity: sh.memo.Capacity(r.set, r.probeNs)}
 		}
+		sh.entries.Store(int64(sh.memo.Len()))
 		lat := float64(time.Since(r.start).Nanoseconds()) / 1e3
 		sh.histMu.Lock()
 		sh.hist.Add(lat)
@@ -468,7 +449,7 @@ func (s *Server) registerMetrics() {
 		perShard(func(sh *shard) float64 { return float64(sh.hits.Load()) }))
 	r.CounterVec("hrtd_cache_misses_total", "Verdict cache misses per shard.",
 		perShard(func(sh *shard) float64 { return float64(sh.misses.Load()) }))
-	r.GaugeVec("hrtd_cache_entries", "Live verdict cache entries per shard.",
+	r.GaugeVec("hrtd_cache_entries", "Live cache entries per shard, analyze and capacity sets alike.",
 		perShard(func(sh *shard) float64 { return float64(sh.entries.Load()) }))
 	r.Gauge("hrtd_cache_hit_rate", "Aggregate cache hit rate in [0,1].", s.CacheHitRate)
 	r.CounterVec("hrtd_shed_total", "Load-shed requests per shard.",

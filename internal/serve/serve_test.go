@@ -104,24 +104,30 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	v := func(n int64) plan.Verdict { return plan.Verdict{Digest: uint64(n)} }
-	c.put(1, v(1))
-	c.put(2, v(2))
-	c.get(1) // refresh 1; now 2 is oldest
-	c.put(3, v(3))
-	if _, ok := c.get(2); ok {
-		t.Fatalf("LRU kept the least-recently-used entry")
+func TestAnalyzeAndCapacityShareOneMemoEntry(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	sh := s.shards[0]
+	set := plan.TaskSet{{PeriodNs: 200_000, SliceNs: 60_000}, {PeriodNs: 100_000, SliceNs: 30_000}}
+	ctx := context.Background()
+
+	if _, cached, err := s.AnalyzeContext(ctx, set); err != nil || cached {
+		t.Fatalf("first analyze: cached=%v err=%v", cached, err)
 	}
-	if _, ok := c.get(1); !ok {
-		t.Fatalf("LRU evicted a recently-used entry")
+	rep, err := s.CapacityContext(ctx, set, 0)
+	if err != nil {
+		t.Fatalf("capacity: %v", err)
 	}
-	if got, _ := c.get(3); got.Digest != 3 {
-		t.Fatalf("wrong verdict for key 3: %+v", got)
+	if want := plan.Capacity(testSpec, set.Canonical(), 0); rep != want {
+		t.Fatalf("capacity diverges from plan.Capacity:\n got %+v\nwant %+v", rep, want)
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	// The capacity query reused the analyze query's entry and built its
+	// curve there: one set, one entry, one miss.
+	if st := sh.memo.Stats(); st.Entries != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("memo stats = %+v, want 1 entry, 1 miss, 1 hit", st)
+	}
+	gauge := fmt.Sprintf(`hrtd_cache_entries{shard="0"} %d`, sh.memo.Len())
+	if !strings.Contains(s.reg.Render(), gauge) {
+		t.Fatalf("metrics lack %q:\n%s", gauge, s.reg.Render())
 	}
 }
 
