@@ -24,6 +24,28 @@ func postJSON(t *testing.T, url, body string) (int, string, http.Header) {
 	return resp.StatusCode, string(b), resp.Header
 }
 
+// TestHTTPLegacyAliasesAreGone checks that the pre-v1 spellings of the
+// query routes answer the 404 not_found envelope like any unknown route,
+// while their /v1 forms still answer.
+func TestHTTPLegacyAliasesAreGone(t *testing.T) {
+	s := newTestServer(t, Config{Shards: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"tasks":[{"period_ns":1000000,"slice_ns":600000}]}`
+	for _, route := range []string{"/analyze", "/capacity"} {
+		code, respBody, _ := postJSON(t, ts.URL+route, body)
+		var e APIError
+		if err := json.Unmarshal([]byte(respBody), &e); err != nil ||
+			code != http.StatusNotFound || e.Code != "not_found" || e.Reason == "" {
+			t.Fatalf("%s: %d %s (%v), want the 404 not_found envelope", route, code, respBody, err)
+		}
+		if v1Code, v1Body, _ := postJSON(t, ts.URL+"/v1"+route, body); v1Code != http.StatusOK {
+			t.Fatalf("/v1%s: %d %s", route, v1Code, v1Body)
+		}
+	}
+}
+
 // TestHTTPAnalyzeDigestCollisionMisses sends two distinct sets whose
 // 64-bit digests collide (see plan's fnvCollision): the second must miss
 // the cache and answer its own verdict, not the first set's.
@@ -194,20 +216,9 @@ func TestHTTPErrorEnvelopeShape(t *testing.T) {
 	if e := decode(string(b)); resp.StatusCode != http.StatusMethodNotAllowed || e.Code != "method_not_allowed" {
 		t.Fatalf("method not allowed: %d %s", resp.StatusCode, b)
 	}
-	// Unknown routes answer the 404 envelope: the cluster routes on a
-	// server without a cluster, and the retired pre-v1 spellings of the
-	// query routes, whose /v1 forms still answer.
-	query := `{"tasks":[{"period_ns":1000000,"slice_ns":600000}]}`
-	for _, route := range []string{"/v1/cluster/place", "/analyze", "/capacity"} {
-		code, body, _ = postJSON(t, ts.URL+route, query)
-		if e := decode(body); code != http.StatusNotFound || e.Code != "not_found" {
-			t.Fatalf("%s: %d %s", route, code, body)
-		}
-	}
-	for _, route := range []string{"/v1/analyze", "/v1/capacity"} {
-		if code, body, _ = postJSON(t, ts.URL+route, query); code != http.StatusOK {
-			t.Fatalf("%s: %d %s", route, code, body)
-		}
+	code, body, _ = postJSON(t, ts.URL+"/v1/cluster/place", `{"id":"x","tasks":[]}`)
+	if e := decode(body); code != http.StatusNotFound || e.Code != "not_found" {
+		t.Fatalf("cluster route without cluster: %d %s", code, body)
 	}
 }
 
