@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci build vet test race planverify perf-gate chaos bench bench-engine bench-record bench-record-pr5 bench-record-pr7 bench-record-pr8 bench-record-pr9 bench-record-pr10 engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
+.PHONY: ci build vet test race planverify perf-gate fuzz chaos bench bench-engine bench-record bench-record-pr5 bench-record-pr7 bench-record-pr8 bench-record-pr9 bench-record-pr10 engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
 # ci is the tier-1 gate: every change must pass gofmt, vet, build, the race-
 # enabled test suite, the planverify cross-check, the non-race perf
-# gates, the engine benchmark smoke, and the serving-layer smokes —
+# gates, a short run of every fuzz target, the engine benchmark smoke,
+# and the serving-layer smokes —
 # including the kill -9 recovery, leader-failover, DAG-recovery,
 # batched-placement, sharded-router, and what-if simulation smokes —
 # before it lands (see README "Testing").
-ci: fmt vet build race planverify perf-gate engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
+ci: fmt vet build race planverify perf-gate fuzz engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
 build:
 	$(GO) build ./...
@@ -50,6 +51,26 @@ perf-gate:
 	$(GO) test -tags perfgate -run TestFreezeStormSpeedupAtLeast5x -count=1 ./internal/sim
 	$(GO) test -tags perfgate -run TestDurablePlaceThroughputAtLeast8k -count=1 ./internal/serve
 	$(GO) test -tags perfgate -run TestRoutedPlaceScaleoutAtLeast1_8x -count=1 ./internal/route
+
+# fuzz runs each fuzz target for a few seconds beyond its committed seed
+# corpus (testdata/fuzz/, which plain go test replays): the canonical
+# request scanners against encoding/json, the hot response appenders
+# against encoding/json's reflective encoding of a mirror type, the WAL
+# record codec against itself, and the WAL frame reader. go test fuzzes
+# one target per run, hence one line each.
+fuzz:
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanAnalyze$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanAnalyzeBatch$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanPlace$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanPlaceBatch$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanRemove$$' -fuzztime 5s
+	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzVerdictAppendJSON$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendPlaceResult$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendRemoveReply$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendAnalyzeBatchReply$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendPlaceBatchReply$$' -fuzztime 5s
+	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzNextFrame$$' -fuzztime 5s
 
 # planverify rebuilds the admission layers with the verification tag on,
 # so every Incremental verdict is asserted bit-identical to a fresh full

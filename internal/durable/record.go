@@ -13,6 +13,7 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"hrtsched/internal/plan"
 )
@@ -98,6 +99,11 @@ const (
 // maxIDLen bounds the id field on the wire (u16 length prefix).
 const maxIDLen = 1<<16 - 1
 
+// maxNode bounds the node field: it travels as a u32 but must fit an int
+// on every platform, so Encode and DecodeRecord both refuse anything above
+// MaxInt32.
+const maxNode = math.MaxInt32
+
 // Encode serializes the record into the WAL payload format:
 // [kind u8][origin u8][node u32][idlen u16][id][ntasks u16][{period i64,
 // slice i64}...], all little-endian. A KindPlaceDAG record appends its
@@ -112,7 +118,7 @@ func (r Record) Encode() ([]byte, error) {
 	if r.Origin > OriginRelease {
 		return nil, fmt.Errorf("durable: encode: bad origin %d", r.Origin)
 	}
-	if r.Node < 0 || int64(r.Node) > int64(1<<31) {
+	if r.Node < 0 || int64(r.Node) > maxNode {
 		return nil, fmt.Errorf("durable: encode: bad node %d", r.Node)
 	}
 	if len(r.ID) == 0 || len(r.ID) > maxIDLen {
@@ -203,7 +209,11 @@ func DecodeRecord(p []byte) (Record, error) {
 	if r.Origin > OriginRelease {
 		return r, fmt.Errorf("durable: bad record origin %d", p[1])
 	}
-	r.Node = int(binary.LittleEndian.Uint32(p[2:6]))
+	node := binary.LittleEndian.Uint32(p[2:6])
+	if node > maxNode {
+		return r, fmt.Errorf("durable: bad record node %d", node)
+	}
+	r.Node = int(node)
 	idLen := int(binary.LittleEndian.Uint16(p[6:8]))
 	if len(p) < 8+idLen+2 {
 		return r, fmt.Errorf("durable: record truncated inside id")
@@ -254,6 +264,9 @@ func decodeDAGMeta(p []byte) (*DAGMeta, int, error) {
 		PeriodNs:   int64(binary.LittleEndian.Uint64(p[2:10])),
 		DeadlineNs: int64(binary.LittleEndian.Uint64(p[10:18])),
 		BoundNs:    int64(binary.LittleEndian.Uint64(p[18:26])),
+	}
+	if d.Cores < 1 {
+		return nil, 0, fmt.Errorf("durable: dag record with cores %d", d.Cores)
 	}
 	alen := int(binary.LittleEndian.Uint16(p[26:28]))
 	off := 28

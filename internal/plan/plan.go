@@ -16,8 +16,10 @@ package plan
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -87,6 +89,13 @@ func (ts TaskSet) Digest() uint64 {
 	h := digestOf(*bp)
 	digestScratch.Put(bp)
 	return h
+}
+
+// CanonicalDigest returns Canonical and Digest of the set with one sort:
+// the digest is taken over the sorted copy it returns.
+func (ts TaskSet) CanonicalDigest() (TaskSet, uint64) {
+	canon := ts.Canonical()
+	return canon, digestOf(canon)
 }
 
 // canonScratch copies ts into a pooled buffer and sorts it canonically;
@@ -397,6 +406,58 @@ type Verdict struct {
 	Sim SimResult `json:"sim"`
 	// Digest is the canonical task-set digest the verdict answers for.
 	Digest uint64 `json:"digest"`
+}
+
+// AppendJSON appends the verdict's JSON object to b: byte for byte what
+// encoding/json writes for the struct's tags, without reflection. The
+// serving layer writes every verdict it answers with through it, and
+// MarshalJSON delegates to it, so a Verdict has one encoder wherever it
+// appears. Utilization must be finite, as in every verdict Analyze
+// returns; MarshalJSON refuses a non-finite one, as encoding/json does.
+func (v Verdict) AppendJSON(b []byte) []byte {
+	b = append(b, `{"admit":`...)
+	b = strconv.AppendBool(b, v.Admit)
+	b = append(b, `,"reason":"`...)
+	b = append(b, v.Reason.String()...)
+	b = append(b, `","utilization":`...)
+	b = appendFloatJSON(b, v.Utilization)
+	b = append(b, `,"bound_ok":`...)
+	b = strconv.AppendBool(b, v.BoundOK)
+	b = append(b, `,"sim":{"ok":`...)
+	b = strconv.AppendBool(b, v.Sim.OK)
+	b = append(b, `,"reason":"`...)
+	b = append(b, v.Sim.Reason.String()...)
+	b = append(b, `","hyperperiod_ns":`...)
+	b = strconv.AppendInt(b, v.Sim.HyperperiodNs, 10)
+	b = append(b, `,"steps":`...)
+	b = strconv.AppendInt(b, int64(v.Sim.Steps), 10)
+	b = append(b, `},"digest":`...)
+	b = strconv.AppendUint(b, v.Digest, 10)
+	return append(b, '}')
+}
+
+// MarshalJSON encodes the verdict through AppendJSON.
+func (v Verdict) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(v.Utilization) || math.IsInf(v.Utilization, 0) {
+		return nil, fmt.Errorf("plan: verdict utilization %v is not a JSON number", v.Utilization)
+	}
+	return v.AppendJSON(nil), nil
+}
+
+// appendFloatJSON formats f as encoding/json formats a float64: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 up, with a one-digit
+// negative exponent left unpadded (e-9, not e-09).
+func appendFloatJSON(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // Analyze runs both admission tests on the task set under the spec and

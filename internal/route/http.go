@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hrtsched/internal/dag"
-	"hrtsched/internal/plan"
 	"hrtsched/internal/serve"
 )
 
@@ -17,25 +16,6 @@ import (
 // answered it: the owning group index for single-item routes,
 // comma-joined per-item indexes for batches.
 const ShardGroupHeader = "X-Hrtd-Shard-Group"
-
-type placeRequest struct {
-	ID    string       `json:"id"`
-	Tasks plan.TaskSet `json:"tasks"`
-}
-
-type placeBatchRequest struct {
-	Items []placeRequest `json:"items"`
-}
-
-type placeBatchItem struct {
-	ID     string             `json:"id"`
-	Result *serve.PlaceResult `json:"result,omitempty"`
-	Error  *serve.APIError    `json:"error,omitempty"`
-}
-
-type idRequest struct {
-	ID string `json:"id"`
-}
 
 type nodeRequest struct {
 	Node int `json:"node"`
@@ -130,35 +110,31 @@ func writeGroupError(w http.ResponseWriter, req *http.Request, err error) {
 }
 
 func (r *Router) handlePlace(w http.ResponseWriter, req *http.Request) {
-	var body placeRequest
-	if !serve.DecodeBody(w, req, &body) {
+	item, ok := serve.DecodePlace(w, req)
+	if !ok {
 		return
 	}
-	res, g, err := r.Place(req.Context(), body.ID, body.Tasks)
+	res, g, err := r.Place(req.Context(), item.ID, item.Tasks)
 	if err != nil {
 		writeGroupError(w, req, err)
 		return
 	}
 	w.Header().Set(ShardGroupHeader, strconv.Itoa(g))
-	serve.WriteJSON(w, http.StatusOK, res)
+	serve.WritePlaceResult(w, res)
 }
 
 func (r *Router) handlePlaceBatch(w http.ResponseWriter, req *http.Request) {
-	var body placeBatchRequest
-	if !serve.DecodeBody(w, req, &body) {
+	items, ok := serve.DecodePlaceBatch(w, req)
+	if !ok {
 		return
 	}
-	if cap := r.MaxBatchItems(); len(body.Items) > cap {
+	if cap := r.MaxBatchItems(); len(items) > cap {
 		serve.WriteError(w, http.StatusBadRequest, "bad_request",
-			batchCapReason(len(body.Items), cap), 0)
+			batchCapReason(len(items), cap), 0)
 		return
-	}
-	items := make([]serve.BatchPlaceItem, len(body.Items))
-	for i, it := range body.Items {
-		items[i] = serve.BatchPlaceItem{ID: it.ID, Tasks: it.Tasks}
 	}
 	br := r.PlaceBatch(req.Context(), items)
-	out := make([]placeBatchItem, len(br.Results))
+	out := make([]serve.PlaceBatchEntry, len(br.Results))
 	groups := make([]string, len(br.Results))
 	for i, res := range br.Results {
 		out[i].ID = res.ID
@@ -186,7 +162,7 @@ func (r *Router) handlePlaceBatch(w http.ResponseWriter, req *http.Request) {
 		out[i].Result = &rcopy
 	}
 	w.Header().Set(ShardGroupHeader, strings.Join(groups, ","))
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"items": out})
+	serve.WritePlaceBatchReply(w, out)
 }
 
 // batchCapReason formats the over-cap rejection exactly as the serve layer
@@ -196,17 +172,17 @@ func batchCapReason(n, cap int) string {
 }
 
 func (r *Router) handleRemove(w http.ResponseWriter, req *http.Request) {
-	var body idRequest
-	if !serve.DecodeBody(w, req, &body) {
+	id, ok := serve.DecodeRemove(w, req)
+	if !ok {
 		return
 	}
-	v, g, err := r.Remove(req.Context(), body.ID)
+	v, g, err := r.Remove(req.Context(), id)
 	if err != nil {
 		writeGroupError(w, req, err)
 		return
 	}
 	w.Header().Set(ShardGroupHeader, strconv.Itoa(g))
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"verdict": v})
+	serve.WriteRemoveReply(w, v)
 }
 
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {

@@ -193,12 +193,6 @@ type wireBatchRequest struct {
 	Items []wirePlaceRequest `json:"items"`
 }
 
-type wireBatchItem struct {
-	ID     string             `json:"id"`
-	Result *serve.PlaceResult `json:"result,omitempty"`
-	Error  *serve.APIError    `json:"error,omitempty"`
-}
-
 type wireIDRequest struct {
 	ID string `json:"id"`
 }
@@ -231,7 +225,7 @@ func (g *RemoteGroup) PlaceBatch(ctx context.Context, items []serve.BatchPlaceIt
 		out[i] = serve.BatchPlaceResult{ID: it.ID, Result: serve.PlaceResult{Node: -1}}
 	}
 	var resp struct {
-		Items []wireBatchItem `json:"items"`
+		Items []serve.PlaceBatchEntry `json:"items"`
 	}
 	if err := g.do(ctx, http.MethodPost, "/v1/cluster/place-batch", req, &resp); err != nil {
 		for i := range out {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -485,6 +486,26 @@ func TestSingleGroupRoutedIsByteIdentical(t *testing.T) {
 	}
 	unrouted := newStack(false)
 	routed := newStack(true)
+
+	// The serve package's pinned answers to bodies off the canonical
+	// spelling, on the same fresh two-node cluster: routed and unrouted
+	// answer them identically, and as pinned.
+	raw, err := os.ReadFile("../serve/testdata/noncanonical.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned []struct {
+		Method, Path, Body, Want string
+		Status                   int
+	}
+	if err := json.Unmarshal(raw, &pinned); err != nil || len(pinned) == 0 {
+		t.Fatalf("pinned non-canonical cases: %d (%v)", len(pinned), err)
+	}
+	for i, tc := range pinned {
+		if code, body := driveIdentical(t, unrouted, routed, tc.Method, tc.Path, tc.Body); code != tc.Status || body != tc.Want {
+			t.Fatalf("case %d: %s %s %s:\n got %d %s\nwant %d %s", i, tc.Method, tc.Path, tc.Body, code, body, tc.Status, tc.Want)
+		}
+	}
 
 	place := `{"id":"idn-a","tasks":[{"period_ns":100000,"slice_ns":10000}]}`
 	if code, _ := driveIdentical(t, unrouted, routed, http.MethodPost, "/v1/cluster/place", place); code != http.StatusOK {

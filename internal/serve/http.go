@@ -38,11 +38,12 @@ type placeBatchRequest struct {
 	Items []placeRequest `json:"items"`
 }
 
-// placeBatchItem is one entry of the place-batch response envelope:
-// exactly one of Result or Error is set. Result is byte-identical to the
-// single-item /v1/cluster/place body for the same request; Error is the
-// same APIError envelope the single route would answer with.
-type placeBatchItem struct {
+// PlaceBatchEntry is one entry of the /v1/cluster/place-batch response
+// envelope: exactly one of Result or Error is set. Result is
+// byte-identical to the single-item /v1/cluster/place body for the same
+// request; Error is the same APIError envelope the single route would
+// answer with.
+type PlaceBatchEntry struct {
 	ID     string       `json:"id"`
 	Result *PlaceResult `json:"result,omitempty"`
 	Error  *APIError    `json:"error,omitempty"`
@@ -171,11 +172,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if cached {
-		w.Header().Set("X-Hrtd-Cache", "hit")
+		w.Header()["X-Hrtd-Cache"] = cacheHit
 	} else {
-		w.Header().Set("X-Hrtd-Cache", "miss")
+		w.Header()["X-Hrtd-Cache"] = cacheMiss
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeAppended(w, v.AppendJSON)
 }
 
 // handleAnalyzeBatch answers many analyze items in one envelope. Each
@@ -211,7 +212,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	w.Header().Set("X-Hrtd-Cache", strings.Join(bits, ","))
-	writeJSON(w, http.StatusOK, map[string]any{"items": verdicts})
+	writeAppended(w, func(b []byte) []byte { return appendAnalyzeBatchReply(b, verdicts) })
 }
 
 func (s *Server) handleCapacity(w http.ResponseWriter, req *http.Request) {
@@ -244,18 +245,18 @@ func (c *Cluster) redirectToLeader(w http.ResponseWriter, req *http.Request, err
 }
 
 func (c *Cluster) handlePlace(w http.ResponseWriter, req *http.Request) {
-	var body placeRequest
-	if !decodeBody(w, req, &body) {
+	item, ok := DecodePlace(w, req)
+	if !ok {
 		return
 	}
-	res, err := c.Place(req.Context(), body.ID, body.Tasks)
+	res, err := c.Place(req.Context(), item.ID, item.Tasks)
 	if err != nil {
 		if !c.redirectToLeader(w, req, err) {
 			writeQueryError(w, err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WritePlaceResult(w, res)
 }
 
 // handlePlaceBatch places many gangs in one request. The batch always
@@ -266,21 +267,17 @@ func (c *Cluster) handlePlace(w http.ResponseWriter, req *http.Request) {
 // whole batch answers 307 to the leader, so a client that follows it
 // re-issues the identical batch there.
 func (c *Cluster) handlePlaceBatch(w http.ResponseWriter, req *http.Request) {
-	var body placeBatchRequest
-	if !decodeBody(w, req, &body) {
+	items, ok := DecodePlaceBatch(w, req)
+	if !ok {
 		return
 	}
-	if len(body.Items) > c.cfg.MaxBatchItems {
+	if len(items) > c.cfg.MaxBatchItems {
 		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(body.Items), c.cfg.MaxBatchItems), 0)
+			fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(items), c.cfg.MaxBatchItems), 0)
 		return
-	}
-	items := make([]BatchPlaceItem, len(body.Items))
-	for i, it := range body.Items {
-		items[i] = BatchPlaceItem{ID: it.ID, Tasks: it.Tasks}
 	}
 	results := c.PlaceBatch(req.Context(), items)
-	out := make([]placeBatchItem, len(results))
+	out := make([]PlaceBatchEntry, len(results))
 	for i, r := range results {
 		out[i].ID = r.ID
 		if r.Err != nil {
@@ -294,7 +291,7 @@ func (c *Cluster) handlePlaceBatch(w http.ResponseWriter, req *http.Request) {
 		res := r.Result
 		out[i].Result = &res
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"items": out})
+	WritePlaceBatchReply(w, out)
 }
 
 // writeDAGError answers a structural DAG rejection: 422 with the uniform
@@ -356,18 +353,18 @@ func (c *Cluster) handleDAGAnalyze(w http.ResponseWriter, req *http.Request) {
 }
 
 func (c *Cluster) handleRemove(w http.ResponseWriter, req *http.Request) {
-	var body idRequest
-	if !decodeBody(w, req, &body) {
+	id, ok := DecodeRemove(w, req)
+	if !ok {
 		return
 	}
-	v, err := c.Remove(req.Context(), body.ID)
+	v, err := c.Remove(req.Context(), id)
 	if err != nil {
 		if !c.redirectToLeader(w, req, err) {
 			writeQueryError(w, err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"verdict": v})
+	WriteRemoveReply(w, v)
 }
 
 func (c *Cluster) handleDrain(w http.ResponseWriter, req *http.Request) {
@@ -452,22 +449,6 @@ func decodeQuery(w http.ResponseWriter, req *http.Request, into *analyzeRequest)
 	return decodeBody(w, req, into)
 }
 
-// decodeBody parses a POST body into `into`, answering the envelope on
-// any protocol error.
-func decodeBody(w http.ResponseWriter, req *http.Request, into any) bool {
-	if req.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only", 0)
-		return false
-	}
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
-		return false
-	}
-	return true
-}
-
 // queryError maps a session error to its v1 envelope: the HTTP status
 // the single-item routes answer with, the APIError body, and the
 // Retry-After header value in whole seconds (0 = no header). Batch
@@ -549,6 +530,37 @@ func DecodeBody(w http.ResponseWriter, req *http.Request, into any) bool {
 	return decodeBody(w, req, into)
 }
 
+// DecodePlace parses a /v1/cluster/place body as the served route does,
+// answering the envelope and returning false on any protocol error.
+func DecodePlace(w http.ResponseWriter, req *http.Request) (BatchPlaceItem, bool) {
+	var body placeRequest
+	ok := decodeBody(w, req, &body)
+	return BatchPlaceItem(body), ok
+}
+
+// DecodePlaceBatch parses a /v1/cluster/place-batch body as the served
+// route does, answering the envelope and returning false on any protocol
+// error. The item cap is the caller's to check.
+func DecodePlaceBatch(w http.ResponseWriter, req *http.Request) ([]BatchPlaceItem, bool) {
+	var body placeBatchRequest
+	if !decodeBody(w, req, &body) {
+		return nil, false
+	}
+	items := make([]BatchPlaceItem, len(body.Items))
+	for i, it := range body.Items {
+		items[i] = BatchPlaceItem(it)
+	}
+	return items, true
+}
+
+// DecodeRemove parses a /v1/cluster/remove body as the served route does,
+// answering the envelope and returning false on any protocol error.
+func DecodeRemove(w http.ResponseWriter, req *http.Request) (string, bool) {
+	var body idRequest
+	ok := decodeBody(w, req, &body)
+	return body.ID, ok
+}
+
 // WriteDAGErrorResponse answers a structural DAG rejection (422 with the
 // typed dag_code envelope) and reports whether err was one. Front-ends
 // replicating the /v1/dag/* contract use it before falling back to
@@ -567,7 +579,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(append(buf, '\n')) //nolint:errcheck — client hangup
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -118,6 +119,13 @@ func TestHTTPAnalyzeBatchMatchesSingleRoute(t *testing.T) {
 		}
 	}
 
+	// A body longer than maxScanBody streams through encoding/json; the
+	// same batch padded past that size answers the same bytes.
+	padded := `{"items":[` + strings.Join(items, ","+strings.Repeat(" ", maxScanBody)) + `]}`
+	if pcode, pbody, _ := postJSON(t, ts.URL+"/v1/analyze-batch", padded); pcode != code || pbody != body {
+		t.Fatalf("padded batch: %d %s, want %d %s", pcode, pbody, code, body)
+	}
+
 	// Oversized batch: 400 envelope.
 	big := `{"items":[` + strings.Repeat(items[0]+",", DefaultMaxBatchItems) + items[0] + `]}`
 	code, body, _ = postJSON(t, ts.URL+"/v1/analyze-batch", big)
@@ -151,7 +159,7 @@ func TestHTTPPlaceBatch(t *testing.T) {
 		t.Fatalf("place-batch: %d %s", code, body)
 	}
 	var env struct {
-		Items []placeBatchItem `json:"items"`
+		Items []PlaceBatchEntry `json:"items"`
 	}
 	if err := json.Unmarshal([]byte(body), &env); err != nil || len(env.Items) != 3 {
 		t.Fatalf("batch envelope: %s (%v)", body, err)
@@ -220,6 +228,53 @@ func TestHTTPErrorEnvelopeShape(t *testing.T) {
 	if e := decode(body); code != http.StatusNotFound || e.Code != "not_found" {
 		t.Fatalf("cluster route without cluster: %d %s", code, body)
 	}
+
+	// Bodies off the canonical spelling — case-folded and escaped keys,
+	// null, exponent and fraction integers, duplicate and unknown keys,
+	// trailing bytes, no body, GET — answer exactly what encoding/json
+	// decided before the hot routes had a scanner, in this order on a
+	// fresh two-node cluster.
+	cs := httptest.NewServer(s.HandlerWithCluster(newTestCluster(t, ClusterConfig{Nodes: 2})))
+	defer cs.Close()
+	for i, tc := range loadNonCanonical(t) {
+		req, err := http.NewRequest(tc.Method, cs.URL+tc.Path, strings.NewReader(tc.Body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.Method, tc.Path, err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.Status || string(got) != tc.Want {
+			t.Fatalf("case %d: %s %s %s:\n got %d %s\nwant %d %s",
+				i, tc.Method, tc.Path, tc.Body, resp.StatusCode, got, tc.Status, tc.Want)
+		}
+	}
+}
+
+// nonCanonicalCase is one pinned request of testdata/noncanonical.json,
+// which the route package's byte-identity test replays too.
+type nonCanonicalCase struct {
+	Method string `json:"method"`
+	Path   string `json:"path"`
+	Body   string `json:"body"`
+	Status int    `json:"status"`
+	Want   string `json:"want"`
+}
+
+func loadNonCanonical(t *testing.T) []nonCanonicalCase {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/noncanonical.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []nonCanonicalCase
+	if err := json.Unmarshal(raw, &cases); err != nil || len(cases) == 0 {
+		t.Fatalf("testdata/noncanonical.json: %d cases (%v)", len(cases), err)
+	}
+	return cases
 }
 
 func TestHTTPClusterEndpoints(t *testing.T) {

@@ -291,9 +291,7 @@ func (s *Server) submit(ctx context.Context, r *request) (response, error) {
 		ctx = context.Background()
 	}
 	r.ctx = ctx
-	canon := r.set.Canonical()
-	r.set = canon
-	r.digest = canon.Digest()
+	r.set, r.digest = r.set.CanonicalDigest()
 	r.done = make(chan response, 1)
 	r.start = time.Now()
 	sh := s.shards[r.digest%uint64(len(s.shards))]
