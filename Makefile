@@ -74,10 +74,12 @@ fuzz:
 
 # planverify rebuilds the admission layers with the verification tag on,
 # so every Incremental verdict is asserted bit-identical to a fresh full
-# Analyze of the same candidate, under the race detector.
+# Analyze of the same candidate, under the race detector. It also runs
+# whatif's admission oracle in its long form: 20 000 one-CPU probe sets
+# plus 2-4-CPU partitions, none of them admitted and then missed.
 planverify:
-	$(GO) vet -tags planverify ./internal/plan ./internal/serve ./internal/route
-	$(GO) test -race -tags planverify ./internal/plan ./internal/serve ./internal/route
+	$(GO) vet -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
+	$(GO) test -race -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
 
 # chaos smoke-runs every fault-injection scenario at a fixed seed and fails
 # on any invariant violation.

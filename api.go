@@ -168,10 +168,10 @@ type PlanSpec = plan.Spec
 type PlanVerdict = plan.Verdict
 
 // PlanSpecFor derives the analysis spec for a machine spec at a
-// utilization limit, charging the same per-invocation overhead the
-// kernel's own admission simulation charges.
+// utilization limit, charging the platform's worst-case per-invocation
+// overhead (see plan.SpecFor).
 func PlanSpecFor(m Spec, utilizationLimit float64) PlanSpec {
-	return serve.SpecFor(m, utilizationLimit)
+	return plan.SpecFor(m, utilizationLimit)
 }
 
 // AnalyzeTaskSet answers admit/reject for a task set on a platform.

@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"hrtsched/internal/machine"
+	"hrtsched/internal/plan"
 	"hrtsched/internal/route"
 	"hrtsched/internal/serve"
 )
@@ -189,7 +190,7 @@ func main() {
 		}
 	}
 
-	planSpec := serve.SpecFor(spec, *util)
+	planSpec := plan.SpecFor(spec, *util)
 	if *overhead > 0 {
 		planSpec.OverheadNs = *overhead
 	}

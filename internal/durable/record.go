@@ -12,6 +12,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -100,9 +101,47 @@ const (
 const maxIDLen = 1<<16 - 1
 
 // maxNode bounds the node field: it travels as a u32 but must fit an int
-// on every platform, so Encode and DecodeRecord both refuse anything above
-// MaxInt32.
+// on every platform, so CheckPlacement refuses anything above MaxInt32.
 const maxNode = math.MaxInt32
+
+// ErrBadPlacement marks a placement that CheckPlacement refuses.
+var ErrBadPlacement = errors.New("durable: bad placement")
+
+// CheckPlacement is the one rule for what a placement may be: an id of 1
+// to maxIDLen bytes, a node in [0, maxNode], and 1 to maxIDLen tasks.
+// Admission, the record codec and State.Peek all apply it, so every
+// placement the service acknowledges encodes, replays, and comes back
+// after a restart.
+func CheckPlacement(id string, node int, tasks plan.TaskSet) error {
+	if err := checkKey(id, node); err != nil {
+		return err
+	}
+	if len(tasks) == 0 || len(tasks) > maxIDLen {
+		return fmt.Errorf("%w: %d tasks, want 1 to %d", ErrBadPlacement, len(tasks), maxIDLen)
+	}
+	return nil
+}
+
+// checkKey bounds what every record carries, a remove included: its id
+// and its node.
+func checkKey(id string, node int) error {
+	if len(id) == 0 || len(id) > maxIDLen {
+		return fmt.Errorf("%w: id of %d bytes, want 1 to %d", ErrBadPlacement, len(id), maxIDLen)
+	}
+	if node < 0 || int64(node) > maxNode {
+		return fmt.Errorf("%w: node %d outside [0, %d]", ErrBadPlacement, node, int64(maxNode))
+	}
+	return nil
+}
+
+// check applies CheckPlacement to a place record and checkKey to a
+// remove.
+func (r Record) check() error {
+	if r.Kind == KindRemove {
+		return checkKey(r.ID, r.Node)
+	}
+	return CheckPlacement(r.ID, r.Node, r.Tasks)
+}
 
 // Encode serializes the record into the WAL payload format:
 // [kind u8][origin u8][node u32][idlen u16][id][ntasks u16][{period i64,
@@ -118,18 +157,12 @@ func (r Record) Encode() ([]byte, error) {
 	if r.Origin > OriginRelease {
 		return nil, fmt.Errorf("durable: encode: bad origin %d", r.Origin)
 	}
-	if r.Node < 0 || int64(r.Node) > maxNode {
-		return nil, fmt.Errorf("durable: encode: bad node %d", r.Node)
-	}
-	if len(r.ID) == 0 || len(r.ID) > maxIDLen {
-		return nil, fmt.Errorf("durable: encode: id length %d", len(r.ID))
+	if err := r.check(); err != nil {
+		return nil, err
 	}
 	tasks := r.Tasks
 	if r.Kind == KindRemove {
 		tasks = nil
-	}
-	if len(tasks) > maxIDLen {
-		return nil, fmt.Errorf("durable: encode: %d tasks", len(tasks))
 	}
 	if r.Kind == KindPlaceDAG {
 		if err := r.DAG.validate(); err != nil {
@@ -209,19 +242,12 @@ func DecodeRecord(p []byte) (Record, error) {
 	if r.Origin > OriginRelease {
 		return r, fmt.Errorf("durable: bad record origin %d", p[1])
 	}
-	node := binary.LittleEndian.Uint32(p[2:6])
-	if node > maxNode {
-		return r, fmt.Errorf("durable: bad record node %d", node)
-	}
-	r.Node = int(node)
+	r.Node = int(binary.LittleEndian.Uint32(p[2:6]))
 	idLen := int(binary.LittleEndian.Uint16(p[6:8]))
 	if len(p) < 8+idLen+2 {
 		return r, fmt.Errorf("durable: record truncated inside id")
 	}
 	r.ID = string(p[8 : 8+idLen])
-	if r.ID == "" {
-		return r, fmt.Errorf("durable: empty record id")
-	}
 	off := 8 + idLen
 	ntasks := int(binary.LittleEndian.Uint16(p[off : off+2]))
 	off += 2
@@ -247,10 +273,7 @@ func DecodeRecord(p []byte) (Record, error) {
 	if len(p) != off {
 		return r, fmt.Errorf("durable: record length %d != %d", len(p), off)
 	}
-	if (r.Kind == KindPlace || r.Kind == KindPlaceDAG) && len(r.Tasks) == 0 {
-		return r, fmt.Errorf("durable: place record %q with no tasks", r.ID)
-	}
-	return r, nil
+	return r, r.check()
 }
 
 // decodeDAGMeta parses the DAG section of a KindPlaceDAG payload and

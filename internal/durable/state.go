@@ -78,7 +78,7 @@ func (st *State) Peek(r Record) bool {
 	onNode := st.entryIndex(r)
 	switch r.Kind {
 	case KindPlace, KindPlaceDAG:
-		return len(r.Tasks) > 0 && onNode < 0
+		return CheckPlacement(r.ID, r.Node, r.Tasks) == nil && onNode < 0
 	case KindRemove:
 		return onNode >= 0
 	}

@@ -285,6 +285,10 @@ func TestSpecHelpers(t *testing.T) {
 	if s.TotalSchedCycles() != 1100+450+3200+1250 {
 		t.Fatalf("TotalSchedCycles = %d", s.TotalSchedCycles())
 	}
+	// 6000 nominal + 12% jitter + one 32-cycle tick; R415 rounds 313.2 up.
+	if w, r := s.WorstSchedCycles(), R415(); w != 6000+720+32 || r.WorstSchedCycles() != 2610+314+22 {
+		t.Fatalf("WorstSchedCycles = %d (phi), %d (r415)", w, r.WorstSchedCycles())
+	}
 	if s.MicrosToCycles(10) != 13000 {
 		t.Fatalf("10us = %d cycles, want 13000", s.MicrosToCycles(10))
 	}

@@ -63,6 +63,17 @@ func (s *Spec) TotalSchedCycles() int64 {
 	return s.IRQEntryCycles + s.SchedOtherCycles + s.SchedPassCycles + s.ContextSwitchCycles
 }
 
+// WorstSchedCycles returns the most one scheduler invocation can cost:
+// the nominal cost, its run-to-run jitter at the top of the band (rounded
+// up), and one APIC tick of timer granularity. Admission analysis charges
+// this, not the nominal cost, so the jitter OverheadJitter draws can never
+// push an admitted job past its deadline.
+func (s *Spec) WorstSchedCycles() int64 {
+	nominal := s.TotalSchedCycles()
+	jitter := (nominal*s.OverheadJitterPct + 99) / 100
+	return nominal + jitter + s.APICTickCycles
+}
+
 // CyclesToNanos converts cycles to nanoseconds at this platform's frequency.
 func (s *Spec) CyclesToNanos(c sim.Time) int64 { return sim.CyclesToNanos(c, s.FreqHz) }
 

@@ -17,7 +17,8 @@ import (
 // for a synchronous periodic set with deadlines equal to periods, EDF
 // meets every deadline over the hyperperiod H exactly when, at every
 // deadline checkpoint t (every multiple of an admitted period up to H),
-// the total inflated demand released with deadline <= t fits in t. That
+// the window charge plus the total per-job charge released with deadline
+// <= t fits in t (Simulate starts its clock at the window charge). That
 // criterion is exact — it accepts and rejects precisely the sets the
 // hyperperiod simulation accepts and rejects — and it is patchable: a new
 // task with period P dividing H adds floor(t/P)*rem demand at each
@@ -48,7 +49,7 @@ type Incremental struct {
 	spec Spec
 
 	tasks TaskSet // committed tasks, in admission order
-	rems  []int64 // per-task inflated per-job demand (slice + 2*overhead)
+	rems  []int64 // per-task per-job demand (jobCharge)
 	hyper int64   // hyperperiod of tasks (0 when empty or !valid)
 	jobs  int64   // total jobs per hyperperiod: sum of hyper/period
 
@@ -328,7 +329,7 @@ func (inc *Incremental) gangRems(gang TaskSet) []int64 {
 // demandOf is a task's inflated per-job demand, charged exactly as the
 // simulation charges it.
 func (inc *Incremental) demandOf(t Task) int64 {
-	return inflateDemand(t.SliceNs+2*inc.spec.OverheadNs, inc.spec.UtilizationLimit)
+	return jobCharge(t, inc.spec.OverheadNs, inc.spec.UtilizationLimit)
 }
 
 // sortGang copies the gang into scratch in canonical order.
@@ -350,12 +351,13 @@ func (inc *Incremental) patchVerdict(gang TaskSet) Verdict {
 	v := Verdict{Utilization: u, Digest: inc.mergedDigest(inc.sortGang(gang))}
 	v.BoundOK = v.Utilization <= inc.spec.UtilizationLimit+utilEpsilon
 
+	window := windowCharge(len(inc.tasks)+len(gang), inc.spec.OverheadNs)
 	simOK := true
 	steps := 0
 	for i := range inc.points {
 		p := inc.points[i]
 		steps++
-		if p.demand+gangDemandAt(p.t, gang, gangRems) > p.t {
+		if window+p.demand+gangDemandAt(p.t, gang, gangRems) > p.t {
 			simOK = false
 			break
 		}
@@ -368,7 +370,7 @@ func (inc *Incremental) patchVerdict(gang TaskSet) Verdict {
 					continue
 				}
 				steps++
-				if inc.baseDemandAt(t)+gangDemandAt(t, gang, gangRems) > t {
+				if window+inc.baseDemandAt(t)+gangDemandAt(t, gang, gangRems) > t {
 					simOK = false
 					break newPoints
 				}

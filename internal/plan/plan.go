@@ -2,10 +2,10 @@
 // behind the scheduler's admission control (Section 3.2). It answers
 // admit/reject questions about periodic task sets two ways: the closed-form
 // EDF utilization bound, and the hyperperiod simulation prototype that
-// charges the scheduler's own per-invocation overhead (two interrupts per
-// period, Section 5.3) and therefore correctly rejects fine-grain task sets
-// the bound would admit but the platform cannot actually schedule — the
-// infeasible region of Figures 6 and 7.
+// charges the scheduler's own invocations (Section 5.3; see Spec) and
+// therefore correctly rejects fine-grain task sets the bound would admit
+// but the platform cannot actually schedule — the infeasible region of
+// Figures 6 and 7.
 //
 // Everything in this package is a pure function of its arguments: no
 // kernel, no clock, no global state. internal/core consumes it for online
@@ -21,6 +21,9 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+
+	"hrtsched/internal/machine"
+	"hrtsched/internal/sim"
 )
 
 // Task is one periodic task: a slice of SliceNs guaranteed every PeriodNs.
@@ -155,13 +158,27 @@ func fnvInt64(h uint64, v int64) uint64 {
 
 // Spec describes the platform and policy a task set is analyzed under.
 type Spec struct {
-	// OverheadNs is the cost of one local scheduler invocation in
-	// nanoseconds; the simulation charges two per job (arrival and slice
-	// completion), per Section 5.3.
+	// OverheadNs is o, the worst-case cost of one local scheduler
+	// invocation in nanoseconds (see SpecFor). The analysis charges 2*o
+	// per job (jobCharge) and (n-1)*o once per n-task set (windowCharge).
 	OverheadNs int64 `json:"overhead_ns"`
 	// UtilizationLimit is the boot-time admission cap (fraction of 1.0);
 	// the paper's default configuration uses 0.99.
 	UtilizationLimit float64 `json:"utilization_limit"`
+}
+
+// SpecFor derives the analysis spec for a platform at a utilization
+// limit: OverheadNs is the platform's worst-case invocation cost
+// (machine.Spec.WorstSchedCycles), rounded up to whole nanoseconds. Every
+// service-side analysis — the daemon, the public API, what-if verdicts —
+// derives its spec here.
+func SpecFor(m machine.Spec, utilLimit float64) Spec {
+	c := sim.Time(m.WorstSchedCycles())
+	ns := m.CyclesToNanos(c)
+	if m.NanosToCycles(ns) < c {
+		ns++
+	}
+	return Spec{OverheadNs: ns, UtilizationLimit: utilLimit}
 }
 
 // Reason says why an analysis rejected a task set (or OK).
@@ -243,11 +260,12 @@ type SimResult struct {
 
 // Simulate runs EDF over one hyperperiod of the task set, charging
 // overheadNs of scheduler time at each arrival and each slice completion,
-// and reserving the non-periodic fraction implied by utilLimit. It reports
-// whether every job met its deadline. A task set whose hyperperiod is too
-// long — or which needs more than MaxSimSteps steps — is rejected
-// conservatively. This is the exact decision procedure internal/core uses
-// for the AdmitSim policy.
+// and reserving the non-periodic fraction implied by utilLimit. Its clock
+// starts at windowCharge, the arrivals no job's own charge pays for. It
+// reports whether every job met its deadline. A task set whose
+// hyperperiod is too long — or which needs more than MaxSimSteps steps —
+// is rejected conservatively. This is the exact decision procedure
+// internal/core uses for the AdmitSim policy.
 func Simulate(tasks TaskSet, overheadNs int64, utilLimit float64) SimResult {
 	if len(tasks) == 0 {
 		return SimResult{OK: true, Reason: OK}
@@ -287,10 +305,8 @@ var simScratch = sync.Pool{New: func() any {
 func releaseJobs(ready []simJob, tasks TaskSet, at, overheadNs int64, utilLimit float64) []simJob {
 	for i, t := range tasks {
 		if at%t.PeriodNs == 0 {
-			// Each arrival costs one scheduler invocation and a second
-			// fires at slice completion; charge both to the job.
 			ready = append(ready, simJob{task: i, deadline: at + t.PeriodNs,
-				rem: inflateDemand(t.SliceNs+2*overheadNs, utilLimit)})
+				rem: jobCharge(t, overheadNs, utilLimit)})
 		}
 	}
 	return ready
@@ -312,7 +328,9 @@ func nextReleaseAfter(tasks TaskSet, after int64) int64 {
 // simulate is Simulate's validated core; it returns the (possibly grown)
 // ready buffer alongside the result so the caller can pool it.
 func simulate(tasks TaskSet, overheadNs int64, utilLimit float64, hyper int64, ready []simJob) (SimResult, []simJob) {
-	now := int64(0)
+	// Releases inside the window need no pass of their own: a window that
+	// reaches one also reaches the first deadline, which then misses.
+	now := windowCharge(len(tasks), overheadNs)
 	steps := 0
 	ready = releaseJobs(ready, tasks, 0, overheadNs, utilLimit)
 	for now < hyper {
@@ -363,16 +381,27 @@ func simulate(tasks TaskSet, overheadNs int64, utilLimit float64, hyper int64, r
 	return SimResult{OK: true, Reason: OK, HyperperiodNs: hyper, Steps: steps}, ready
 }
 
-// inflateDemand converts ns of periodic demand into the wall time the
-// simulation charges for it: the utilization limit reserves a fraction of
-// every interval for non-periodic work, so serving D ns of demand takes
-// D/limit ns of wall time (ceil). Simulate and Incremental share this one
-// definition so their per-job demand is bit-identical.
-func inflateDemand(ns int64, utilLimit float64) int64 {
+// jobCharge is the wall time one job of t is charged: its slice plus two
+// invocations (the arrival interrupt and the slice-completion pass),
+// inflated by the utilization limit, which reserves a share of every
+// interval for non-periodic work (D ns of demand takes D/limit ns, ceil).
+// Simulate and Incremental both charge through it.
+func jobCharge(t Task, overheadNs int64, utilLimit float64) int64 {
+	ns := t.SliceNs + 2*overheadNs
 	if utilLimit <= 0 || utilLimit >= 1 {
 		return ns
 	}
 	return int64(float64(ns)/utilLimit) + 1
+}
+
+// windowCharge is what an n-task set pays beyond its jobs' charges:
+// (n-1)*o, 0 when empty. An arrival pre-empts even an earlier-deadline
+// job, and in a window ending at a deadline of task b, each other task
+// releases at most one job whose deadline lies past the window (whose
+// charge the window does not count); b releases none. The bound holds
+// for arbitrary phases.
+func windowCharge(n int, overheadNs int64) int64 {
+	return int64(max(n-1, 0)) * overheadNs
 }
 
 func gcd64(a, b int64) int64 {

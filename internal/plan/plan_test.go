@@ -3,6 +3,8 @@ package plan
 import (
 	"reflect"
 	"testing"
+
+	"hrtsched/internal/machine"
 )
 
 // specPhi79 mirrors the configuration the core admission tests use: the
@@ -61,6 +63,26 @@ func TestAnalyzeBoundaryTable(t *testing.T) {
 			boundOK: true,
 			simOK:   true,
 			reason:  OK,
+		},
+		{
+			// One 68% task fits its 100 us period with both invocations
+			// charged: (68 + 9.2) / 0.79 us = 97.7 us.
+			name:    "window-term-single-task-fits",
+			set:     TaskSet{{PeriodNs: 100_000, SliceNs: 68_000}},
+			admit:   true,
+			boundOK: true,
+			simOK:   true,
+			reason:  OK,
+		},
+		{
+			// A 1 ms neighbour's arrival pre-empts it once per window: the
+			// (n-1)*o window charge adds 4.6 us, and 102.3 us misses.
+			name:    "window-term-pair-misses",
+			set:     TaskSet{{PeriodNs: 100_000, SliceNs: 68_000}, {PeriodNs: 1_000_000, SliceNs: 1_000}},
+			admit:   false,
+			boundOK: true,
+			simOK:   false,
+			reason:  HyperperiodMiss,
 		},
 		{
 			// Empty set: trivially admissible.
@@ -128,6 +150,20 @@ func TestAnalyzeBoundaryTable(t *testing.T) {
 				t.Fatalf("Reason = %v, want %v", v.Reason, tc.reason)
 			}
 		})
+	}
+}
+
+// TestSpecForChargesWorstCase: the derived invocation cost is the
+// worst-case one, rounded up to whole nanoseconds (6752 cycles at 1.3 GHz
+// is 5193.8 ns; 2946 at 2.2 GHz is 1339.1 ns).
+func TestSpecForChargesWorstCase(t *testing.T) {
+	for _, tc := range []struct {
+		m    machine.Spec
+		want int64
+	}{{machine.PhiKNL(), 5194}, {machine.R415(), 1340}} {
+		if got := SpecFor(tc.m, 0.99); got != (Spec{OverheadNs: tc.want, UtilizationLimit: 0.99}) {
+			t.Errorf("SpecFor(%s) = %+v, want OverheadNs %d", tc.m.Name, got, tc.want)
+		}
 	}
 }
 

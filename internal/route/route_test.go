@@ -578,7 +578,7 @@ func TestRoutedHTTPMultiGroupEndToEnd(t *testing.T) {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `{"id":"e2e-%d","tasks":[{"period_ns":100000,"slice_ns":1000}]}`, i)
+		fmt.Fprintf(&b, `{"id":"e2e-%d","tasks":[{"period_ns":1000000,"slice_ns":1000}]}`, i)
 	}
 	b.WriteString(`]}`)
 	resp, err := http.Post(ts.URL+"/v1/cluster/place-batch", "application/json", strings.NewReader(b.String()))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hrtsched/internal/durable"
 	"hrtsched/internal/plan"
 	"hrtsched/internal/sim"
 )
@@ -37,7 +38,7 @@ func TestClusterPlaceBatchOrderingAndErrors(t *testing.T) {
 	if res[0].Err != nil || !res[0].Result.Placed {
 		t.Fatalf("item a: %+v, %v", res[0].Result, res[0].Err)
 	}
-	if !errors.Is(res[1].Err, errEmptyID) {
+	if !errors.Is(res[1].Err, durable.ErrBadPlacement) {
 		t.Fatalf("empty id: err = %v", res[1].Err)
 	}
 	if !errors.Is(res[2].Err, ErrDuplicateID) {

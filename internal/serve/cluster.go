@@ -398,9 +398,6 @@ type PlaceResult struct {
 	Verdict plan.Verdict `json:"verdict"`
 }
 
-// errEmptyID rejects placements with no identifier.
-var errEmptyID = errors.New("serve: placement id must not be empty")
-
 // Place admits the named task set onto the first node (in policy order)
 // whose incremental analysis accepts it. A set every node rejects returns
 // Placed=false with a nil error; errors report session problems (closed,
@@ -458,9 +455,10 @@ func (c *Cluster) PlaceBatch(ctx context.Context, items []BatchPlaceItem) []Batc
 	var wg sync.WaitGroup
 	for i := range items {
 		out[i] = BatchPlaceResult{ID: items[i].ID, Result: PlaceResult{Node: -1}}
+		badErr := c.checkPlacement(items[i].ID, items[i].Tasks)
 		switch {
-		case items[i].ID == "":
-			out[i].Err = errEmptyID
+		case badErr != nil:
+			out[i].Err = badErr
 		case leaderErr != nil:
 			out[i].Err = leaderErr
 		case seen[items[i].ID]:
@@ -479,6 +477,13 @@ func (c *Cluster) PlaceBatch(ctx context.Context, items []BatchPlaceItem) []Batc
 	}
 	wg.Wait()
 	return out
+}
+
+// checkPlacement applies the record codec's placement rule before
+// admission, against the highest node a placement may land on: a
+// placement the cluster acknowledges must also encode and replay.
+func (c *Cluster) checkPlacement(id string, tasks plan.TaskSet) error {
+	return durable.CheckPlacement(id, len(c.nodes)-1, tasks)
 }
 
 // placeSet is the shared commit path behind Place and PlaceDAG: reserve
@@ -557,8 +562,9 @@ func (c *Cluster) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if id == "" {
-		return res, errEmptyID
+	// The reservation is always one server task.
+	if err := c.checkPlacement(id, make(plan.TaskSet, 1)); err != nil {
+		return res, err
 	}
 	if err := c.leaderCheck(); err != nil {
 		return res, err

@@ -60,12 +60,12 @@ func TestClusterFirstFitPacksLowNodes(t *testing.T) {
 	c := newTestCluster(t, ClusterConfig{Nodes: 3})
 	ctx := context.Background()
 
-	// Three 30%-utilization sets all fit on node 0 under the 0.79 limit
-	// only twice (overhead inflation pushes a third past the bound), so
+	// Two 28%-utilization sets fit on node 0 under the 0.79 limit, with
+	// their overhead charged, and a third would pass the bound, so
 	// first-fit should fill node 0 before touching node 1.
 	var nodes []int
 	for _, id := range []string{"a", "b", "c", "d"} {
-		res, err := c.Place(ctx, id, setOfUtil(0.30))
+		res, err := c.Place(ctx, id, setOfUtil(0.28))
 		if err != nil || !res.Placed {
 			t.Fatalf("Place(%s): placed=%v err=%v verdict=%+v", id, res.Placed, err, res.Verdict)
 		}
@@ -154,7 +154,7 @@ func TestClusterDrainMovesSets(t *testing.T) {
 	c := newTestCluster(t, ClusterConfig{Nodes: 2})
 	ctx := context.Background()
 	for _, id := range []string{"a", "b"} {
-		if res, err := c.Place(ctx, id, setOfUtil(0.15)); err != nil || res.Node != 0 {
+		if res, err := c.Place(ctx, id, setOfUtil(0.10)); err != nil || res.Node != 0 {
 			t.Fatalf("Place(%s): %+v, %v", id, res, err)
 		}
 	}
@@ -167,13 +167,13 @@ func TestClusterDrainMovesSets(t *testing.T) {
 		t.Fatalf("post-drain status: %+v", st)
 	}
 	// Draining node takes no new placements; undrain re-opens it.
-	if res, err := c.Place(ctx, "c", setOfUtil(0.15)); err != nil || res.Node != 1 {
+	if res, err := c.Place(ctx, "c", setOfUtil(0.10)); err != nil || res.Node != 1 {
 		t.Fatalf("placement during drain went to node %d (%v)", res.Node, err)
 	}
 	if err := c.Undrain(0); err != nil {
 		t.Fatalf("Undrain: %v", err)
 	}
-	if res, err := c.Place(ctx, "d", setOfUtil(0.15)); err != nil || res.Node != 0 {
+	if res, err := c.Place(ctx, "d", setOfUtil(0.10)); err != nil || res.Node != 0 {
 		t.Fatalf("placement after undrain went to node %d (%v)", res.Node, err)
 	}
 	if _, err := c.Drain(ctx, 9); !errors.Is(err, ErrUnknownNode) {
@@ -207,7 +207,7 @@ func TestClusterRebalanceNarrowsSpread(t *testing.T) {
 	c := newTestCluster(t, ClusterConfig{Nodes: 2})
 	ctx := context.Background()
 	for _, id := range []string{"a", "b", "c"} {
-		if res, err := c.Place(ctx, id, setOfUtil(0.15)); err != nil || res.Node != 0 {
+		if res, err := c.Place(ctx, id, setOfUtil(0.10)); err != nil || res.Node != 0 {
 			t.Fatalf("Place(%s): %+v, %v", id, res, err)
 		}
 	}

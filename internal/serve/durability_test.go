@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,6 +120,30 @@ func TestClusterDurableRecoveryDeterministic(t *testing.T) {
 	}
 	if got4 := statusNoDur(t, c4); got4 != want {
 		t.Fatalf("snapshot recovery diverged:\n got %s\nwant %s", got4, want)
+	}
+}
+
+// TestNonCanonicalPlacementsSurviveRestart: every placement a durable
+// cluster acknowledges comes back after kill -9 (the data dir frozen
+// without a close) and recovery. The pinned requests of
+// testdata/noncanonical.json get their pinned answers, and the recovered
+// cluster's status matches the crashed one's byte for byte.
+func TestNonCanonicalPlacementsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestCluster(t, ClusterConfig{Nodes: 2, Durability: &DurabilityConfig{Dir: dir}})
+	ts := httptest.NewServer(newTestServer(t, Config{Shards: 1}).HandlerWithCluster(c))
+	defer ts.Close()
+	replayNonCanonical(t, ts.URL)
+	want := statusNoDur(t, c)
+
+	crashDir := t.TempDir()
+	copyDir(t, dir, crashDir)
+	rec := newTestCluster(t, ClusterConfig{Nodes: 2, Durability: &DurabilityConfig{Dir: crashDir}})
+	if r := rec.Recovery(); r.Rejected != 0 {
+		t.Fatalf("recovery refused %d acknowledged records: %+v", r.Rejected, r)
+	}
+	if got := statusNoDur(t, rec); got != want {
+		t.Fatalf("recovered status differs:\n got %s\nwant %s", got, want)
 	}
 }
 

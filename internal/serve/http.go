@@ -10,6 +10,7 @@ import (
 
 	"hrtsched/internal/core"
 	"hrtsched/internal/dag"
+	"hrtsched/internal/durable"
 	"hrtsched/internal/plan"
 	"hrtsched/internal/repl"
 )
@@ -464,6 +465,8 @@ func queryError(err error) (status int, e APIError, retryAfterSecs int64) {
 			retryAfterSecs = (ae.RetryAfterNs + 999_999_999) / 1_000_000_000
 		}
 		return http.StatusTooManyRequests, APIError{Code: "overloaded", Reason: err.Error(), RetryAfterMs: ms}, retryAfterSecs
+	case errors.Is(err, durable.ErrBadPlacement):
+		return http.StatusBadRequest, APIError{Code: "bad_request", Reason: err.Error()}, 0
 	case errors.Is(err, ErrDuplicateID), errors.Is(err, ErrPendingID):
 		return http.StatusConflict, APIError{Code: "conflict", Reason: err.Error()}, 0
 	case errors.Is(err, ErrUnknownID), errors.Is(err, ErrUnknownNode):

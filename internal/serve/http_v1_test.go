@@ -236,8 +236,16 @@ func TestHTTPErrorEnvelopeShape(t *testing.T) {
 	// fresh two-node cluster.
 	cs := httptest.NewServer(s.HandlerWithCluster(newTestCluster(t, ClusterConfig{Nodes: 2})))
 	defer cs.Close()
+	replayNonCanonical(t, cs.URL)
+}
+
+// replayNonCanonical sends every pinned request of
+// testdata/noncanonical.json to base in order and requires its pinned
+// status and bytes.
+func replayNonCanonical(t *testing.T, base string) {
+	t.Helper()
 	for i, tc := range loadNonCanonical(t) {
-		req, err := http.NewRequest(tc.Method, cs.URL+tc.Path, strings.NewReader(tc.Body))
+		req, err := http.NewRequest(tc.Method, base+tc.Path, strings.NewReader(tc.Body))
 		if err != nil {
 			t.Fatal(err)
 		}

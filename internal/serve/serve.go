@@ -20,19 +20,12 @@ import (
 	"hrtsched/internal/core"
 	"hrtsched/internal/machine"
 	"hrtsched/internal/plan"
-	"hrtsched/internal/sim"
 	"hrtsched/internal/stats"
 )
 
-// SpecFor derives the analysis spec for a platform: the per-invocation
-// scheduler overhead in nanoseconds (the same quantity core charges in its
-// own admission simulation) plus a utilization limit.
-func SpecFor(m machine.Spec, utilLimit float64) plan.Spec {
-	return plan.Spec{
-		OverheadNs:       m.CyclesToNanos(sim.Time(m.TotalSchedCycles())),
-		UtilizationLimit: utilLimit,
-	}
-}
+// SpecFor is plan.SpecFor, kept for callers that reach the analysis spec
+// through this package.
+func SpecFor(m machine.Spec, utilLimit float64) plan.Spec { return plan.SpecFor(m, utilLimit) }
 
 // ErrServerClosed is returned by queries submitted after Close.
 var ErrServerClosed = errors.New("serve: server closed")

@@ -39,7 +39,9 @@ type TaskReport struct {
 // analytical admission and observed timing variability.
 type Disagreement struct {
 	// AdmittedMissedReps: the analysis admitted the set, yet the
-	// replication observed at least one deadline miss.
+	// replication observed at least one scheduler miss or late job. An
+	// ADMIT rules out scheduler misses (Report.TotalMisses) only; at the
+	// default WcetNs = SliceNs a job's record step finishes it late.
 	AdmittedMissedReps int `json:"admitted_missed_reps"`
 	// RejectedCleanReps: the analysis rejected the set, yet the
 	// replication completed without a single miss.
@@ -61,10 +63,14 @@ type Report struct {
 	Hyperperiods  int      `json:"hyperperiods"`
 	HyperperiodNs int64    `json:"hyperperiod_ns"`
 
-	// Analytical verdict for the task set on this platform.
-	Utilization float64 `json:"utilization"`
-	Admit       bool    `json:"admit"`
-	AdmitReason string  `json:"admit_reason"`
+	// Analytical verdict for the task set on this platform: each CPU's
+	// partition is analyzed on its own, and the set is admitted when every
+	// CPU admits its partition. AdmitReason is the first rejecting CPU's
+	// reason. Utilization sums every task; CPUUtilization splits it by CPU.
+	Utilization    float64   `json:"utilization"`
+	CPUUtilization []float64 `json:"cpu_utilization"`
+	Admit          bool      `json:"admit"`
+	AdmitReason    string    `json:"admit_reason"`
 
 	// Observed outcomes.
 	SurvivedReps  int          `json:"survived_reps"`
@@ -86,8 +92,8 @@ func (r *Report) Render() string {
 		r.Scenario, r.Machine, r.CPUs, r.Model, strings.Join(r.Faults, ","), r.Degrade, r.Seed)
 	fmt.Fprintf(&b, "  reps=%d hyperperiods=%d hyperperiod=%dns\n",
 		r.Replications, r.Hyperperiods, r.HyperperiodNs)
-	fmt.Fprintf(&b, "  verdict: admit=%t reason=%s util=%.4f\n",
-		r.Admit, r.AdmitReason, r.Utilization)
+	fmt.Fprintf(&b, "  verdict: admit=%t reason=%s util=%.4f cpu-util=%.4f\n",
+		r.Admit, r.AdmitReason, r.Utilization, r.CPUUtilization)
 	fmt.Fprintf(&b, "  observed: survived=%d/%d prob=%.4f misses=%d late=%d admitted-missed=%d rejected-clean=%d\n",
 		r.SurvivedReps, r.Replications, r.SurvivalProb, r.TotalMisses,
 		r.TotalLateJobs, r.Disagreement.AdmittedMissedReps, r.Disagreement.RejectedCleanReps)

@@ -464,16 +464,6 @@ func (n *Node) Run(sc Scenario, seed uint64) (*Report, error) {
 	model, _ := ParseModel(sc.Model)
 	policy, _ := degradePolicy(sc.Degrade)
 
-	set := make(plan.TaskSet, len(sc.Tasks))
-	for i, t := range sc.Tasks {
-		set[i] = plan.Task{PeriodNs: t.PeriodNs, SliceNs: t.SliceNs}
-	}
-	planSpec := plan.Spec{
-		OverheadNs:       spec.CyclesToNanos(sim.Time(spec.TotalSchedCycles())),
-		UtilizationLimit: sc.UtilizationLimit,
-	}
-	verdict := plan.Analyze(planSpec, set)
-
 	hp := hyperperiodNs(sc.Tasks)
 	durationNs := hp * int64(sc.Hyperperiods)
 
@@ -493,10 +483,8 @@ func (n *Node) Run(sc Scenario, seed uint64) (*Report, error) {
 		Replications:  sc.Replications,
 		Hyperperiods:  sc.Hyperperiods,
 		HyperperiodNs: hp,
-		Utilization:   verdict.Utilization,
-		Admit:         verdict.Admit,
-		AdmitReason:   verdict.Reason.String(),
 	}
+	rep.analyze(sc, plan.SpecFor(spec, sc.UtilizationLimit))
 
 	agg := repOutcome{
 		arrivals:  make([]int64, len(sc.Tasks)),
@@ -531,10 +519,10 @@ func (n *Node) Run(sc Scenario, seed uint64) (*Report, error) {
 		agg.violations += out.violations
 		if repBad == 0 {
 			rep.SurvivedReps++
-			if !verdict.Admit {
+			if !rep.Admit {
 				rep.Disagreement.RejectedCleanReps++
 			}
-		} else if verdict.Admit {
+		} else if rep.Admit {
 			rep.Disagreement.AdmittedMissedReps++
 		}
 	}
@@ -571,6 +559,32 @@ func (n *Node) Run(sc Scenario, seed uint64) (*Report, error) {
 		rep.Tasks[i] = tr
 	}
 	return rep, nil
+}
+
+// analyze fills in the report's analytical verdict for sc under spec, the
+// way the kernel admits: each CPU's partition is analyzed on its own, and
+// the verdicts are ANDed.
+func (r *Report) analyze(sc Scenario, spec plan.Spec) {
+	r.Admit, r.AdmitReason = true, plan.OK.String()
+	r.CPUUtilization = make([]float64, sc.CPUs)
+	var set plan.TaskSet
+	for cpu := range sc.CPUs {
+		set = set[:0]
+		for _, t := range sc.Tasks {
+			if t.CPU == cpu {
+				set = append(set, plan.Task{PeriodNs: t.PeriodNs, SliceNs: t.SliceNs})
+			}
+		}
+		if len(set) == 0 {
+			continue
+		}
+		v := plan.Analyze(spec, set)
+		r.CPUUtilization[cpu] = v.Utilization
+		r.Utilization += v.Utilization
+		if r.Admit && !v.Admit {
+			r.Admit, r.AdmitReason = false, v.Reason.String()
+		}
+	}
 }
 
 // FaultNames returns the accepted fault preset names in stable order —

@@ -306,6 +306,39 @@ func TestAdmissionDisagreementObserved(t *testing.T) {
 	}
 }
 
+// TestVerdictIsPerCPU: each CPU's partition is analyzed on its own, as
+// the kernel admits it. Two CPUs with one 60% task each admit, report
+// their utilization per CPU, and run without a scheduler miss; the same
+// two tasks on one CPU are rejected at the utilization cap.
+func TestVerdictIsPerCPU(t *testing.T) {
+	sc := Scenario{
+		CPUs: 2,
+		Tasks: []Task{
+			{PeriodNs: 1_000_000, SliceNs: 600_000, WcetNs: 500_000, CPU: 0},
+			{PeriodNs: 1_000_000, SliceNs: 600_000, WcetNs: 500_000, CPU: 1},
+		},
+		Replications: 3,
+		Hyperperiods: 5,
+	}
+	r, err := Run(sc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Admit || r.AdmitReason != "ok" || r.TotalMisses != 0 {
+		t.Fatalf("split 60%% tasks: admit=%t reason=%s misses=%d", r.Admit, r.AdmitReason, r.TotalMisses)
+	}
+	if !reflect.DeepEqual(r.CPUUtilization, []float64{0.6, 0.6}) || r.Utilization != 1.2 {
+		t.Fatalf("utilization %v per CPU %v, want 1.2 as [0.6 0.6]", r.Utilization, r.CPUUtilization)
+	}
+	sc.Tasks[1].CPU = 0
+	if r, err = Run(sc, 1); err != nil {
+		t.Fatal(err)
+	}
+	if r.Admit || r.AdmitReason != "util-cap" || !reflect.DeepEqual(r.CPUUtilization, []float64{1.2, 0}) {
+		t.Fatalf("stacked 60%% tasks: admit=%t reason=%s per CPU %v", r.Admit, r.AdmitReason, r.CPUUtilization)
+	}
+}
+
 // TestSimulateSustains1000Hyperperiods is the acceptance gate: one request
 // worth of work — 1000 single-hyperperiod replications — completes well
 // inside the default request timeout.
