@@ -56,7 +56,8 @@ perf-gate:
 # corpus (testdata/fuzz/, which plain go test replays): the canonical
 # request scanners against encoding/json, the hot response appenders
 # against encoding/json's reflective encoding of a mirror type, the WAL
-# record codec against itself, and the WAL frame reader. go test fuzzes
+# record codec against itself, the WAL frame reader, and the what-if
+# model grammar against its own rendering. go test fuzzes
 # one target per run, hence one line each.
 fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanAnalyze$$' -fuzztime 5s
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendPlaceBatchReply$$' -fuzztime 5s
 	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzNextFrame$$' -fuzztime 5s
+	$(GO) test ./internal/whatif -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s
 
 # planverify rebuilds the admission layers with the verification tag on,
 # so every Incremental verdict is asserted bit-identical to a fresh full

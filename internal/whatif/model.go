@@ -104,7 +104,8 @@ func ParseModel(s string) (ExecModel, error) {
 		if err != nil {
 			return m, fmt.Errorf("whatif: model %q: bad upper fraction: %v", s, err)
 		}
-		if !(lo > 0) || hi < lo || hi > maxRangeFrac {
+		// Negated so a NaN fraction fails every comparison and is rejected.
+		if !(lo > 0 && lo <= hi && hi <= maxRangeFrac) {
 			return m, fmt.Errorf("whatif: model %q: want 0 < a <= b <= %g", s, maxRangeFrac)
 		}
 		m.LoFrac, m.HiFrac = lo, hi

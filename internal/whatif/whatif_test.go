@@ -45,12 +45,34 @@ func TestModelParseRoundTrip(t *testing.T) {
 	}
 	for _, s := range []string{
 		"", "bogus", "wcet:normal", "random-1", "random-0,1", "random-2,1",
-		"random-1,9", "full-random:cauchy",
+		"random-1,9", "full-random:cauchy", "random-0.5,NaN", "random-0.5,nan:normal",
 	} {
 		if _, err := ParseModel(s); err == nil {
 			t.Errorf("ParseModel(%q): want error", s)
 		}
 	}
+}
+
+// FuzzParseModel checks that every accepted model string has finite
+// fractions with 0 < a <= b <= 4 and renders to a string that parses
+// back to the same model.
+func FuzzParseModel(f *testing.F) {
+	for _, s := range []string{"wcet", "half-random:normal", "random-0.8,1.2", "random-0.5,NaN"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseModel(s)
+		if err != nil {
+			return
+		}
+		if m.Kind == ModelRange && !(m.LoFrac > 0 && m.LoFrac <= m.HiFrac && m.HiFrac <= maxRangeFrac) {
+			t.Fatalf("ParseModel(%q) accepted fractions %v, %v", s, m.LoFrac, m.HiFrac)
+		}
+		again, err := ParseModel(m.String())
+		if err != nil || again != m {
+			t.Fatalf("ParseModel(%q) = %+v, but its form %q parses to %+v, %v", s, m, m.String(), again, err)
+		}
+	})
 }
 
 func TestDrawBounds(t *testing.T) {
