@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -126,14 +128,31 @@ func TestClusterDurableRecoveryDeterministic(t *testing.T) {
 // TestNonCanonicalPlacementsSurviveRestart: every placement a durable
 // cluster acknowledges comes back after kill -9 (the data dir frozen
 // without a close) and recovery. The pinned requests of
-// testdata/noncanonical.json get their pinned answers, and the recovered
-// cluster's status matches the crashed one's byte for byte.
+// testdata/noncanonical.json get their pinned answers, the committed
+// FuzzScanPlace and FuzzScanPlaceBatch corpora are posted to their
+// routes, and the recovered cluster's status matches the crashed one's
+// byte for byte.
 func TestNonCanonicalPlacementsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestCluster(t, ClusterConfig{Nodes: 2, Durability: &DurabilityConfig{Dir: dir}})
 	ts := httptest.NewServer(newTestServer(t, Config{Shards: 1}).HandlerWithCluster(c))
 	defer ts.Close()
 	replayNonCanonical(t, ts.URL)
+	for path, target := range map[string]string{
+		"/v1/cluster/place":       "FuzzScanPlace",
+		"/v1/cluster/place-batch": "FuzzScanPlaceBatch",
+	} {
+		for name, body := range fuzzCorpus(t, target) {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", path, name, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode >= 500 {
+				t.Fatalf("%s %s: status %d", path, name, resp.StatusCode)
+			}
+		}
+	}
 	want := statusNoDur(t, c)
 
 	crashDir := t.TempDir()
@@ -145,6 +164,31 @@ func TestNonCanonicalPlacementsSurviveRestart(t *testing.T) {
 	if got := statusNoDur(t, rec); got != want {
 		t.Fatalf("recovered status differs:\n got %s\nwant %s", got, want)
 	}
+}
+
+// fuzzCorpus reads the committed seed corpus of one []byte fuzz target,
+// keyed by file name.
+func fuzzCorpus(t *testing.T, target string) map[string]string {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("%s: %d entries (%v)", dir, len(entries), err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s/%s: not a []byte corpus entry (%v)", dir, e.Name(), err)
+		}
+		out[e.Name()] = body
+	}
+	return out
 }
 
 func TestClusterRecoveryReleasesMoveOrphans(t *testing.T) {
