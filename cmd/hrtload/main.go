@@ -94,49 +94,50 @@ type workerResult struct {
 // shared across workers because the redirect hook lives on the client.
 var redirects atomic.Int64
 
-func main() {
-	var (
-		addr   = flag.String("addr", "", "hrtd address host:port (required)")
-		mode   = flag.String("mode", "query", "load shape: query, cluster, batch, dag, simulate, or status")
-		dur    = flag.Duration("dur", 2*time.Second, "how long to generate load")
-		conns  = flag.Int("conns", 16, "concurrent closed-loop connections")
-		pool   = flag.Int("pool", 64, "popular task-set pool size (query mode)")
-		repeat = flag.Float64("repeat", 0.9, "fraction of queries drawn from the pool in [0,1]")
-		live   = flag.Int("live", 4, "live placements each worker cycles through (cluster mode)")
-		seed   = flag.Uint64("seed", 11, "random seed")
-		check  = flag.Bool("check", false, "exit 1 on any hard error or a dead cache/cluster")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "hrtload: "+format+"\n", args...)
-		flag.Usage()
-		os.Exit(2)
+// run parses args, drives one load run, and returns the exit code: 0 on
+// success, 1 when -check fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hrtload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr   = fs.String("addr", "", "hrtd address host:port (required)")
+		mode   = fs.String("mode", "query", "load shape: query, cluster, batch, dag, simulate, or status")
+		dur    = fs.Duration("dur", 2*time.Second, "how long to generate load")
+		conns  = fs.Int("conns", 16, "concurrent closed-loop connections")
+		pool   = fs.Int("pool", 64, "popular task-set pool size (query mode)")
+		repeat = fs.Float64("repeat", 0.9, "fraction of queries drawn from the pool in [0,1]")
+		live   = fs.Int("live", 4, "live placements each worker cycles through (cluster mode)")
+		seed   = fs.Uint64("seed", 11, "random seed")
+		check  = fs.Bool("check", false, "exit 1 on any hard error or a dead cache/cluster")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if flag.NArg() > 0 {
-		fail("unexpected arguments: %v", flag.Args())
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "hrtload: "+format+"\n", args...)
+		fs.Usage()
+		return 2
 	}
-	if *addr == "" {
-		fail("-addr is required")
-	}
-	if *mode != "query" && *mode != "cluster" && *mode != "batch" && *mode != "dag" &&
-		*mode != "simulate" && *mode != "status" {
-		fail("-mode must be query, cluster, batch, dag, simulate, or status (got %q)", *mode)
-	}
-	if *dur <= 0 {
-		fail("-dur must be positive (got %v)", *dur)
-	}
-	if *conns <= 0 {
-		fail("-conns must be positive (got %d)", *conns)
-	}
-	if *pool <= 0 {
-		fail("-pool must be positive (got %d)", *pool)
-	}
-	if *repeat < 0 || *repeat > 1 {
-		fail("-repeat must be in [0,1] (got %g)", *repeat)
-	}
-	if *live <= 0 {
-		fail("-live must be positive (got %d)", *live)
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected arguments: %v", fs.Args())
+	case *addr == "":
+		return usage("-addr is required")
+	case *mode != "query" && *mode != "cluster" && *mode != "batch" && *mode != "dag" &&
+		*mode != "simulate" && *mode != "status":
+		return usage("-mode must be query, cluster, batch, dag, simulate, or status (got %q)", *mode)
+	case *dur <= 0:
+		return usage("-dur must be positive (got %v)", *dur)
+	case *conns <= 0:
+		return usage("-conns must be positive (got %d)", *conns)
+	case *pool <= 0:
+		return usage("-pool must be positive (got %d)", *pool)
+	case *repeat < 0 || *repeat > 1:
+		return usage("-repeat must be in [0,1] (got %g)", *repeat)
+	case *live <= 0:
+		return usage("-live must be positive (got %d)", *live)
 	}
 
 	base := "http://" + *addr
@@ -159,13 +160,13 @@ func main() {
 	}
 
 	if *mode == "status" {
-		if err := printStatus(client, base); err != nil {
-			fmt.Fprintf(os.Stderr, "hrtload: status: %v\n", err)
+		if err := printStatus(stdout, client, base); err != nil {
+			fmt.Fprintf(stderr, "hrtload: status: %v\n", err)
 			if *check {
-				os.Exit(1)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
 
 	rng := sim.NewRand(*seed)
@@ -246,14 +247,14 @@ func main() {
 	}
 	ok := int64(len(total.latencyUs))
 	qps := float64(ok) / dur.Seconds()
-	fmt.Printf("hrtload: %d requests in %v (%d ok, %d shed, %d errors)\n",
+	fmt.Fprintf(stdout, "hrtload: %d requests in %v (%d ok, %d shed, %d errors)\n",
 		total.requests, *dur, ok, total.sheds, total.errors)
 	if n := redirects.Load(); n > 0 {
-		fmt.Printf("hrtload: %d leader redirects followed\n", n)
+		fmt.Fprintf(stdout, "hrtload: %d leader redirects followed\n", n)
 	}
-	fmt.Printf("hrtload: %.0f queries/s\n", qps)
+	fmt.Fprintf(stdout, "hrtload: %.0f queries/s\n", qps)
 	if ok > 0 {
-		fmt.Printf("hrtload: latency us p50=%.0f p95=%.0f p99=%.0f\n",
+		fmt.Fprintf(stdout, "hrtload: latency us p50=%.0f p95=%.0f p99=%.0f\n",
 			stats.Quantile(total.latencyUs, 0.5),
 			stats.Quantile(total.latencyUs, 0.95),
 			stats.Quantile(total.latencyUs, 0.99))
@@ -262,59 +263,59 @@ func main() {
 	switch *mode {
 	case "query":
 		if ok > 0 {
-			fmt.Printf("hrtload: client-observed cache hits %d/%d (%.1f%%)\n",
+			fmt.Fprintf(stdout, "hrtload: client-observed cache hits %d/%d (%.1f%%)\n",
 				total.cacheHits, ok, 100*float64(total.cacheHits)/float64(ok))
 		}
 		serverHitRate, err := scrapeMetric(client, base, "hrtd_cache_hit_rate")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hrtload: scrape /metrics: %v\n", err)
+			fmt.Fprintf(stderr, "hrtload: scrape /metrics: %v\n", err)
 			if *check {
-				os.Exit(1)
+				return 1
 			}
 		} else {
-			fmt.Printf("hrtload: server cache hit rate %.3f\n", serverHitRate)
+			fmt.Fprintf(stdout, "hrtload: server cache hit rate %.3f\n", serverHitRate)
 		}
 		if *check {
 			switch {
 			case total.errors > 0:
-				fmt.Fprintf(os.Stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
+				return 1
 			case ok == 0:
-				fmt.Fprintln(os.Stderr, "hrtload: FAIL: no successful queries")
-				os.Exit(1)
+				fmt.Fprintln(stderr, "hrtload: FAIL: no successful queries")
+				return 1
 			case total.cacheHits == 0 || serverHitRate == 0:
-				fmt.Fprintln(os.Stderr, "hrtload: FAIL: cache never hit")
-				os.Exit(1)
+				fmt.Fprintln(stderr, "hrtload: FAIL: cache never hit")
+				return 1
 			}
-			fmt.Println("hrtload: OK")
+			fmt.Fprintln(stdout, "hrtload: OK")
 		}
 	case "simulate":
-		fmt.Printf("hrtload: %d simulations ok, %d determinism mismatches, %d empty simulations\n",
+		fmt.Fprintf(stdout, "hrtload: %d simulations ok, %d determinism mismatches, %d empty simulations\n",
 			ok, total.mismatches, total.emptySims)
 		for _, m := range []string{"hrtd_whatif_requests_total", "hrtd_whatif_replications_total", "hrtd_whatif_shed_total"} {
 			if v, err := scrapeMetric(client, base, m); err == nil {
-				fmt.Printf("hrtload: server %s %.0f\n", m, v)
+				fmt.Fprintf(stdout, "hrtload: server %s %.0f\n", m, v)
 			}
 		}
 		if *check {
 			switch {
 			case total.errors > 0:
-				fmt.Fprintf(os.Stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
+				return 1
 			case ok == 0:
-				fmt.Fprintln(os.Stderr, "hrtload: FAIL: no successful simulations")
-				os.Exit(1)
+				fmt.Fprintln(stderr, "hrtload: FAIL: no successful simulations")
+				return 1
 			case total.mismatches > 0:
-				fmt.Fprintf(os.Stderr, "hrtload: FAIL: %d determinism mismatches\n", total.mismatches)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "hrtload: FAIL: %d determinism mismatches\n", total.mismatches)
+				return 1
 			case total.emptySims > 0:
-				fmt.Fprintf(os.Stderr, "hrtload: FAIL: %d replies simulated no engine steps\n", total.emptySims)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "hrtload: FAIL: %d replies simulated no engine steps\n", total.emptySims)
+				return 1
 			}
-			fmt.Println("hrtload: OK")
+			fmt.Fprintln(stdout, "hrtload: OK")
 		}
 	case "cluster", "batch", "dag":
-		fmt.Printf("hrtload: %d placed, %d rejected\n", total.placed, total.rejected)
+		fmt.Fprintf(stdout, "hrtload: %d placed, %d rejected\n", total.placed, total.rejected)
 		placedMetric := "hrtd_cluster_placed_total"
 		if *mode == "dag" {
 			placedMetric = "hrtd_dag_placed_total"
@@ -328,25 +329,26 @@ func main() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hrtload: scrape /metrics: %v\n", err)
+			fmt.Fprintf(stderr, "hrtload: scrape /metrics: %v\n", err)
 			if *check {
-				os.Exit(1)
+				return 1
 			}
 		} else {
-			fmt.Printf("hrtload: server placed total %.0f\n", serverPlaced)
+			fmt.Fprintf(stdout, "hrtload: server placed total %.0f\n", serverPlaced)
 		}
 		if *check {
 			switch {
 			case total.errors > 0:
-				fmt.Fprintf(os.Stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
+				return 1
 			case total.placed == 0 || serverPlaced == 0:
-				fmt.Fprintln(os.Stderr, "hrtload: FAIL: nothing placed")
-				os.Exit(1)
+				fmt.Fprintln(stderr, "hrtload: FAIL: nothing placed")
+				return 1
 			}
-			fmt.Println("hrtload: OK")
+			fmt.Fprintln(stdout, "hrtload: OK")
 		}
 	}
+	return 0
 }
 
 // queryWorker fires /v1/analyze queries back-to-back until the deadline.
@@ -764,7 +766,7 @@ func poolBody(rng *sim.Rand, i int) string {
 }
 
 // printStatus fetches /v1/cluster/status and prints one greppable line.
-func printStatus(client *http.Client, base string) error {
+func printStatus(stdout io.Writer, client *http.Client, base string) error {
 	resp, err := client.Get(base + "/v1/cluster/status")
 	if err != nil {
 		return err
@@ -827,7 +829,7 @@ func printStatus(client *http.Client, base string) error {
 			st.Replication.Role, st.Replication.Term, st.Replication.Leader,
 			st.Replication.CommitLSN, st.Replication.AppliedLSN)
 	}
-	fmt.Println(line)
+	fmt.Fprintln(stdout, line)
 	return nil
 }
 
