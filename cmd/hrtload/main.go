@@ -1,4 +1,4 @@
-// Command hrtload is a closed-loop load generator for hrtd with two modes.
+// Command hrtload is a closed-loop load generator for hrtd with six modes.
 //
 // In -mode query (the default) N connections each fire admission queries
 // back-to-back for a fixed duration, mixing repeated task sets (drawn
@@ -39,10 +39,11 @@
 // counters. A reply whose engine_steps is 0 simulated nothing — every
 // body's horizon covers at least one arrival — and also fails -check.
 //
-// Against a replicated hrtd the generator is failover-aware: mutations
-// sent to a follower follow its 307 redirect to the leader (counted and
-// reported), and 429/503 responses back off for the server's Retry-After
-// with jitter instead of hammering a cluster that is mid-election.
+// Every mode speaks /v1 through internal/client, so against a replicated
+// hrtd the generator is failover-aware: mutations sent to a follower
+// follow its 307 redirect to the leader (counted and reported), and
+// 429/503 responses back off for the server's Retry-After with jitter
+// instead of hammering a cluster that is mid-election.
 //
 // Usage:
 //
@@ -54,12 +55,13 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -67,6 +69,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hrtsched/internal/client"
+	"hrtsched/internal/serve"
 	"hrtsched/internal/sim"
 	"hrtsched/internal/stats"
 )
@@ -89,10 +93,6 @@ type workerResult struct {
 	emptySims int64
 	latencyUs []float64
 }
-
-// redirects counts 307 leader redirects the HTTP client followed —
-// shared across workers because the redirect hook lives on the client.
-var redirects atomic.Int64
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -125,9 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("unexpected arguments: %v", fs.Args())
 	case *addr == "":
 		return usage("-addr is required")
-	case *mode != "query" && *mode != "cluster" && *mode != "batch" && *mode != "dag" &&
-		*mode != "simulate" && *mode != "status":
-		return usage("-mode must be query, cluster, batch, dag, simulate, or status (got %q)", *mode)
 	case *dur <= 0:
 		return usage("-dur must be positive (got %v)", *dur)
 	case *conns <= 0:
@@ -140,27 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-live must be positive (got %d)", *live)
 	}
 
-	base := "http://" + *addr
-	client := &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        *conns * 2,
-			MaxIdleConnsPerHost: *conns * 2,
-		},
-		Timeout: 5 * time.Second,
-		// A follower answers mutations with 307 + Location: leader. The
-		// standard client re-sends the body (GetBody is set for string
-		// readers); the hook just counts the hops and keeps the cap.
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			if len(via) >= 5 {
-				return fmt.Errorf("stopped after 5 redirects")
-			}
-			redirects.Add(1)
-			return nil
-		},
-	}
-
+	c := client.New("http://"+*addr, 5*time.Second, *conns*2)
 	if *mode == "status" {
-		if err := printStatus(stdout, client, base); err != nil {
+		if err := printStatus(stdout, c); err != nil {
 			fmt.Fprintf(stderr, "hrtload: status: %v\n", err)
 			if *check {
 				return 1
@@ -171,65 +150,135 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rng := sim.NewRand(*seed)
 	deadline := time.Now().Add(*dur)
-	results := make([]workerResult, *conns)
 	var uniqueCtr atomic.Int64
-	var wg sync.WaitGroup
-
+	var work func(w int, res *workerResult, rng *sim.Rand)
 	switch *mode {
 	case "query":
 		// Popular pool: small sets over the period menu, slices 10-30% of
 		// the period — admissible alone, cheap to simulate, all distinct.
-		poolBodies := make([]string, *pool)
+		poolBodies := make([][]byte, *pool)
 		for i := range poolBodies {
 			poolBodies[i] = poolBody(rng, i)
 		}
-		for w := 0; w < *conns; w++ {
-			wg.Add(1)
-			go func(res *workerResult, rng *sim.Rand) {
-				defer wg.Done()
-				queryWorker(client, base, deadline, poolBodies, *repeat, &uniqueCtr, res, rng)
-			}(&results[w], rng.Split())
+		work = func(_ int, res *workerResult, rng *sim.Rand) {
+			for time.Now().Before(deadline) {
+				var body []byte
+				if rng.Float64() < *repeat {
+					body = poolBodies[rng.Intn(len(poolBodies))]
+				} else {
+					// Unique single-task set: the counter makes the slice, and
+					// so the canonical digest, never repeat.
+					n := uniqueCtr.Add(1)
+					body = fmt.Appendf(nil, `{"tasks":[{"period_ns":1000000,"slice_ns":%d}]}`, 1_000+n)
+				}
+				var reply client.Raw
+				if res.send(c, "/v1/analyze", body, &reply, rng) && reply.Header.Get("X-Hrtd-Cache") == "hit" {
+					res.cacheHits++
+				}
+			}
 		}
 	case "cluster":
-		for w := 0; w < *conns; w++ {
-			wg.Add(1)
-			go func(w int, res *workerResult, rng *sim.Rand) {
-				defer wg.Done()
-				clusterWorker(client, base, deadline, w, *live, &uniqueCtr, res, rng)
-			}(w, &results[w], rng.Split())
-		}
-	case "batch":
-		for w := 0; w < *conns; w++ {
-			wg.Add(1)
-			go func(w int, res *workerResult, rng *sim.Rand) {
-				defer wg.Done()
-				batchWorker(client, base, deadline, w, *live, &uniqueCtr, res, rng)
-			}(w, &results[w], rng.Split())
+		// The pid keeps ids unique across hrtload runs: against a durable
+		// cluster a second run would otherwise collide with the previous
+		// run's surviving placements and take 409s.
+		work = func(w int, res *workerResult, rng *sim.Rand) {
+			res.ring(c, deadline, *live, rng, "/v1/cluster/place", func() (string, []byte) {
+				id := fmt.Sprintf("w%d-%d-%d", w, os.Getpid(), uniqueCtr.Add(1))
+				return id, placeBody(nil, id, rng)
+			})
 		}
 	case "dag":
-		for w := 0; w < *conns; w++ {
-			wg.Add(1)
-			go func(w int, res *workerResult, rng *sim.Rand) {
-				defer wg.Done()
-				dagWorker(client, base, deadline, w, *live, &uniqueCtr, res, rng)
-			}(w, &results[w], rng.Split())
+		// Randomized small DAGs go in through /v1/dag/place and come back
+		// out through /v1/cluster/remove: an admitted DAG is an ordinary
+		// placement.
+		work = func(w int, res *workerResult, rng *sim.Rand) {
+			res.ring(c, deadline, *live, rng, "/v1/dag/place", func() (string, []byte) {
+				id := fmt.Sprintf("dag-w%d-%d-%d", w, os.Getpid(), uniqueCtr.Add(1))
+				return id, fmt.Appendf(nil, `{"id":%q,"task":%s,"analyzer":%q}`,
+					id, dagBody(rng), dagAnalyzers[rng.Intn(len(dagAnalyzers))])
+			})
+		}
+	case "batch":
+		// Place -live gangs in one /v1/cluster/place-batch POST, check
+		// every per-item verdict, remove them, repeat. Each admitted item
+		// counts as one placement; a per-item error envelope is a hard
+		// error (ids are unique, so a healthy server never produces one).
+		work = func(w int, res *workerResult, rng *sim.Rand) {
+			for time.Now().Before(deadline) {
+				body := []byte(`{"items":[`)
+				for i := 0; i < *live; i++ {
+					if i > 0 {
+						body = append(body, ',')
+					}
+					body = placeBody(body, fmt.Sprintf("bw%d-%d-%d", w, os.Getpid(), uniqueCtr.Add(1)), rng)
+				}
+				body = append(body, "]}"...)
+				var reply struct {
+					Items []serve.PlaceBatchEntry `json:"items"`
+				}
+				var placed []string
+				switch {
+				case !res.send(c, "/v1/cluster/place-batch", body, &reply, rng):
+				case len(reply.Items) != *live:
+					res.errors++
+				default:
+					for _, it := range reply.Items {
+						switch {
+						case it.Error != nil:
+							res.errors++
+						case it.Result != nil && it.Result.Placed:
+							res.placed++
+							placed = append(placed, it.ID)
+						default:
+							res.rejected++
+						}
+					}
+				}
+				for _, id := range placed {
+					res.remove(c, id, rng)
+				}
+			}
 		}
 	case "simulate":
 		// A small shared pool of scenario bodies: every worker re-submits
 		// bodies its peers have run, so the byte-identity check exercises
-		// cross-worker (and, routed, cross-group) determinism.
-		simBodies := make([]string, 8)
+		// cross-worker (and, routed, cross-group) determinism. The first
+		// reply for each body is published to seen; every later reply
+		// must match it byte for byte.
+		simBodies := make([][]byte, 8)
 		for i := range simBodies {
 			simBodies[i] = simBody(rng, i)
 		}
 		var seen sync.Map // body index -> first-seen reply
-		for w := 0; w < *conns; w++ {
-			wg.Add(1)
-			go func(res *workerResult, rng *sim.Rand) {
-				defer wg.Done()
-				simulateWorker(client, base, deadline, simBodies, &seen, res, rng)
-			}(&results[w], rng.Split())
+		work = func(_ int, res *workerResult, rng *sim.Rand) {
+			for time.Now().Before(deadline) {
+				i := rng.Intn(len(simBodies))
+				var reply client.Raw
+				if !res.send(c, "/v1/simulate", simBodies[i], &reply, rng) {
+					continue
+				}
+				if prev, loaded := seen.LoadOrStore(i, reply.Body); loaded && !bytes.Equal(prev.([]byte), reply.Body) {
+					res.mismatches++
+				}
+				var rep struct {
+					EngineSteps uint64 `json:"engine_steps"`
+				}
+				if json.Unmarshal(reply.Body, &rep) != nil || rep.EngineSteps == 0 {
+					res.emptySims++
+				}
+			}
 		}
+	default:
+		return usage("-mode must be query, cluster, batch, dag, simulate, or status (got %q)", *mode)
+	}
+	results := make([]workerResult, *conns)
+	var wg sync.WaitGroup
+	for w := range results {
+		wg.Add(1)
+		go func(w int, rng *sim.Rand) {
+			defer wg.Done()
+			work(w, &results[w], rng)
+		}(w, rng.Split())
 	}
 	wg.Wait()
 
@@ -249,7 +298,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	qps := float64(ok) / dur.Seconds()
 	fmt.Fprintf(stdout, "hrtload: %d requests in %v (%d ok, %d shed, %d errors)\n",
 		total.requests, *dur, ok, total.sheds, total.errors)
-	if n := redirects.Load(); n > 0 {
+	if n := c.Redirects(); n > 0 {
 		fmt.Fprintf(stdout, "hrtload: %d leader redirects followed\n", n)
 	}
 	fmt.Fprintf(stdout, "hrtload: %.0f queries/s\n", qps)
@@ -260,304 +309,141 @@ func run(args []string, stdout, stderr io.Writer) int {
 			stats.Quantile(total.latencyUs, 0.99))
 	}
 
+	metrics, err := scrapeMetrics(c)
+	if err != nil {
+		fmt.Fprintf(stderr, "hrtload: scrape /metrics: %v\n", err)
+	}
+	var fail string // why -check fails, if it does
 	switch *mode {
 	case "query":
 		if ok > 0 {
 			fmt.Fprintf(stdout, "hrtload: client-observed cache hits %d/%d (%.1f%%)\n",
 				total.cacheHits, ok, 100*float64(total.cacheHits)/float64(ok))
 		}
-		serverHitRate, err := scrapeMetric(client, base, "hrtd_cache_hit_rate")
-		if err != nil {
-			fmt.Fprintf(stderr, "hrtload: scrape /metrics: %v\n", err)
-			if *check {
-				return 1
-			}
-		} else {
-			fmt.Fprintf(stdout, "hrtload: server cache hit rate %.3f\n", serverHitRate)
+		rate, found := metrics["hrtd_cache_hit_rate"]
+		if found {
+			fmt.Fprintf(stdout, "hrtload: server cache hit rate %.3f\n", rate)
 		}
-		if *check {
-			switch {
-			case total.errors > 0:
-				fmt.Fprintf(stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
-				return 1
-			case ok == 0:
-				fmt.Fprintln(stderr, "hrtload: FAIL: no successful queries")
-				return 1
-			case total.cacheHits == 0 || serverHitRate == 0:
-				fmt.Fprintln(stderr, "hrtload: FAIL: cache never hit")
-				return 1
-			}
-			fmt.Fprintln(stdout, "hrtload: OK")
+		switch {
+		case ok == 0:
+			fail = "no successful queries"
+		case total.cacheHits == 0 || rate == 0:
+			fail = "cache never hit"
 		}
 	case "simulate":
 		fmt.Fprintf(stdout, "hrtload: %d simulations ok, %d determinism mismatches, %d empty simulations\n",
 			ok, total.mismatches, total.emptySims)
 		for _, m := range []string{"hrtd_whatif_requests_total", "hrtd_whatif_replications_total", "hrtd_whatif_shed_total"} {
-			if v, err := scrapeMetric(client, base, m); err == nil {
+			if v, found := metrics[m]; found {
 				fmt.Fprintf(stdout, "hrtload: server %s %.0f\n", m, v)
 			}
 		}
-		if *check {
-			switch {
-			case total.errors > 0:
-				fmt.Fprintf(stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
-				return 1
-			case ok == 0:
-				fmt.Fprintln(stderr, "hrtload: FAIL: no successful simulations")
-				return 1
-			case total.mismatches > 0:
-				fmt.Fprintf(stderr, "hrtload: FAIL: %d determinism mismatches\n", total.mismatches)
-				return 1
-			case total.emptySims > 0:
-				fmt.Fprintf(stderr, "hrtload: FAIL: %d replies simulated no engine steps\n", total.emptySims)
-				return 1
-			}
-			fmt.Fprintln(stdout, "hrtload: OK")
+		switch {
+		case ok == 0:
+			fail = "no successful simulations"
+		case total.mismatches > 0:
+			fail = fmt.Sprintf("%d determinism mismatches", total.mismatches)
+		case total.emptySims > 0:
+			fail = fmt.Sprintf("%d replies simulated no engine steps", total.emptySims)
 		}
-	case "cluster", "batch", "dag":
+	default: // cluster, batch, dag
 		fmt.Fprintf(stdout, "hrtload: %d placed, %d rejected\n", total.placed, total.rejected)
 		placedMetric := "hrtd_cluster_placed_total"
 		if *mode == "dag" {
 			placedMetric = "hrtd_dag_placed_total"
 		}
-		serverPlaced, err := scrapeMetric(client, base, placedMetric)
-		if err != nil {
+		serverPlaced, found := metrics[placedMetric]
+		if !found {
 			// A routed hrtd owns no cluster of its own: its placements
 			// surface on the router-side counter instead.
-			if v, rerr := scrapeMetric(client, base, "hrtd_route_placed_total"); rerr == nil {
-				serverPlaced, err = v, nil
-			}
+			serverPlaced, found = metrics["hrtd_route_placed_total"]
 		}
-		if err != nil {
-			fmt.Fprintf(stderr, "hrtload: scrape /metrics: %v\n", err)
-			if *check {
-				return 1
-			}
-		} else {
+		if found {
 			fmt.Fprintf(stdout, "hrtload: server placed total %.0f\n", serverPlaced)
 		}
-		if *check {
-			switch {
-			case total.errors > 0:
-				fmt.Fprintf(stderr, "hrtload: FAIL: %d hard errors\n", total.errors)
-				return 1
-			case total.placed == 0 || serverPlaced == 0:
-				fmt.Fprintln(stderr, "hrtload: FAIL: nothing placed")
-				return 1
-			}
-			fmt.Fprintln(stdout, "hrtload: OK")
+		if total.placed == 0 || serverPlaced == 0 {
+			fail = "nothing placed"
 		}
 	}
+	if total.errors > 0 {
+		fail = fmt.Sprintf("%d hard errors", total.errors)
+	}
+	if !*check {
+		return 0
+	}
+	if fail != "" {
+		fmt.Fprintf(stderr, "hrtload: FAIL: %s\n", fail)
+		return 1
+	}
+	fmt.Fprintln(stdout, "hrtload: OK")
 	return 0
 }
 
-// queryWorker fires /v1/analyze queries back-to-back until the deadline.
-func queryWorker(client *http.Client, base string, deadline time.Time,
-	poolBodies []string, repeat float64, uniqueCtr *atomic.Int64,
-	res *workerResult, rng *sim.Rand) {
-	for time.Now().Before(deadline) {
-		var body string
-		if rng.Float64() < repeat {
-			body = poolBodies[rng.Intn(len(poolBodies))]
-		} else {
-			// Unique single-task set: the counter makes the slice, and so
-			// the canonical digest, never repeat.
-			n := uniqueCtr.Add(1)
-			body = fmt.Sprintf(`{"tasks":[{"period_ns":1000000,"slice_ns":%d}]}`, 1_000+n)
-		}
-		start := time.Now()
-		resp, err := client.Post(base+"/v1/analyze", "application/json", strings.NewReader(body))
-		lat := float64(time.Since(start).Nanoseconds()) / 1e3
-		res.requests++
-		if err != nil {
-			res.errors++
-			continue
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck — draining for keep-alive
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			res.latencyUs = append(res.latencyUs, lat)
-			if resp.Header.Get("X-Hrtd-Cache") == "hit" {
-				res.cacheHits++
-			}
-		case resp.StatusCode == http.StatusTooManyRequests,
-			resp.StatusCode == http.StatusServiceUnavailable:
-			res.sheds++
-			time.Sleep(retryDelay(resp, rng))
-		default:
-			res.errors++
-		}
+// send posts one load request and counts its outcome; a 2xx reply also
+// records its latency and reports true.
+func (res *workerResult) send(c *client.Client, path string, body []byte, out any, rng *sim.Rand) bool {
+	start := time.Now()
+	if !res.count(c.Post(context.Background(), path, body, out), rng) {
+		return false
 	}
+	res.latencyUs = append(res.latencyUs, float64(time.Since(start).Nanoseconds())/1e3)
+	return true
 }
 
-// clusterWorker churns the placement session: before each new placement
-// it evicts its oldest live set once the ring is full, so admissions and
-// removals interleave for the whole run.
-func clusterWorker(client *http.Client, base string, deadline time.Time,
-	w, ringSize int, uniqueCtr *atomic.Int64, res *workerResult, rng *sim.Rand) {
-	var ring []string
-	for time.Now().Before(deadline) {
-		if len(ring) >= ringSize {
-			id := ring[0]
-			ring = ring[1:]
-			body := fmt.Sprintf(`{"id":%q}`, id)
-			resp, err := client.Post(base+"/v1/cluster/remove", "application/json", strings.NewReader(body))
-			res.requests++
-			if err != nil {
-				res.errors++
-				time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
-				continue
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK, http.StatusNotFound:
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				res.sheds++
-				time.Sleep(retryDelay(resp, rng))
-			default:
-				res.errors++
-			}
-		}
-
-		// The pid keeps ids unique across hrtload runs: against a durable
-		// cluster a second run would otherwise collide with the previous
-		// run's surviving placements and take 409s.
-		n := uniqueCtr.Add(1)
-		id := fmt.Sprintf("w%d-%d-%d", w, os.Getpid(), n)
-		periodNs := periodMenuUs[rng.Intn(len(periodMenuUs))] * 1000
-		sliceNs := periodNs/20 + rng.Int63n(periodNs/10)
-		body := fmt.Sprintf(`{"id":%q,"tasks":[{"period_ns":%d,"slice_ns":%d}]}`,
-			id, periodNs, sliceNs)
-		start := time.Now()
-		resp, err := client.Post(base+"/v1/cluster/place", "application/json", strings.NewReader(body))
-		lat := float64(time.Since(start).Nanoseconds()) / 1e3
-		res.requests++
-		if err != nil {
-			res.errors++
-			// Transport failures fail in microseconds (connection refused
-			// to a killed replica); pace them so a closed loop doesn't
-			// record millions of errors while an election settles.
-			time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
-			continue
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			res.latencyUs = append(res.latencyUs, lat)
-			var placed struct {
-				Placed bool `json:"placed"`
-			}
-			if json.Unmarshal(b, &placed) == nil && placed.Placed {
-				res.placed++
-				ring = append(ring, id)
-			} else {
-				res.rejected++
-			}
-		case resp.StatusCode == http.StatusTooManyRequests,
-			resp.StatusCode == http.StatusServiceUnavailable:
-			res.sheds++
-			time.Sleep(retryDelay(resp, rng))
-		default:
-			res.errors++
-		}
+// count classifies one round trip and reports whether it succeeded. A
+// 429/503 shed backs off for the server's Retry-After. A transport failure
+// is a hard error paced 5-25 ms: a refused connection to a killed replica
+// fails in microseconds, and a closed loop would otherwise record millions
+// of errors while an election settles. Any other reply is a hard error.
+func (res *workerResult) count(err error, rng *sim.Rand) bool {
+	res.requests++
+	switch {
+	case err == nil:
+		return true
+	case client.Shed(err):
+		res.sheds++
+		time.Sleep(client.Backoff(err, rng))
+	case errors.Is(err, client.ErrUnreachable):
+		res.errors++
+		time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
+	default:
+		res.errors++
 	}
+	return false
 }
 
-// batchWorker drives the batched placement path: place batchSize gangs in
-// one /v1/cluster/place-batch POST, check every per-item verdict, remove
-// them, repeat. Each admitted envelope item counts as one placement; a
-// per-item error envelope counts as a hard error (ids are unique, so a
-// healthy server never produces one).
-func batchWorker(client *http.Client, base string, deadline time.Time,
-	w, batchSize int, uniqueCtr *atomic.Int64, res *workerResult, rng *sim.Rand) {
+// remove releases one placement; an id the server no longer holds (404)
+// is not an error.
+func (res *workerResult) remove(c *client.Client, id string, rng *sim.Rand) {
+	err := c.Post(context.Background(), "/v1/cluster/remove", fmt.Appendf(nil, `{"id":%q}`, id), nil)
+	if errors.Is(err, serve.ErrUnknownID) {
+		err = nil
+	}
+	res.count(err, rng)
+}
+
+// ring churns live reservations until the deadline: once size of them are
+// live it removes the oldest before posting the next fresh one to path,
+// so admissions and removals interleave for the whole run.
+func (res *workerResult) ring(c *client.Client, deadline time.Time, size int, rng *sim.Rand,
+	path string, next func() (id string, body []byte)) {
+	var live []string
 	for time.Now().Before(deadline) {
-		ids := make([]string, batchSize)
-		var b strings.Builder
-		b.WriteString(`{"items":[`)
-		for i := range ids {
-			n := uniqueCtr.Add(1)
-			ids[i] = fmt.Sprintf("bw%d-%d-%d", w, os.Getpid(), n)
-			periodNs := periodMenuUs[rng.Intn(len(periodMenuUs))] * 1000
-			sliceNs := periodNs/20 + rng.Int63n(periodNs/10)
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, `{"id":%q,"tasks":[{"period_ns":%d,"slice_ns":%d}]}`,
-				ids[i], periodNs, sliceNs)
+		if len(live) >= size {
+			res.remove(c, live[0], rng)
+			live = live[1:]
 		}
-		b.WriteString(`]}`)
-
-		start := time.Now()
-		resp, err := client.Post(base+"/v1/cluster/place-batch", "application/json", strings.NewReader(b.String()))
-		lat := float64(time.Since(start).Nanoseconds()) / 1e3
-		res.requests++
-		if err != nil {
-			res.errors++
-			time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
-			continue
+		id, body := next()
+		var reply struct {
+			Placed bool `json:"placed"`
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		var placed []string
 		switch {
-		case resp.StatusCode == http.StatusOK:
-			res.latencyUs = append(res.latencyUs, lat)
-			var env struct {
-				Items []struct {
-					ID     string `json:"id"`
-					Result *struct {
-						Placed bool `json:"placed"`
-					} `json:"result"`
-					Error *struct {
-						Code string `json:"code"`
-					} `json:"error"`
-				} `json:"items"`
-			}
-			if json.Unmarshal(body, &env) != nil || len(env.Items) != batchSize {
-				res.errors++
-				break
-			}
-			for _, it := range env.Items {
-				switch {
-				case it.Error != nil:
-					res.errors++
-				case it.Result != nil && it.Result.Placed:
-					res.placed++
-					placed = append(placed, it.ID)
-				default:
-					res.rejected++
-				}
-			}
-		case resp.StatusCode == http.StatusTooManyRequests,
-			resp.StatusCode == http.StatusServiceUnavailable:
-			res.sheds++
-			time.Sleep(retryDelay(resp, rng))
+		case !res.send(c, path, body, &reply, rng):
+		case reply.Placed:
+			res.placed++
+			live = append(live, id)
 		default:
-			res.errors++
-		}
-
-		for _, id := range placed {
-			body := fmt.Sprintf(`{"id":%q}`, id)
-			resp, err := client.Post(base+"/v1/cluster/remove", "application/json", strings.NewReader(body))
-			res.requests++
-			if err != nil {
-				res.errors++
-				time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
-				continue
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK, http.StatusNotFound:
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				res.sheds++
-				time.Sleep(retryDelay(resp, rng))
-			default:
-				res.errors++
-			}
+			res.rejected++
 		}
 	}
 }
@@ -570,7 +456,7 @@ var simModels = []string{"wcet", "full-random", "half-random", "random-0.6,1.1:n
 // hyperperiod — heavy enough to exercise the pool, light enough that a
 // closed loop turns over fast. The seed is baked into the body, so the
 // body fully determines the reply.
-func simBody(rng *sim.Rand, i int) string {
+func simBody(rng *sim.Rand, i int) []byte {
 	periodNs := periodMenuUs[rng.Intn(len(periodMenuUs))] * 1000
 	s1 := periodNs/5 + rng.Int63n(periodNs/5)
 	s2 := periodNs/10 + rng.Int63n(periodNs/10)
@@ -579,122 +465,15 @@ func simBody(rng *sim.Rand, i int) string {
 	if i%2 == 0 {
 		faults = `"faults":["smi-storm"],`
 	}
-	return fmt.Sprintf(`{"scenario":{"name":"load-%d","cpus":2,"tasks":[`+
+	return fmt.Appendf(nil, `{"scenario":{"name":"load-%d","cpus":2,"tasks":[`+
 		`{"period_ns":%d,"slice_ns":%d,"cpu":0},`+
 		`{"period_ns":%d,"slice_ns":%d,"cpu":1}],`+
 		`"model":%q,%s"replications":3},"seed":%d}`,
 		i, periodNs, s1, periodNs, s2, model, faults, 1000+i)
 }
 
-// simulateWorker fires /v1/simulate requests from the shared body pool
-// back-to-back until the deadline. The first reply for each body is
-// published to seen; every later reply must match it byte for byte.
-func simulateWorker(client *http.Client, base string, deadline time.Time,
-	bodies []string, seen *sync.Map, res *workerResult, rng *sim.Rand) {
-	for time.Now().Before(deadline) {
-		i := rng.Intn(len(bodies))
-		start := time.Now()
-		resp, err := client.Post(base+"/v1/simulate", "application/json", strings.NewReader(bodies[i]))
-		lat := float64(time.Since(start).Nanoseconds()) / 1e3
-		res.requests++
-		if err != nil {
-			res.errors++
-			time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
-			continue
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			res.latencyUs = append(res.latencyUs, lat)
-			if prev, loaded := seen.LoadOrStore(i, string(b)); loaded && prev.(string) != string(b) {
-				res.mismatches++
-			}
-			var rep struct {
-				EngineSteps uint64 `json:"engine_steps"`
-			}
-			if err := json.Unmarshal(b, &rep); err != nil || rep.EngineSteps == 0 {
-				res.emptySims++
-			}
-		case resp.StatusCode == http.StatusTooManyRequests,
-			resp.StatusCode == http.StatusServiceUnavailable:
-			res.sheds++
-			time.Sleep(retryDelay(resp, rng))
-		default:
-			res.errors++
-		}
-	}
-}
-
 // dagAnalyzers are the analyzer names dag mode cycles through.
 var dagAnalyzers = []string{"classical", "alpha-beta"}
-
-// dagWorker churns DAG reservations: randomized small DAGs go in through
-// /v1/dag/place and come back out through /v1/cluster/remove (an admitted
-// DAG is an ordinary placement), the same ring discipline as clusterWorker.
-func dagWorker(client *http.Client, base string, deadline time.Time,
-	w, ringSize int, uniqueCtr *atomic.Int64, res *workerResult, rng *sim.Rand) {
-	var ring []string
-	for time.Now().Before(deadline) {
-		if len(ring) >= ringSize {
-			id := ring[0]
-			ring = ring[1:]
-			body := fmt.Sprintf(`{"id":%q}`, id)
-			resp, err := client.Post(base+"/v1/cluster/remove", "application/json", strings.NewReader(body))
-			res.requests++
-			if err != nil {
-				res.errors++
-				time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
-				continue
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK, http.StatusNotFound:
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				res.sheds++
-				time.Sleep(retryDelay(resp, rng))
-			default:
-				res.errors++
-			}
-		}
-
-		n := uniqueCtr.Add(1)
-		id := fmt.Sprintf("dag-w%d-%d-%d", w, os.Getpid(), n)
-		body := fmt.Sprintf(`{"id":%q,"task":%s,"analyzer":%q}`,
-			id, dagBody(rng), dagAnalyzers[rng.Intn(len(dagAnalyzers))])
-		start := time.Now()
-		resp, err := client.Post(base+"/v1/dag/place", "application/json", strings.NewReader(body))
-		lat := float64(time.Since(start).Nanoseconds()) / 1e3
-		res.requests++
-		if err != nil {
-			res.errors++
-			time.Sleep(time.Duration(5+rng.Int63n(20)) * time.Millisecond)
-			continue
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			res.latencyUs = append(res.latencyUs, lat)
-			var placed struct {
-				Placed bool `json:"placed"`
-			}
-			if json.Unmarshal(b, &placed) == nil && placed.Placed {
-				res.placed++
-				ring = append(ring, id)
-			} else {
-				res.rejected++
-			}
-		case resp.StatusCode == http.StatusTooManyRequests,
-			resp.StatusCode == http.StatusServiceUnavailable:
-			res.sheds++
-			time.Sleep(retryDelay(resp, rng))
-		default:
-			res.errors++
-		}
-	}
-}
 
 // dagBody builds one randomized DAG task: 3-6 nodes, forward-only edges
 // (guaranteeing acyclicity), short WCETs against a 10-20 ms period so
@@ -728,83 +507,40 @@ func dagBody(rng *sim.Rand) string {
 	return b.String()
 }
 
-// retryDelay says how long to wait before retrying after a 429 or 503.
-// It honors the server's Retry-After seconds when present (hrtd sends
-// Retry-After: 1 while a cluster has no ready leader), caps the base at
-// 2s, and jitters the result across [base/2, base*3/2) so the workers
-// that were shed together don't re-stampede together.
-func retryDelay(resp *http.Response, rng *sim.Rand) time.Duration {
-	base := 50 * time.Millisecond
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(strings.TrimSpace(s)); err == nil && secs > 0 {
-			base = time.Duration(secs) * time.Second
-		}
-	}
-	if base > 2*time.Second {
-		base = 2 * time.Second
-	}
-	return base/2 + time.Duration(rng.Int63n(int64(base)))
+// placeBody appends one placement of a single-task gang from the period
+// menu, with a slice of 5-15% of its period.
+func placeBody(b []byte, id string, rng *sim.Rand) []byte {
+	periodNs := periodMenuUs[rng.Intn(len(periodMenuUs))] * 1000
+	sliceNs := periodNs/20 + rng.Int63n(periodNs/10)
+	return fmt.Appendf(b, `{"id":%q,"tasks":[{"period_ns":%d,"slice_ns":%d}]}`, id, periodNs, sliceNs)
 }
 
 // poolBody builds the i-th popular task set: 1-3 tasks from the period
 // menu with slices well under the bound, serialized once up front so the
-// hot loop only swaps strings.
-func poolBody(rng *sim.Rand, i int) string {
-	ntasks := 1 + i%3
-	var b strings.Builder
-	b.WriteString(`{"tasks":[`)
-	for t := 0; t < ntasks; t++ {
+// hot loop only picks a body.
+func poolBody(rng *sim.Rand, i int) []byte {
+	b := []byte(`{"tasks":[`)
+	for t := 0; t < 1+i%3; t++ {
 		periodNs := periodMenuUs[rng.Intn(len(periodMenuUs))] * 1000
 		sliceNs := periodNs/10 + rng.Int63n(periodNs/5)
 		if t > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, `{"period_ns":%d,"slice_ns":%d}`, periodNs, sliceNs)
+		b = fmt.Appendf(b, `{"period_ns":%d,"slice_ns":%d}`, periodNs, sliceNs)
 	}
-	b.WriteString(`]}`)
-	return b.String()
+	return append(b, "]}"...)
 }
 
 // printStatus fetches /v1/cluster/status and prints one greppable line.
-func printStatus(stdout io.Writer, client *http.Client, base string) error {
-	resp, err := client.Get(base + "/v1/cluster/status")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
+func printStatus(stdout io.Writer, c *client.Client) error {
 	var st struct {
+		serve.ClusterStatus
 		// Groups/Reachable are only present in a routed (sharded) status
 		// body; an unrouted cluster leaves them zero.
-		Groups     int   `json:"groups"`
-		Reachable  int   `json:"reachable"`
-		Placements int   `json:"placements"`
-		Placed     int64 `json:"placed_total"`
-		Removed    int64 `json:"removed_total"`
-		Rebalanced int64 `json:"rebalanced_total"`
-		Drained    int64 `json:"drained_total"`
-		Nodes      []struct {
-			Tasks int64 `json:"tasks"`
-		} `json:"nodes"`
-		DAG *struct {
-			Placements int   `json:"placements"`
-			Placed     int64 `json:"placed_total"`
-		} `json:"dag"`
-		Durability *struct {
-			LastLSN  uint64 `json:"last_lsn"`
-			Degraded bool   `json:"degraded"`
-		} `json:"durability"`
-		Replication *struct {
-			Role       string `json:"role"`
-			Term       uint64 `json:"term"`
-			Leader     int    `json:"leader"`
-			CommitLSN  uint64 `json:"commit_lsn"`
-			AppliedLSN uint64 `json:"applied_lsn"`
-		} `json:"replication"`
+		Groups    int `json:"groups"`
+		Reachable int `json:"reachable"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.Get(context.Background(), "/v1/cluster/status", &st); err != nil {
 		return err
 	}
 	var tasks int64
@@ -833,22 +569,18 @@ func printStatus(stdout io.Writer, client *http.Client, base string) error {
 	return nil
 }
 
-// scrapeMetric pulls /metrics and extracts the named unlabelled sample.
-func scrapeMetric(client *http.Client, base, name string) (float64, error) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
+// scrapeMetrics pulls /metrics and returns its unlabelled samples.
+func scrapeMetrics(c *client.Client) (map[string]float64, error) {
+	var page client.Raw
+	if err := c.Get(context.Background(), "/metrics", &page); err != nil {
+		return nil, err
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if v, found := strings.CutPrefix(line, name+" "); found {
-			return strconv.ParseFloat(strings.TrimSpace(v), 64)
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(page.Body), "\n") {
+		name, v, _ := strings.Cut(line, " ")
+		if f, err := strconv.ParseFloat(v, 64); err == nil && !strings.Contains(name, "{") {
+			samples[name] = f
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	return 0, fmt.Errorf("%s not found in /metrics", name)
+	return samples, nil
 }

@@ -7,9 +7,10 @@
 // With -targets the command becomes a distributed what-if sweep driver
 // instead: it fans a (model x utilization x seed) scenario grid over the
 // listed hrtd daemons' POST /v1/simulate endpoints with bounded
-// concurrency, honors their 429 Retry-After sheds, and merges the result
-// rows in deterministic grid order, closing with per-(model,util)
-// error-bar summaries (mean ± std of survival probability across seeds).
+// concurrency through internal/client, backs off their 429/503 sheds for
+// the server's Retry-After, and merges the result rows in deterministic
+// grid order, closing with per-(model,util) error-bar summaries (mean ±
+// std of survival probability across seeds).
 // Because every cell's seed is in the request, rerunning the same grid
 // against the same fleet reproduces the same rows byte for byte.
 //

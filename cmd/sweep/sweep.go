@@ -1,17 +1,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"hrtsched/internal/client"
+	"hrtsched/internal/serve"
+	"hrtsched/internal/sim"
 	"hrtsched/internal/stats"
 	"hrtsched/internal/whatif"
 )
@@ -81,49 +82,21 @@ func sweepScenario(model string, util float64, periodNs int64, reps, hyperperiod
 	}
 }
 
-// postSimulate runs one grid cell against one target, honoring 429/503
-// Retry-After (bounded retries) so a busy group sheds without losing the
-// cell.
-func postSimulate(client *http.Client, target string, sc whatif.Scenario, seed uint64) (*whatif.Report, error) {
-	body, err := json.Marshal(struct {
-		Scenario whatif.Scenario `json:"scenario"`
-		Seed     uint64          `json:"seed"`
-	}{sc, seed})
-	if err != nil {
-		return nil, err
-	}
+// postSimulate runs one grid cell against one target, backing off after
+// a 429/503 shed (up to 8 retries) so a busy group sheds without losing
+// the cell.
+func postSimulate(c *client.Client, rng *sim.Rand, sc whatif.Scenario, seed uint64) (*whatif.Report, error) {
+	req := serve.SimulateRequest{Scenario: sc, Seed: seed}
 	for attempt := 0; ; attempt++ {
-		resp, err := client.Post("http://"+target+"/v1/simulate", "application/json",
-			strings.NewReader(string(body)))
-		if err != nil {
+		var rep whatif.Report
+		err := c.Post(context.Background(), "/v1/simulate", req, &rep)
+		if err == nil {
+			return &rep, nil
+		}
+		if !client.Shed(err) || attempt >= 8 {
 			return nil, err
 		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var rep whatif.Report
-			if err := json.Unmarshal(b, &rep); err != nil {
-				return nil, err
-			}
-			return &rep, nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if attempt >= 8 {
-				return nil, fmt.Errorf("%s: shed %d times, giving up", target, attempt+1)
-			}
-			delay := 100 * time.Millisecond
-			if s := resp.Header.Get("Retry-After"); s != "" {
-				if secs, err := strconv.Atoi(strings.TrimSpace(s)); err == nil && secs > 0 {
-					delay = time.Duration(secs) * time.Second
-				}
-			}
-			if delay > 2*time.Second {
-				delay = 2 * time.Second
-			}
-			time.Sleep(delay)
-		default:
-			return nil, fmt.Errorf("%s: status %d: %s", target, resp.StatusCode, strings.TrimSpace(string(b)))
-		}
+		time.Sleep(client.Backoff(err, rng))
 	}
 }
 
@@ -133,7 +106,10 @@ func postSimulate(client *http.Client, target string, sc whatif.Scenario, seed u
 // failed cells.
 func runSweep(targets, models []string, utils []float64, seeds, reps, hyperperiods int,
 	periodNs int64, faults []string, conc int, asJSON bool) int {
-	client := &http.Client{Timeout: 120 * time.Second}
+	clients := make([]*client.Client, len(targets))
+	for i, t := range targets {
+		clients[i] = client.New("http://"+t, 120*time.Second, conc)
+	}
 	type cell struct {
 		model string
 		util  float64
@@ -157,11 +133,11 @@ func runSweep(targets, models []string, utils []float64, seeds, reps, hyperperio
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			target := targets[c.idx%len(targets)]
+			t := c.idx % len(targets)
 			sc := sweepScenario(c.model, c.util, periodNs, reps, hyperperiods, faults, c.idx)
 			row := sweepRow{Scenario: sc.Name, Model: c.model, Util: c.util,
-				Seed: c.seed, Target: target}
-			rep, err := postSimulate(client, target, sc, c.seed)
+				Seed: c.seed, Target: targets[t]}
+			rep, err := postSimulate(clients[t], sim.NewRand(uint64(c.idx)), sc, c.seed)
 			if err != nil {
 				row.Err = err.Error()
 			} else {

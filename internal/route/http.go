@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"hrtsched/internal/client"
 	"hrtsched/internal/dag"
 	"hrtsched/internal/serve"
 )
@@ -87,26 +88,31 @@ func redirectToLeader(w http.ResponseWriter, req *http.Request, err error) bool 
 	return true
 }
 
-// writeGroupError answers a group's failure with the group's own contract:
-// a remote group's envelope passes through verbatim (status, body, and
-// Retry-After), a redirectable leadership error becomes the 307 contract,
-// an unreachable group becomes 503 unavailable with a retry hint, and
-// everything else maps through the standard serve envelope.
-func writeGroupError(w http.ResponseWriter, req *http.Request, err error) {
-	var env *EnvelopeError
-	if errors.As(err, &env) {
-		serve.WriteAPIError(w, env.Status, env.Envelope, env.RetryAfterSecs)
-		return
+// groupError maps a group's failure onto the envelope the router answers
+// with: a remote group's envelope passes through verbatim (status, body,
+// and Retry-After), an unreachable group becomes 503 unavailable with a
+// retry hint, and everything else maps through the standard serve envelope.
+func groupError(err error) (status int, e serve.APIError, retryAfterSecs int64) {
+	var env *client.EnvelopeError
+	switch {
+	case errors.As(err, &env):
+		return env.Status, env.Envelope, env.RetryAfterSecs
+	case errors.Is(err, client.ErrUnreachable):
+		return http.StatusServiceUnavailable,
+			serve.APIError{Code: "unavailable", Reason: err.Error(), RetryAfterMs: 1000}, 1
 	}
+	return serve.QueryError(err)
+}
+
+// writeGroupError answers a group's failure with the group's own contract:
+// a redirectable leadership error becomes the 307 contract, anything else
+// its groupError envelope.
+func writeGroupError(w http.ResponseWriter, req *http.Request, err error) {
 	if redirectToLeader(w, req, err) {
 		return
 	}
-	if errors.Is(err, ErrGroupUnreachable) {
-		serve.WriteAPIError(w, http.StatusServiceUnavailable,
-			serve.APIError{Code: "unavailable", Reason: err.Error(), RetryAfterMs: 1000}, 1)
-		return
-	}
-	serve.WriteQueryError(w, err)
+	status, e, secs := groupError(err)
+	serve.WriteAPIError(w, status, e, secs)
 }
 
 func (r *Router) handlePlace(w http.ResponseWriter, req *http.Request) {
@@ -143,18 +149,7 @@ func (r *Router) handlePlaceBatch(w http.ResponseWriter, req *http.Request) {
 			if redirectToLeader(w, req, res.Err) {
 				return
 			}
-			var env *EnvelopeError
-			if errors.As(res.Err, &env) {
-				e := env.Envelope
-				out[i].Error = &e
-				continue
-			}
-			if errors.Is(res.Err, ErrGroupUnreachable) {
-				out[i].Error = &serve.APIError{Code: "unavailable",
-					Reason: res.Err.Error(), RetryAfterMs: 1000}
-				continue
-			}
-			_, e, _ := serve.QueryError(res.Err)
+			_, e, _ := groupError(res.Err)
 			out[i].Error = &e
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hrtsched/internal/client"
 	"hrtsched/internal/serve"
 	"hrtsched/internal/stats"
 )
@@ -62,7 +63,7 @@ func (m *routeMetrics) observe(g int, start time.Time, err error) {
 	m.reqs[g].Add(1)
 	if err != nil {
 		m.errs[g].Add(1)
-		if errors.Is(err, ErrGroupUnreachable) {
+		if errors.Is(err, client.ErrUnreachable) {
 			m.unreachable[g].Add(1)
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"hrtsched/internal/client"
 	"hrtsched/internal/dag"
 	"hrtsched/internal/plan"
 	"hrtsched/internal/serve"
@@ -75,11 +76,6 @@ type Simulator interface {
 // failure: the router falls through to the next group instead of
 // answering an error.
 var errSimUnsupported = errors.New("route: group does not support simulation")
-
-// ErrGroupUnreachable reports that a shard group could not be reached at
-// all (transport failure, not a protocol error). The HTTP layer answers it
-// as 503 unavailable with a retry hint.
-var ErrGroupUnreachable = errors.New("route: shard group unreachable")
 
 // ErrUnknownGroupNode reports a global node id outside the partition map.
 var errUnknownGroupNode = serve.ErrUnknownNode
@@ -337,7 +333,7 @@ func (r *Router) Simulate(ctx context.Context, req serve.SimulateRequest) (*what
 		r.m.observe(g, start, err)
 		return rep, g, err
 	}
-	return nil, -1, fmt.Errorf("%w: no shard group supports simulation", ErrGroupUnreachable)
+	return nil, -1, fmt.Errorf("%w: no shard group supports simulation", client.ErrUnreachable)
 }
 
 // rendezvousOrder ranks group indexes by descending rendezvous score for

@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"hrtsched/internal/client"
 	"hrtsched/internal/plan"
 	"hrtsched/internal/serve"
 )
@@ -306,7 +308,7 @@ type failingGroup struct {
 }
 
 func (f failingGroup) Status(context.Context) (serve.ClusterStatus, error) {
-	return serve.ClusterStatus{}, fmt.Errorf("%w: injected", ErrGroupUnreachable)
+	return serve.ClusterStatus{}, fmt.Errorf("%w: injected", client.ErrUnreachable)
 }
 
 func TestStatusAggregatesAndServesStale(t *testing.T) {
@@ -363,21 +365,28 @@ type flipGroup struct {
 
 func (f *flipGroup) Status(ctx context.Context) (serve.ClusterStatus, error) {
 	if f.fail {
-		return serve.ClusterStatus{}, fmt.Errorf("%w: injected", ErrGroupUnreachable)
+		return serve.ClusterStatus{}, fmt.Errorf("%w: injected", client.ErrUnreachable)
 	}
 	return f.Group.Status(ctx)
 }
 
+// TestRemoteGroupErrorMapping: the probe learns the group's node count, a
+// per-item envelope of a 2xx batch reply comes back as a client
+// EnvelopeError with the status its code pairs with, and a dead group
+// fails a single call and every item of a batch as unreachable. The client
+// package tests the whole-reply mapping itself.
 func TestRemoteGroupErrorMapping(t *testing.T) {
-	// Canned 429 with the serve envelope and Retry-After.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/v1/cluster/status" {
+		switch req.URL.Path {
+		case "/v1/cluster/status":
 			serve.WriteJSON(w, http.StatusOK, serve.ClusterStatus{
 				Nodes: []serve.NodeStatus{{Node: 0}}, Policy: "first-fit"})
-			return
+		case "/v1/cluster/place-batch":
+			serve.WritePlaceBatchReply(w, []serve.PlaceBatchEntry{
+				{ID: "a", Error: &serve.APIError{Code: "conflict", Reason: "duplicate"}},
+				{ID: "b", Result: &serve.PlaceResult{Placed: true, Node: 0}},
+			})
 		}
-		serve.WriteAPIError(w, http.StatusTooManyRequests,
-			serve.APIError{Code: "overloaded", Reason: "server-overload", RetryAfterMs: 1500}, 2)
 	}))
 	defer ts.Close()
 
@@ -388,45 +397,64 @@ func TestRemoteGroupErrorMapping(t *testing.T) {
 	if g.NodeCount() != 1 {
 		t.Fatalf("probed node count %d, want 1", g.NodeCount())
 	}
-	_, err = g.Place(context.Background(), "x", setOfUtil(0.1))
-	var env *EnvelopeError
-	if !errors.As(err, &env) {
-		t.Fatalf("remote 429 did not map to EnvelopeError: %v", err)
+	var env *client.EnvelopeError
+	res := g.PlaceBatch(context.Background(), []serve.BatchPlaceItem{{ID: "a"}, {ID: "b"}})
+	if !errors.As(res[0].Err, &env) || env.Status != http.StatusConflict || !errors.Is(res[0].Err, serve.ErrDuplicateID) {
+		t.Fatalf("per-item conflict = %v, want a 409 envelope", res[0].Err)
 	}
-	if env.Status != http.StatusTooManyRequests || env.Envelope.Code != "overloaded" ||
-		env.Envelope.RetryAfterMs != 1500 || env.RetryAfterSecs != 2 {
-		t.Fatalf("envelope lost fidelity: %+v", env)
+	if res[1].Err != nil || !res[1].Result.Placed {
+		t.Fatalf("per-item result = %+v", res[1])
 	}
 
 	// A dead server is unreachable, not a protocol error.
 	ts.Close()
 	_, err = g.Place(context.Background(), "x", setOfUtil(0.1))
-	if !errors.Is(err, ErrGroupUnreachable) {
-		t.Fatalf("dead server error = %v, want ErrGroupUnreachable", err)
+	if !errors.Is(err, client.ErrUnreachable) {
+		t.Fatalf("dead server error = %v, want client.ErrUnreachable", err)
 	}
-	res := g.PlaceBatch(context.Background(), []serve.BatchPlaceItem{{ID: "a"}, {ID: "b"}})
+	res = g.PlaceBatch(context.Background(), []serve.BatchPlaceItem{{ID: "a"}, {ID: "b"}})
 	for i, it := range res {
-		if !errors.Is(it.Err, ErrGroupUnreachable) {
+		if !errors.Is(it.Err, client.ErrUnreachable) {
 			t.Fatalf("batch item %d against dead server = %v, want unreachable", i, it.Err)
 		}
 	}
 }
 
+// TestEnvelopeErrorIsMapsSentinels covers every v1 envelope code: the
+// status serve pairs it with, which a rebuilt per-item envelope carries,
+// and exactly the serve sentinels the envelope matches.
 func TestEnvelopeErrorIsMapsSentinels(t *testing.T) {
+	sentinels := []error{serve.ErrUnknownID, serve.ErrUnknownNode, serve.ErrDuplicateID,
+		serve.ErrNoLeader, serve.ErrIndeterminate, serve.ErrClusterClosed}
 	cases := []struct {
-		code string
-		want error
+		code   string
+		status int
+		is     []error
 	}{
-		{"not_found", serve.ErrUnknownID},
-		{"conflict", serve.ErrDuplicateID},
-		{"no_leader", serve.ErrNoLeader},
-		{"indeterminate", serve.ErrIndeterminate},
-		{"unavailable", serve.ErrClusterClosed},
+		{"not_found", http.StatusNotFound, []error{serve.ErrUnknownID, serve.ErrUnknownNode}},
+		{"conflict", http.StatusConflict, []error{serve.ErrDuplicateID}},
+		{"no_leader", http.StatusServiceUnavailable, []error{serve.ErrNoLeader}},
+		{"indeterminate", http.StatusServiceUnavailable, []error{serve.ErrIndeterminate}},
+		{"unavailable", http.StatusServiceUnavailable, []error{serve.ErrClusterClosed}},
+		{"overloaded", http.StatusTooManyRequests, nil},
+		{"bad_request", http.StatusBadRequest, nil},
+		{"invalid_scenario", http.StatusBadRequest, nil},
+		{"canceled", 499, nil},
+		{"not_leader", http.StatusTemporaryRedirect, nil},
+		{"invalid_dag", http.StatusUnprocessableEntity, nil},
+		{"method_not_allowed", http.StatusMethodNotAllowed, nil},
+		{"internal", http.StatusInternalServerError, nil},
+		{"no_such_code", http.StatusInternalServerError, nil},
 	}
 	for _, tc := range cases {
-		e := &EnvelopeError{Status: statusForCode(tc.code), Envelope: serve.APIError{Code: tc.code}}
-		if !errors.Is(e, tc.want) {
-			t.Errorf("EnvelopeError(%s) does not match %v", tc.code, tc.want)
+		e := client.ItemError(serve.APIError{Code: tc.code})
+		if e.Status != tc.status {
+			t.Errorf("ItemError(%s).Status = %d, want %d", tc.code, e.Status, tc.status)
+		}
+		for _, s := range sentinels {
+			if got, want := errors.Is(e, s), slices.Contains(tc.is, s); got != want {
+				t.Errorf("errors.Is(EnvelopeError(%s), %v) = %v, want %v", tc.code, s, got, want)
+			}
 		}
 	}
 }
@@ -571,26 +599,19 @@ func TestRoutedHTTPMultiGroupEndToEnd(t *testing.T) {
 
 	// A batch across all groups: every item placed, the shard header names
 	// one group per item, and they match the hash map.
-	var b strings.Builder
-	b.WriteString(`{"items":[`)
+	c, ctx := client.New(ts.URL, 5*time.Second, 0), context.Background()
 	const n = 16
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `{"id":"e2e-%d","tasks":[{"period_ns":1000000,"slice_ns":1000}]}`, i)
+	req := struct {
+		Items []serve.BatchPlaceItem `json:"items"`
+	}{make([]serve.BatchPlaceItem, n)}
+	for i := range req.Items {
+		req.Items[i] = serve.BatchPlaceItem{ID: fmt.Sprintf("e2e-%d", i), Tasks: setOfUtil(0.001)}
 	}
-	b.WriteString(`]}`)
-	resp, err := http.Post(ts.URL+"/v1/cluster/place-batch", "application/json", strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatalf("POST place-batch: %v", err)
+	var reply client.Raw
+	if err := c.Post(ctx, "/v1/cluster/place-batch", req, &reply); err != nil {
+		t.Fatalf("place-batch: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("place-batch: %d %s", resp.StatusCode, body)
-	}
-	hdr := resp.Header.Get(ShardGroupHeader)
+	hdr := reply.Header.Get(ShardGroupHeader)
 	parts := strings.Split(hdr, ",")
 	if len(parts) != n {
 		t.Fatalf("shard header has %d entries, want %d: %q", len(parts), n, hdr)
@@ -601,15 +622,10 @@ func TestRoutedHTTPMultiGroupEndToEnd(t *testing.T) {
 		}
 	}
 	var env struct {
-		Items []struct {
-			ID     string `json:"id"`
-			Result *struct {
-				Placed bool `json:"placed"`
-			} `json:"result"`
-		} `json:"items"`
+		Items []serve.PlaceBatchEntry `json:"items"`
 	}
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Items) != n {
-		t.Fatalf("batch envelope: %s (%v)", body, err)
+	if err := json.Unmarshal(reply.Body, &env); err != nil || len(env.Items) != n {
+		t.Fatalf("batch envelope: %s (%v)", reply.Body, err)
 	}
 	for i, it := range env.Items {
 		if it.ID != fmt.Sprintf("e2e-%d", i) || it.Result == nil || !it.Result.Placed {
@@ -618,36 +634,28 @@ func TestRoutedHTTPMultiGroupEndToEnd(t *testing.T) {
 	}
 
 	// Routed status aggregates all four groups.
-	sresp, err := http.Get(ts.URL + "/v1/cluster/status")
-	if err != nil {
+	var st RoutedStatus
+	if err := c.Get(ctx, "/v1/cluster/status", &st); err != nil {
 		t.Fatalf("GET status: %v", err)
 	}
-	sbody, _ := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
-	var st RoutedStatus
-	if err := json.Unmarshal(sbody, &st); err != nil {
-		t.Fatalf("status decode: %v\n%s", err, sbody)
-	}
 	if st.Groups != 4 || st.Reachable != 4 || st.Placements != n {
-		t.Fatalf("routed status groups=%d reachable=%d placements=%d, want 4/4/%d: %s",
-			st.Groups, st.Reachable, st.Placements, n, sbody)
+		t.Fatalf("routed status groups=%d reachable=%d placements=%d, want 4/4/%d",
+			st.Groups, st.Reachable, st.Placements, n)
 	}
 
 	// The route metrics surfaced on the shared registry.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
+	var metrics client.Raw
+	if err := c.Get(ctx, "/metrics", &metrics); err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
 	for _, want := range []string{
 		"hrtd_route_groups 4",
 		`hrtd_route_requests_total{group="0"}`,
 		"hrtd_route_fanout_width_count",
 		`hrtd_route_http_duration_us_count{route="place-batch"}`,
 	} {
-		if !strings.Contains(string(mbody), want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, mbody)
+		if !strings.Contains(string(metrics.Body), want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, metrics.Body)
 		}
 	}
 }

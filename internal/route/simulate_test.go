@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hrtsched/internal/client"
 	"hrtsched/internal/serve"
 	"hrtsched/internal/whatif"
 )
@@ -104,8 +105,8 @@ func TestRouterSimulateFallsThroughCapabilityGap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, _, err := r2.Simulate(context.Background(), req); !errors.Is(err, ErrGroupUnreachable) {
-		t.Fatalf("no-capability error = %v, want ErrGroupUnreachable", err)
+	if _, _, err := r2.Simulate(context.Background(), req); !errors.Is(err, client.ErrUnreachable) {
+		t.Fatalf("no-capability error = %v, want client.ErrUnreachable", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -143,13 +142,8 @@ func TestNonCanonicalPlacementsSurviveRestart(t *testing.T) {
 		"/v1/cluster/place-batch": "FuzzScanPlaceBatch",
 	} {
 		for name, body := range fuzzCorpus(t, target) {
-			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatalf("%s %s: %v", path, name, err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode >= 500 {
-				t.Fatalf("%s %s: status %d", path, name, resp.StatusCode)
+			if status, reply, _ := postJSON(t, ts.URL+path, body); status >= 500 {
+				t.Fatalf("%s %s: %d %s", path, name, status, reply)
 			}
 		}
 	}
@@ -167,26 +161,25 @@ func TestNonCanonicalPlacementsSurviveRestart(t *testing.T) {
 }
 
 // fuzzCorpus reads the committed seed corpus of one []byte fuzz target,
-// keyed by file name.
+// keyed by file path.
 func fuzzCorpus(t *testing.T, target string) map[string]string {
 	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", target)
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("%s: %d entries (%v)", dir, len(entries), err)
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("%s corpus: %d entries (%v)", target, len(paths), err)
 	}
-	out := make(map[string]string, len(entries))
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	out := make(map[string]string, len(paths))
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
 		body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
 		if !ok || err != nil {
-			t.Fatalf("%s/%s: not a []byte corpus entry (%v)", dir, e.Name(), err)
+			t.Fatalf("%s: not a []byte corpus entry (%v)", p, err)
 		}
-		out[e.Name()] = body
+		out[p] = body
 	}
 	return out
 }

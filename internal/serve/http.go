@@ -450,51 +450,78 @@ func decodeQuery(w http.ResponseWriter, req *http.Request, into *analyzeRequest)
 	return decodeBody(w, req, into)
 }
 
+// codeStatus pairs every v1 envelope code with the HTTP status a whole
+// reply carrying it answers with. queryError reads it, and so does a
+// client rebuilding a per-item batch envelope into an error.
+var codeStatus = map[string]int{
+	"overloaded":         http.StatusTooManyRequests,
+	"bad_request":        http.StatusBadRequest,
+	"invalid_scenario":   http.StatusBadRequest,
+	"conflict":           http.StatusConflict,
+	"not_found":          http.StatusNotFound,
+	"canceled":           statusClientClosedRequest,
+	"not_leader":         http.StatusTemporaryRedirect,
+	"no_leader":          http.StatusServiceUnavailable,
+	"indeterminate":      http.StatusServiceUnavailable,
+	"unavailable":        http.StatusServiceUnavailable,
+	"invalid_dag":        http.StatusUnprocessableEntity,
+	"method_not_allowed": http.StatusMethodNotAllowed,
+	"internal":           http.StatusInternalServerError,
+}
+
+// StatusForCode returns the HTTP status the v1 contract pairs with an
+// envelope code; an unknown code is an internal error.
+func StatusForCode(code string) int {
+	if status, ok := codeStatus[code]; ok {
+		return status
+	}
+	return http.StatusInternalServerError
+}
+
 // queryError maps a session error to its v1 envelope: the HTTP status
-// the single-item routes answer with, the APIError body, and the
-// Retry-After header value in whole seconds (0 = no header). Batch
-// routes embed the envelope per item; writeQueryError writes it whole.
+// the single-item routes answer with (codeStatus pairs it with the code),
+// the APIError body, and the Retry-After header value in whole seconds
+// (0 = no header). Batch routes embed the envelope per item;
+// writeQueryError writes it whole.
 func queryError(err error) (status int, e APIError, retryAfterSecs int64) {
 	var ae *core.AdmissionError
+	e.Reason = err.Error()
 	switch {
 	case errors.As(err, &ae):
 		// Load shed: tell the client when to come back, in the header
 		// (whole seconds, rounded up) and the body (milliseconds).
-		ms := (ae.RetryAfterNs + 999_999) / 1_000_000
+		e.Code, e.RetryAfterMs = "overloaded", (ae.RetryAfterNs+999_999)/1_000_000
 		if ae.RetryAfterNs > 0 {
 			retryAfterSecs = (ae.RetryAfterNs + 999_999_999) / 1_000_000_000
 		}
-		return http.StatusTooManyRequests, APIError{Code: "overloaded", Reason: err.Error(), RetryAfterMs: ms}, retryAfterSecs
 	case errors.Is(err, durable.ErrBadPlacement):
-		return http.StatusBadRequest, APIError{Code: "bad_request", Reason: err.Error()}, 0
+		e.Code = "bad_request"
 	case errors.Is(err, ErrDuplicateID), errors.Is(err, ErrPendingID):
-		return http.StatusConflict, APIError{Code: "conflict", Reason: err.Error()}, 0
+		e.Code = "conflict"
 	case errors.Is(err, ErrUnknownID), errors.Is(err, ErrUnknownNode):
-		return http.StatusNotFound, APIError{Code: "not_found", Reason: err.Error()}, 0
+		e.Code = "not_found"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return statusClientClosedRequest, APIError{Code: "canceled", Reason: err.Error()}, 0
+		e.Code = "canceled"
 	case errors.As(err, new(*NotLeaderError)), errors.Is(err, ErrNoLeader), errors.Is(err, ErrLeaderNotReady):
 		// Replica cannot take the mutation right now and no redirect was
 		// possible: tell the client when to retry.
-		return http.StatusServiceUnavailable, APIError{Code: "no_leader", Reason: err.Error(), RetryAfterMs: 1000}, 1
+		e.Code, e.RetryAfterMs, retryAfterSecs = "no_leader", 1000, 1
 	case errors.Is(err, ErrIndeterminate):
 		// The mutation MAY have committed; the client must re-issue the
 		// same id and treat a duplicate-id conflict as success.
-		return http.StatusServiceUnavailable, APIError{Code: "indeterminate", Reason: err.Error(), RetryAfterMs: 1000}, 1
+		e.Code, e.RetryAfterMs, retryAfterSecs = "indeterminate", 1000, 1
 	case errors.Is(err, ErrServerClosed), errors.Is(err, ErrClusterClosed):
-		return http.StatusServiceUnavailable, APIError{Code: "unavailable", Reason: err.Error()}, 0
+		e.Code = "unavailable"
 	default:
-		return http.StatusInternalServerError, APIError{Code: "internal", Reason: err.Error()}, 0
+		e.Code = "internal"
 	}
+	return StatusForCode(e.Code), e, retryAfterSecs
 }
 
 // writeQueryError maps a session error to the v1 envelope.
 func writeQueryError(w http.ResponseWriter, err error) {
 	status, e, secs := queryError(err)
-	if secs > 0 {
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
-	}
-	writeJSON(w, status, e)
+	WriteAPIError(w, status, e, secs)
 }
 
 // QueryError maps a session error to its v1 envelope — the exported form
@@ -503,10 +530,6 @@ func writeQueryError(w http.ResponseWriter, err error) {
 func QueryError(err error) (status int, e APIError, retryAfterSecs int64) {
 	return queryError(err)
 }
-
-// WriteQueryError writes the v1 envelope for err, including the
-// Retry-After header when the mapping calls for one.
-func WriteQueryError(w http.ResponseWriter, err error) { writeQueryError(w, err) }
 
 // WriteAPIError writes a pre-built envelope with the given status and
 // optional Retry-After header (whole seconds; 0 = no header).
