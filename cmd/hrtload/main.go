@@ -84,8 +84,8 @@ type workerResult struct {
 	errors    int64 // transport failures and unexpected statuses
 	sheds     int64 // 429/503 backpressure responses (each backs off)
 	cacheHits int64 // X-Hrtd-Cache: hit (query mode)
-	placed    int64 // admitted placements (cluster mode)
-	rejected  int64 // placements every node refused (cluster mode)
+	placed    int64 // admitted placements (cluster, batch and dag modes)
+	rejected  int64 // placements every node refused (cluster, batch and dag modes)
 	// mismatches counts simulate-mode replies that diverged from the
 	// first-seen reply for the same request body: determinism violations.
 	mismatches int64
@@ -108,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		conns  = fs.Int("conns", 16, "concurrent closed-loop connections")
 		pool   = fs.Int("pool", 64, "popular task-set pool size (query mode)")
 		repeat = fs.Float64("repeat", 0.9, "fraction of queries drawn from the pool in [0,1]")
-		live   = fs.Int("live", 4, "live placements each worker cycles through (cluster mode)")
+		live   = fs.Int("live", 4, "live placements each worker cycles through (cluster, dag) or places per batch (batch)")
 		seed   = fs.Uint64("seed", 11, "random seed")
 		check  = fs.Bool("check", false, "exit 1 on any hard error or a dead cache/cluster")
 	)
