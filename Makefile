@@ -9,7 +9,7 @@ GO ?= go
 # including the kill -9 recovery, leader-failover, DAG-recovery,
 # batched-placement, sharded-router, and what-if simulation smokes —
 # before it lands (see README "Testing").
-ci: fmt vet build race planverify perf-gate fuzz engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
+ci: fmt vet build race planverify perf-gate fuzz experiments-check engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,22 @@ fuzz:
 planverify:
 	$(GO) vet -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
 	$(GO) test -race -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
+
+# experiments regenerates the committed quick-scale artifact: every
+# experiment of `hrtbench -all` at the default seed, each block ending in
+# its figure digest (the wall-time lines go to stderr). A behaviour change
+# shows as a cell diff against results/quick.txt, which
+# TestGoldenDeterminism checks in tier-1. experiments-check requires the
+# CLI to print the artifact byte for byte at the default worker count, at
+# one worker and at GOMAXPROCS=1.
+.PHONY: experiments experiments-check
+experiments:
+	$(GO) run ./cmd/hrtbench -all > results/quick.txt
+
+experiments-check:
+	$(GO) run ./cmd/hrtbench -all 2>/dev/null | diff -u results/quick.txt -
+	$(GO) run ./cmd/hrtbench -all -workers 1 2>/dev/null | diff -u results/quick.txt -
+	GOMAXPROCS=1 $(GO) run ./cmd/hrtbench -all 2>/dev/null | diff -u results/quick.txt -
 
 # chaos smoke-runs every fault-injection scenario at a fixed seed and fails
 # on any invariant violation.

@@ -102,10 +102,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Print(figure.Format())
+		fmt.Print(experiments.Block(figure))
 		if *plot {
 			fmt.Print(figure.Plot(72, 20))
 		}
-		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -217,3 +217,10 @@ func IDs() []string {
 	}
 	return ids
 }
+
+// Block renders fig as one block of the committed quick-scale artifact
+// (results/quick.txt, regenerated by `make experiments`): the formatted
+// series and notes, then a digest line that pins every value bit for bit.
+func Block(fig *stats.Figure) string {
+	return fig.Format() + "digest: " + fig.Digest() + "\n"
+}
