@@ -40,7 +40,7 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 				t.cur = nil
 				continue
 			}
-			s.armAction(t, sim.Duration(t.curRemCycles))
+			s.actionEv.RescheduleAfter(sim.Duration(t.curRemCycles))
 			return
 		case Call:
 			t.cur = nil
@@ -84,7 +84,7 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 			if cost < 1 {
 				cost = 1
 			}
-			s.armAction(t, sim.Duration(cost))
+			s.actionEv.RescheduleAfter(sim.Duration(cost))
 			return
 		case admitMarker:
 			// Reached only on resume after preemption mid-admission; the
@@ -98,9 +98,10 @@ func (s *LocalScheduler) startAction(t *Thread, now sim.Time) {
 	}
 }
 
-// onActionComplete fires when the current Compute (or admission
+// onActionComplete fires when the current thread's Compute (or admission
 // computation) finishes on time.
-func (s *LocalScheduler) onActionComplete(t *Thread, now sim.Time) {
+func (s *LocalScheduler) onActionComplete(now sim.Time) {
+	t := s.current
 	s.accountCurrent(now)
 	switch t.cur.(type) {
 	case Compute, *Compute:

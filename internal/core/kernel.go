@@ -422,50 +422,39 @@ func (s *LocalScheduler) deviceIRQ(vec machine.Vector, now sim.Time) {
 
 // interruptHandlerWindow steals cost cycles from the current thread without
 // a scheduling pass: account progress, pause, and resume the same thread
-// afterwards (the timer remains armed at its absolute target).
+// afterwards (the timer remains armed at its absolute target). A CPU runs
+// one handler at a time, so a handler arriving while a window is pending
+// queues behind it: its cost extends the window, and the thread resumes
+// when the last queued handler ends.
 func (s *LocalScheduler) interruptHandlerWindow(now sim.Time, cost int64) {
 	t := s.current
 	if t == nil || t.state != Running {
 		// Idle CPU: the handler just burns idle time.
 		return
 	}
-	s.accountCurrent(now)
-	s.cancelAction()
-	s.scopeIRQWindow(now, cost)
-	w := s.freeWindows
-	if w != nil {
-		s.freeWindows = w.next
-	} else {
-		w = new(irqWindow)
-	}
-	*w = irqWindow{t: t, cost: cost}
-	s.k.Eng.AfterPayload(sim.Duration(cost), sim.Soft, s.windowDone, w, s.gen)
-}
-
-// irqWindow is one interrupt-handler window in flight: the thread it
-// interrupted and what it costs. Windows can overlap — a device interrupt
-// arriving inside another's window opens a second one while the first is
-// pending — so each carries its own cost; the records are recycled
-// through the scheduler's free list.
-type irqWindow struct {
-	t    *Thread
-	cost int64
-	next *irqWindow // free-list link
-}
-
-// onWindowDone is the window-completion handler interruptHandlerWindow
-// binds: ref is the window, gen the generation it opened under.
-func (s *LocalScheduler) onWindowDone(dn sim.Time, ref any, gen uint64) {
-	w := ref.(*irqWindow)
-	t, cost := w.t, w.cost
-	*w = irqWindow{next: s.freeWindows}
-	s.freeWindows = w
-	if gen != s.gen || s.current != t || t.state != Running {
+	if s.windowEv.Armed() {
+		s.windowCycles += cost
+		s.windowEv.Reschedule(s.windowEv.At() + sim.Duration(cost))
 		return
 	}
-	// The window ran to completion unpreempted; attribute it. A window
-	// cut short by a new pass is left to the idle residual instead.
-	s.irqWindowCycles += cost
+	s.accountCurrent(now)
+	s.actionEv.Cancel()
+	s.scopeIRQWindow(true)
+	s.windowCycles = cost
+	s.windowEv.RescheduleAfter(sim.Duration(cost))
+}
+
+// onWindowDone ends the interrupt-handler window: every queued handler ran
+// to completion unpreempted, so their summed cost is attributed and the
+// thread resumes. A window cut short by a pass is cancelled there and its
+// cycles are left to the idle residual instead.
+func (s *LocalScheduler) onWindowDone(dn sim.Time) {
+	s.scopeIRQWindow(false)
+	t := s.current
+	if t == nil || t.state != Running {
+		return
+	}
+	s.irqWindowCycles += s.windowCycles
 	s.runStartWall = dn
 	s.missingAtStart = s.k.Eng.MissingTime()
 	s.startAction(t, dn)
@@ -495,12 +484,12 @@ func (s *LocalScheduler) scopeThread(active bool) {
 	s.k.M.GPIO.SetPin(0, active)
 }
 
-func (s *LocalScheduler) scopeIRQWindow(now sim.Time, cost int64) {
+// scopeIRQWindow drives pin 2 for an interrupt-handler window: high when
+// it opens, low when its last queued handler ends.
+func (s *LocalScheduler) scopeIRQWindow(open bool) {
 	h := s.k.scopeHook
 	if h == nil || h.CPU != s.cpu.ID() {
 		return
 	}
-	g := s.k.M.GPIO
-	g.SetPin(2, true)
-	s.k.Eng.After(sim.Duration(cost), sim.Soft, func(sim.Time) { g.SetPin(2, false) })
+	s.k.M.GPIO.SetPin(2, open)
 }

@@ -86,21 +86,21 @@ type LocalScheduler struct {
 	runStartWall   sim.Time
 	missingAtStart sim.Duration
 	quantumEndNs   int64
-	actionEv       *sim.Event // pooled action-completion event (see armAction)
 	bootEv         *sim.Event // persistent first-invocation event
 	stealEv        *sim.Event // persistent steal-attempt event
 	stealGen       uint64     // s.gen when stealEv was last armed
 	rrCounter      uint64
 
+	// The current thread's in-flight action and interrupt-handler window
+	// end on one persistent event each: a CPU runs one of the two at a
+	// time, and a pass cancels both.
+	actionEv     *sim.Event // onActionComplete
+	windowEv     *sim.Event // onWindowDone
+	windowCycles int64      // summed cost of the handlers windowEv ends
+
 	// Cost of pass s.gen, booked by its completion event (see passDone).
 	passOverheadCycles int64 // IRQ entry + other + resched + switch
 	passInlineCycles   int64 // size-tagged tasks run inline
-
-	// Completion handlers bound to s once, shared by every action and
-	// interrupt-handler-window event, and the window records' free list.
-	actionDone  sim.PayloadHandler
-	windowDone  sim.PayloadHandler
-	freeWindows *irqWindow
 
 	periodicUtil float64
 	sporadicUtil float64
@@ -174,8 +174,8 @@ func (s *LocalScheduler) Ledger() Ledger {
 
 // reset makes s the freshly booted scheduler of cpu, drawing its stream
 // from the kernel's. Only storage survives from a previous boot: the run
-// queues' arrays, the persistent boot and steal events (idle after the
-// engine's reset), the bound completion handlers and the window records.
+// queues' arrays and the persistent events (idle after the engine's
+// reset).
 func (s *LocalScheduler) reset(k *Kernel, cpu *machine.CPU, clock *timesync.Clock, cfg *Config) {
 	pending, rtq, aperq := s.pending, s.rtq, s.aperq
 	if pending == nil {
@@ -185,23 +185,17 @@ func (s *LocalScheduler) reset(k *Kernel, cpu *machine.CPU, clock *timesync.Cloc
 	rtq.reset(cfg.MaxThreads, byDeadline)
 	aperq.reset(cfg.MaxThreads, byPriorityRR)
 	*s = LocalScheduler{
-		k:       k,
-		cpu:     cpu,
-		clock:   clock,
-		cfg:     cfg,
-		pending: pending,
-		rtq:     rtq,
-		aperq:   aperq,
-		bootEv:  s.bootEv,
-		stealEv: s.stealEv,
-
-		actionDone:  s.actionDone,
-		windowDone:  s.windowDone,
-		freeWindows: s.freeWindows,
-	}
-	if s.actionDone == nil {
-		s.actionDone = s.onActionDone
-		s.windowDone = s.onWindowDone
+		k:        k,
+		cpu:      cpu,
+		clock:    clock,
+		cfg:      cfg,
+		pending:  pending,
+		rtq:      rtq,
+		aperq:    aperq,
+		actionEv: s.actionEv,
+		windowEv: s.windowEv,
+		bootEv:   s.bootEv,
+		stealEv:  s.stealEv,
 	}
 	k.rng.SplitInto(&s.rng)
 	s.sliceSlackCycles = 2*k.M.Spec.APICTickCycles + 64
@@ -209,6 +203,8 @@ func (s *LocalScheduler) reset(k *Kernel, cpu *machine.CPU, clock *timesync.Cloc
 		s.bootEv = k.Eng.NewEvent(sim.Hard, func(now sim.Time) {
 			s.invoke(ReasonBoot, now)
 		})
+		s.actionEv = k.Eng.NewEvent(sim.Soft, s.onActionComplete)
+		s.windowEv = k.Eng.NewEvent(sim.Soft, s.onWindowDone)
 	}
 	// The steal attempt is per-pass churn with an at-most-one-pending
 	// invariant (armed only from dispatch, which follows a cancelling
@@ -277,7 +273,7 @@ func (s *LocalScheduler) invoke(reason InvokeReason, now sim.Time) {
 	s.gen++
 	s.inPass = true
 	s.cpu.SetPriority(0xF)
-	s.cancelAction()
+	s.actionEv.Cancel()
 	s.cancelSteal()
 	s.Stats.Invocations++
 	if !s.acctStarted {
@@ -300,6 +296,7 @@ func (s *LocalScheduler) invoke(reason InvokeReason, now sim.Time) {
 	if s.current != nil && s.current.state == Running {
 		s.accountCurrent(now)
 	}
+	s.windowEv.Cancel()
 	entryCurrent := s.current
 
 	// The pass observes the wall clock after entry costs have elapsed.
@@ -366,8 +363,14 @@ func passDone(dn sim.Time, ref any, gen uint64) {
 }
 
 // accountCurrent credits the running thread with the cycles it actually
-// executed since it was dispatched, excluding SMI missing time.
+// executed since it was dispatched, excluding SMI missing time. While an
+// interrupt-handler window is armed the thread is paused and credits
+// nothing: the handlers own those cycles, booked when the window ends or
+// left to the idle residual when a pass cuts it short.
 func (s *LocalScheduler) accountCurrent(now sim.Time) {
+	if s.windowEv.Armed() {
+		return
+	}
 	t := s.current
 	elapsed := int64(now-s.runStartWall) - int64(s.k.Eng.MissingTime()-s.missingAtStart)
 	if elapsed < 0 {
@@ -711,34 +714,6 @@ var debugDispatch func(*LocalScheduler, int64, int64)
 // missing time, which is exactly why the paper rejects lazy EDF (3.6).
 func (s *LocalScheduler) lazyGuardNs() int64 {
 	return s.clock.CyclesToNanos(3 * s.k.M.Spec.TotalSchedCycles())
-}
-
-func (s *LocalScheduler) cancelAction() {
-	if s.actionEv != nil {
-		s.actionEv.Cancel()
-		s.actionEv = nil
-	}
-}
-
-// armAction schedules completion of t's in-flight action d cycles from
-// now. Unlike the timer/steal/IRQ churn sites it deliberately schedules a
-// fresh pooled event per arm rather than re-arming one persistent event:
-// overlapping interrupt-handler windows (kernel.interruptHandlerWindow)
-// can arm a second completion while an earlier one is still pending, and
-// both firings are part of the engine-pinned deterministic behaviour. The
-// event object itself still comes from the engine's free list, and its
-// payload is the thread and the generation.
-func (s *LocalScheduler) armAction(t *Thread, d sim.Duration) {
-	s.actionEv = s.k.Eng.AfterPayload(d, sim.Soft, s.actionDone, t, s.gen)
-}
-
-// onActionDone is the action-completion handler armAction binds: ref is
-// the thread, gen the generation the action was armed under.
-func (s *LocalScheduler) onActionDone(dn sim.Time, ref any, gen uint64) {
-	if gen == s.gen {
-		s.actionEv = nil
-		s.onActionComplete(ref.(*Thread), dn)
-	}
 }
 
 func (s *LocalScheduler) mustPush(h *threadHeap, t *Thread) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hrtsched/internal/core"
+	"hrtsched/internal/fault"
 	"hrtsched/internal/machine"
 	"hrtsched/internal/sim"
 	"hrtsched/internal/stats"
@@ -163,10 +164,36 @@ func scribble(t *testing.T, r *replica) {
 }
 
 // replicaCase is one (A, B) pair: B runs on the replica that just ran A
-// and on fresh replicas, and must not tell the difference.
+// and on fresh replicas, and must not tell the difference. rewindA and
+// rewindB add a rewindTSC fault to that side's replications.
 type replicaCase struct {
-	a, b         Scenario
-	seedA, seedB uint64
+	a, b             Scenario
+	seedA, seedB     uint64
+	rewindA, rewindB bool
+}
+
+// rewindTSC is a deliberate defect no fault preset produces: 5 ms into
+// the replication it sets CPU 0's cycle counter back by 100 000 cycles,
+// which the checker's tsc-monotone check reports at the next scheduler
+// pass. It gives the checker's recording path a known source of
+// violations on fresh and reused replicas alike.
+type rewindTSC struct{}
+
+func (rewindTSC) Name() string { return "rewind-tsc" }
+
+func (rewindTSC) Start(env *fault.Env) {
+	m := env.M
+	m.Eng.After(m.Spec.NanosToCycles(5_000_000), sim.Hard, func(sim.Time) { m.CPU(0).SkewTSC(-100_000) })
+}
+
+// caseReplica is newReplica for one side of a case, with the rewindTSC
+// fault added when rewind is set.
+func caseReplica(node *Node, p prepared, rewind bool, recs []*jobRecorder) *replica {
+	r := newReplica(node, p.sc, p.spec, p.model, p.policy, recs)
+	if rewind {
+		r.injectors = append(r.injectors, rewindTSC{})
+	}
+	return r
 }
 
 // prepared is a normalized scenario ready for replication.
@@ -236,9 +263,10 @@ func randomScenario(rng *sim.Rand, i int, name string) Scenario {
 	return sc
 }
 
-// seed1093 is a scenario whose four replications trip the invariant
-// checker's conservation check 64 times in all, so the checker's
-// recording path runs on a reused replica too.
+// seed1093 is the scenario whose four replications tripped the invariant
+// checker's conservation check 64 times in all while nested interrupt
+// handlers ran in parallel on one CPU; TestConservationUnderFaultSubsets
+// runs its shape under every fault subset.
 func seed1093() Scenario {
 	return Scenario{
 		Name:    "seed-1093",
@@ -261,9 +289,9 @@ func replicaCases() []replicaCase {
 	rng := sim.NewRand(0x5eed)
 	cases := []replicaCase{
 		// A leaves recorded violations behind on the checker ...
-		{a: seed1093(), b: randomScenario(rng, 0, "after-1093"), seedA: 1093, seedB: 7},
+		{a: seed1093(), b: randomScenario(rng, 0, "after-1093"), seedA: 1093, seedB: 7, rewindA: true},
 		// ... and B records its own on a reused one.
-		{a: randomScenario(rng, 1, "before-1093"), b: seed1093(), seedA: 8, seedB: 1093},
+		{a: randomScenario(rng, 1, "before-1093"), b: seed1093(), seedA: 8, seedB: 1093, rewindB: true},
 	}
 	for i := range 8 {
 		c := replicaCase{
@@ -306,14 +334,14 @@ func TestReplicaRebootMatchesFreshBoot(t *testing.T) {
 		name := fmt.Sprintf("%s(%s,%dcpu)->%s(%s,%dcpu)", a.sc.Name, a.sc.Machine, a.sc.CPUs,
 			b.sc.Name, b.sc.Machine, b.sc.CPUs)
 		t.Run(name, func(t *testing.T) {
-			node := newReplica(new(Node), a.sc, a.spec, a.model, a.policy, a.recorders())
+			node := caseReplica(new(Node), a, c.rewindA, a.recorders())
 			seeds := sim.NewRand(c.seedA)
 			for range a.sc.Replications {
 				node.run(seeds.Uint64(), a.durationNs)
 			}
 			scribble(t, node)
 
-			reused := newReplica(node.Node, b.sc, b.spec, b.model, b.policy, b.recorders())
+			reused := caseReplica(node.Node, b, c.rewindB, b.recorders())
 			seeds = sim.NewRand(c.seedB)
 			for rep := range b.sc.Replications {
 				seed := seeds.Uint64()
@@ -327,7 +355,7 @@ func TestReplicaRebootMatchesFreshBoot(t *testing.T) {
 				got := snapshot(reused, reused.run(seed, b.durationNs), reusedRecs)
 
 				freshRecs := b.recorders()
-				fresh := newReplica(new(Node), b.sc, b.spec, b.model, b.policy, freshRecs)
+				fresh := caseReplica(new(Node), b, c.rewindB, freshRecs)
 				want := snapshot(fresh, fresh.run(seed, b.durationNs), freshRecs)
 
 				if want.Out.steps == 0 {
