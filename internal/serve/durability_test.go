@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -141,10 +142,20 @@ func TestNonCanonicalPlacementsSurviveRestart(t *testing.T) {
 		"/v1/cluster/place":       "FuzzScanPlace",
 		"/v1/cluster/place-batch": "FuzzScanPlaceBatch",
 	} {
+		placed := 0
 		for name, body := range fuzzCorpus(t, target) {
-			if status, reply, _ := postJSON(t, ts.URL+path, body); status >= 500 {
+			status, reply, _ := postJSON(t, ts.URL+path, body)
+			if status >= 500 {
 				t.Fatalf("%s %s: %d %s", path, name, status, reply)
 			}
+			if status == http.StatusOK && strings.Contains(reply, `"placed":true`) {
+				placed++
+			}
+		}
+		// Without an acknowledged placement the restart below checks
+		// nothing for this route's corpus.
+		if placed == 0 {
+			t.Fatalf("%s: no %s corpus entry was placed", path, target)
 		}
 	}
 	want := statusNoDur(t, c)
