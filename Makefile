@@ -4,8 +4,9 @@ GO ?= go
 
 # ci is the tier-1 gate: every change must pass gofmt, vet, build, the race-
 # enabled test suite, the planverify cross-check, the non-race perf
-# gates, a short run of every fuzz target, the engine benchmark smoke,
-# and the serving-layer smokes —
+# gates, a short run of every fuzz target, the quick experiments
+# artifact check, the engine benchmark smoke, and the serving-layer
+# smokes —
 # including the kill -9 recovery, leader-failover, DAG-recovery,
 # batched-placement, sharded-router, and what-if simulation smokes —
 # before it lands (see README "Testing").

@@ -451,7 +451,7 @@ func (s *LocalScheduler) interruptHandlerWindow(now sim.Time, cost int64) {
 func (s *LocalScheduler) onWindowDone(dn sim.Time) {
 	s.scopeIRQWindow(false)
 	t := s.current
-	if t == nil || t.state != Running {
+	if t.state != Running {
 		return
 	}
 	s.irqWindowCycles += s.windowCycles

@@ -12,11 +12,11 @@ import (
 // random-0.6,1.1:normal model — under every non-empty subset of
 // {irq-storm, timer-drift, smi-storm} and requires the invariant checker
 // to record nothing. A device interrupt arriving inside a pending
-// handler window used to open a second window in parallel on the same
-// CPU and book the first one's partial cost twice (as thread time and as
-// a handler window), which the conservation check reports. Tier-1 runs
-// the demote policy over seeds 1-50; the planverify build runs both off
-// and demote over seeds 1-200.
+// handler window must queue behind it: run in parallel on the same CPU,
+// the first window's elapsed part is booked twice (as thread time and as
+// handler time), which the conservation check reports. Tier-1 runs the
+// demote policy over seeds 1-50; the planverify build runs both off and
+// demote over seeds 1-200.
 func TestConservationUnderFaultSubsets(t *testing.T) {
 	presets := []string{"irq-storm", "timer-drift", "smi-storm"}
 	policies, seeds := []string{"demote"}, uint64(50)

@@ -263,10 +263,10 @@ func randomScenario(rng *sim.Rand, i int, name string) Scenario {
 	return sc
 }
 
-// seed1093 is the scenario whose four replications tripped the invariant
-// checker's conservation check 64 times in all while nested interrupt
-// handlers ran in parallel on one CPU; TestConservationUnderFaultSubsets
-// runs its shape under every fault subset.
+// seed1093 is a one-CPU scenario whose irq-storm nests device interrupts
+// inside pending handler windows, where the checker's conservation check
+// can fire; TestConservationUnderFaultSubsets runs its shape under every
+// fault subset.
 func seed1093() Scenario {
 	return Scenario{
 		Name:    "seed-1093",
