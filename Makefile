@@ -2,18 +2,25 @@ GO ?= go
 
 .PHONY: ci build vet test race planverify perf-gate fuzz chaos bench bench-engine bench-record bench-record-pr5 bench-record-pr7 bench-record-pr8 bench-record-pr9 bench-record-pr10 engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
-# ci is the tier-1 gate: every change must pass gofmt, vet, build, the race-
-# enabled test suite, the planverify cross-check, the non-race perf
+# ci is the tier-1 gate: every change must pass gofmt, vet, build, the
+# benchmark module's vet and tests, the race-enabled test suite, the planverify cross-check, the non-race perf
 # gates, a short run of every fuzz target, the quick experiments
 # artifact check, the engine benchmark smoke, and the serving-layer
 # smokes —
 # including the kill -9 recovery, leader-failover, DAG-recovery,
 # batched-placement, sharded-router, and what-if simulation smokes —
 # before it lands (see README "Testing").
-ci: fmt vet build race planverify perf-gate fuzz experiments-check engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
+ci: fmt vet build bench-module race planverify perf-gate fuzz experiments-check engine-bench-smoke whatif-bench-smoke serve-smoke cluster-smoke batch-smoke recovery-smoke failover-smoke dag-smoke shard-smoke simulate-smoke
 
 build:
 	$(GO) build ./...
+
+# bench-module vets and tests the benchmark driver, its own module under
+# bench/: go build ./... at the root never compiles it, so an export it
+# imports could otherwise vanish unnoticed until the benchmark runs.
+.PHONY: bench-module
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # loc prints the lines of Go outside bench/ and hidden directories (such
 # as the benchmark's .bench_build module cache): non-test, test, total.
@@ -57,8 +64,10 @@ perf-gate:
 # corpus (testdata/fuzz/, which plain go test replays): the canonical
 # request scanners against encoding/json, the hot response appenders
 # against encoding/json's reflective encoding of a mirror type, the WAL
-# record codec against itself, the WAL frame reader, and the what-if
-# model grammar against its own rendering. go test fuzzes
+# record codec against itself, the WAL frame reader, the what-if
+# model grammar against its own rendering, and the cold /v1 bodies
+# (drain, undrain, rebalance, DAG, simulate) against the envelope
+# contract. go test fuzzes
 # one target per run, hence one line each.
 fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanAnalyze$$' -fuzztime 5s
@@ -66,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanPlace$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanPlaceBatch$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanRemove$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzColdBodies$$' -fuzztime 5s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzVerdictAppendJSON$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendPlaceResult$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendRemoveReply$$' -fuzztime 5s

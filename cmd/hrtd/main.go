@@ -44,8 +44,8 @@
 // (each optionally durable under -data-dir/group-<k>); with -route the
 // daemon is a pure stateless router over remote group daemons, each of
 // which may itself be a replica set (the router follows 307 leader
-// redirects). The /v1/cluster and /v1/dag routes answer through the
-// router either way, with X-Hrtd-Shard-Group attribution headers.
+// redirects). The /v1/cluster, /v1/dag and /v1/simulate routes answer
+// through serve's handlers either way, with X-Hrtd-Shard-Group headers.
 package main
 
 import (
@@ -337,8 +337,8 @@ func main() {
 
 	var handler http.Handler = srv.HandlerWithCluster(cluster)
 	if router != nil {
-		// The router owns the /v1/cluster and /v1/dag routes; the query
-		// server keeps /v1/analyze, /metrics, and /healthz underneath it.
+		// The router serves the /v1/cluster, /v1/dag and /v1/simulate
+		// routes; the query server keeps the rest underneath it.
 		handler = router.Handler(srv.Handler())
 	}
 	hs := &http.Server{Handler: handler}

@@ -69,12 +69,12 @@ func TestRedirectReplaysBody(t *testing.T) {
 			http.Error(w, "body not replayed", http.StatusBadRequest)
 			return
 		}
-		serve.WriteJSON(w, http.StatusOK, serve.PlaceResult{Placed: true, Node: 3})
+		w.Write(serve.PlaceResult{Placed: true, Node: 3}.AppendJSON(nil)) //nolint:errcheck
 	}))
 	defer leader.Close()
 	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Location", leader.URL+req.URL.Path)
-		serve.WriteError(w, http.StatusTemporaryRedirect, "not_leader", "follower", 0)
+		serve.WriteAPIError(w, http.StatusTemporaryRedirect, serve.APIError{Code: "not_leader", Reason: "follower"}, 0)
 	}))
 	defer follower.Close()
 

@@ -231,11 +231,3 @@ func DefaultConfig(spec machine.Spec) Config {
 		PriorityFiltering:    true,
 	}
 }
-
-// rtCap returns the utilization left for periodic threads if both
-// reservations were fully consumed — the conservative planning figure.
-func (c *Config) rtCap() float64 {
-	return c.UtilizationLimit - c.SporadicReservation - c.AperiodicReservation
-}
-
-var _ = (&Config{}).rtCap // retained for capacity-planning consumers

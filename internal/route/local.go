@@ -3,89 +3,42 @@ package route
 import (
 	"context"
 
-	"hrtsched/internal/dag"
-	"hrtsched/internal/plan"
 	"hrtsched/internal/serve"
 	"hrtsched/internal/whatif"
 )
 
-// LocalGroup adapts an in-process serve.Cluster as a shard group. It
-// implements Migrator, so local groups fully participate in cross-shard
+// LocalGroup adapts an in-process serve.Cluster as a shard group: the
+// embedded cluster answers every Group and Migrator method whose
+// signature it shares, so local groups fully participate in cross-shard
 // drain and rebalance migrations. When constructed with
 // NewLocalGroupWithServer it also implements Simulator, delegating
 // what-if runs to the owning server's simulation pool.
 type LocalGroup struct {
-	c   *serve.Cluster
+	*serve.Cluster
 	srv *serve.Server
 }
 
 // NewLocalGroup wraps a cluster.
-func NewLocalGroup(c *serve.Cluster) *LocalGroup { return &LocalGroup{c: c} }
+func NewLocalGroup(c *serve.Cluster) *LocalGroup { return &LocalGroup{Cluster: c} }
 
 // NewLocalGroupWithServer wraps a cluster plus the server that owns it,
 // enabling the Simulator capability (the simulation worker pool lives on
 // the server, not the cluster).
 func NewLocalGroupWithServer(c *serve.Cluster, srv *serve.Server) *LocalGroup {
-	return &LocalGroup{c: c, srv: srv}
+	return &LocalGroup{Cluster: c, srv: srv}
 }
-
-// Cluster returns the wrapped cluster.
-func (g *LocalGroup) Cluster() *serve.Cluster { return g.c }
-
-// NodeCount implements Group.
-func (g *LocalGroup) NodeCount() int { return g.c.NodeCount() }
 
 // MaxBatchItems implements Group.
-func (g *LocalGroup) MaxBatchItems() int { return g.c.Config().MaxBatchItems }
-
-// Place implements Group.
-func (g *LocalGroup) Place(ctx context.Context, id string, set plan.TaskSet) (serve.PlaceResult, error) {
-	return g.c.Place(ctx, id, set)
-}
-
-// PlaceBatch implements Group.
-func (g *LocalGroup) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) []serve.BatchPlaceResult {
-	return g.c.PlaceBatch(ctx, items)
-}
-
-// PlaceDAG implements Group.
-func (g *LocalGroup) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer string) (serve.DAGPlaceResult, error) {
-	return g.c.PlaceDAG(ctx, id, t, analyzer)
-}
-
-// AnalyzeDAG implements Group: a placement-free analysis against the
-// group's platform spec.
-func (g *LocalGroup) AnalyzeDAG(_ context.Context, t dag.Task, analyzer string) (dag.Result, error) {
-	rta, err := dag.NewAnalyzer(analyzer)
-	if err != nil {
-		return dag.Result{}, err
-	}
-	return dag.New(g.c.Config().Spec, rta).AnalyzeDAG(&t)
-}
-
-// Remove implements Group.
-func (g *LocalGroup) Remove(ctx context.Context, id string) (plan.Verdict, error) {
-	return g.c.Remove(ctx, id)
-}
-
-// Drain implements Group.
-func (g *LocalGroup) Drain(ctx context.Context, localNode int) (serve.DrainReport, error) {
-	return g.c.Drain(ctx, localNode)
-}
+func (g *LocalGroup) MaxBatchItems() int { return g.Config().MaxBatchItems }
 
 // Undrain implements Group.
 func (g *LocalGroup) Undrain(_ context.Context, localNode int) error {
-	return g.c.Undrain(localNode)
-}
-
-// Rebalance implements Group.
-func (g *LocalGroup) Rebalance(ctx context.Context) (int, error) {
-	return g.c.Rebalance(ctx)
+	return g.Cluster.Undrain(localNode)
 }
 
 // Status implements Group; an in-process snapshot cannot fail.
 func (g *LocalGroup) Status(context.Context) (serve.ClusterStatus, error) {
-	return g.c.Status(), nil
+	return g.Cluster.Status(), nil
 }
 
 // Simulate implements Simulator when the group was constructed with
@@ -96,19 +49,4 @@ func (g *LocalGroup) Simulate(ctx context.Context, req serve.SimulateRequest) (*
 		return nil, errSimUnsupported
 	}
 	return g.srv.Simulate(ctx, req)
-}
-
-// Evaluate implements Migrator via the cluster's evaluate-only queue path.
-func (g *LocalGroup) Evaluate(ctx context.Context, set plan.TaskSet) ([]plan.Verdict, error) {
-	return g.c.Evaluate(ctx, set)
-}
-
-// Placement implements Migrator.
-func (g *LocalGroup) Placement(id string) (serve.PlacementInfo, bool) {
-	return g.c.Placement(id)
-}
-
-// BestMovableUnder implements Migrator.
-func (g *LocalGroup) BestMovableUnder(gap float64) (string, serve.PlacementInfo, bool) {
-	return g.c.BestMovableUnder(gap)
 }

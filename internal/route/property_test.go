@@ -133,7 +133,7 @@ func TestRoutedMatchesMonolithUnderRandomStream(t *testing.T) {
 	var routedIDs []string
 	for g := 0; g < router.Groups(); g++ {
 		lg := router.groups[g].(*LocalGroup)
-		routedIDs = append(routedIDs, liveIDs(t, lg.Cluster())...)
+		routedIDs = append(routedIDs, liveIDs(t, lg.Cluster)...)
 	}
 	sort.Strings(monoIDs)
 	sort.Strings(routedIDs)

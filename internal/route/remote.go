@@ -51,10 +51,20 @@ func (g *RemoteGroup) NodeCount() int { return g.nodes }
 // without tripping it, so the adapter assumes the default.
 func (g *RemoteGroup) MaxBatchItems() int { return serve.DefaultMaxBatchItems }
 
-// idRequest is the wire form of POST /v1/cluster/remove; nodeRequest and
-// dagRequest, shared with the router's handlers, spell the others.
+// idRequest, nodeRequest and dagRequest are the request bodies of
+// /v1/cluster/remove, /v1/cluster/drain and /undrain, and /v1/dag/*.
 type idRequest struct {
 	ID string `json:"id"`
+}
+
+type nodeRequest struct {
+	Node int `json:"node"`
+}
+
+type dagRequest struct {
+	ID       string   `json:"id,omitempty"`
+	Task     dag.Task `json:"task"`
+	Analyzer string   `json:"analyzer,omitempty"`
 }
 
 // Place implements Group.

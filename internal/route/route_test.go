@@ -379,7 +379,7 @@ func TestRemoteGroupErrorMapping(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		switch req.URL.Path {
 		case "/v1/cluster/status":
-			serve.WriteJSON(w, http.StatusOK, serve.ClusterStatus{
+			json.NewEncoder(w).Encode(serve.ClusterStatus{ //nolint:errcheck
 				Nodes: []serve.NodeStatus{{Node: 0}}, Policy: "first-fit"})
 		case "/v1/cluster/place-batch":
 			serve.WritePlaceBatchReply(w, []serve.PlaceBatchEntry{
@@ -462,7 +462,8 @@ func TestEnvelopeErrorIsMapsSentinels(t *testing.T) {
 // --- single-group byte-identity -------------------------------------------
 
 // driveIdentical fires the same request at an unrouted and a routed
-// handler and requires byte-identical status and body.
+// handler and requires byte-identical status, body, Content-Type and
+// Retry-After (the routed X-Hrtd-Shard-Group attribution is extra).
 func driveIdentical(t *testing.T, unrouted, routed *httptest.Server, method, path, body string) (int, string) {
 	t.Helper()
 	do := func(base string) (int, string) {
@@ -478,15 +479,16 @@ func driveIdentical(t *testing.T, unrouted, routed *httptest.Server, method, pat
 		}
 		defer resp.Body.Close()
 		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(b)
+		return resp.StatusCode, fmt.Sprintf("Content-Type: %q Retry-After: %q\n%s",
+			resp.Header.Get("Content-Type"), resp.Header.Get("Retry-After"), b)
 	}
-	uCode, uBody := do(unrouted.URL)
-	rCode, rBody := do(routed.URL)
-	if uCode != rCode || uBody != rBody {
+	uCode, uReply := do(unrouted.URL)
+	rCode, rReply := do(routed.URL)
+	if uCode != rCode || uReply != rReply {
 		t.Fatalf("%s %s diverges between unrouted and routed:\nunrouted: %d %s\nrouted:   %d %s",
-			method, path, uCode, uBody, rCode, rBody)
+			method, path, uCode, uReply, rCode, rReply)
 	}
-	return uCode, uBody
+	return uCode, uReply[strings.IndexByte(uReply, '\n')+1:]
 }
 
 func TestSingleGroupRoutedIsByteIdentical(t *testing.T) {
@@ -611,7 +613,7 @@ func TestRoutedHTTPMultiGroupEndToEnd(t *testing.T) {
 	if err := c.Post(ctx, "/v1/cluster/place-batch", req, &reply); err != nil {
 		t.Fatalf("place-batch: %v", err)
 	}
-	hdr := reply.Header.Get(ShardGroupHeader)
+	hdr := reply.Header.Get(serve.ShardGroupHeader)
 	parts := strings.Split(hdr, ",")
 	if len(parts) != n {
 		t.Fatalf("shard header has %d entries, want %d: %q", len(parts), n, hdr)

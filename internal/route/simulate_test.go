@@ -68,8 +68,8 @@ func TestSingleGroupRoutedSimulateIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(ShardGroupHeader); got != "0" {
-		t.Fatalf("%s = %q, want 0", ShardGroupHeader, got)
+	if got := resp.Header.Get(serve.ShardGroupHeader); got != "0" {
+		t.Fatalf("%s = %q, want 0", serve.ShardGroupHeader, got)
 	}
 }
 

@@ -607,6 +607,17 @@ func (c *Cluster) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer 
 	return res, err
 }
 
+// AnalyzeDAG runs the named response-time analysis of t against the
+// cluster's platform spec and places nothing: the /v1/dag/analyze answer.
+// Structural rejections return a *dag.ValidationError.
+func (c *Cluster) AnalyzeDAG(_ context.Context, t dag.Task, analyzer string) (dag.Result, error) {
+	rta, err := dag.NewAnalyzer(analyzer)
+	if err != nil {
+		return dag.Result{}, err
+	}
+	return dag.New(c.cfg.Spec, rta).AnalyzeDAG(&t)
+}
+
 // placeOnCandidates walks the candidate nodes in order, returning on the
 // first admit. Session errors (shed, closed, canceled) abort the walk.
 func (c *Cluster) placeOnCandidates(ctx context.Context, id string, set plan.TaskSet,

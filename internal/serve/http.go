@@ -135,24 +135,19 @@ func (s *Server) HandlerWithCluster(c *Cluster) http.Handler {
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("/v1/analyze-batch", s.handleAnalyzeBatch)
 	mux.HandleFunc("/v1/capacity", s.handleCapacity)
-	mux.HandleFunc("/v1/simulate", s.handleSimulate)
-	if c != nil {
-		mux.HandleFunc("/v1/cluster/place", c.handlePlace)
-		mux.HandleFunc("/v1/cluster/place-batch", c.handlePlaceBatch)
-		mux.HandleFunc("/v1/cluster/remove", c.handleRemove)
-		mux.HandleFunc("/v1/cluster/drain", c.handleDrain)
-		mux.HandleFunc("/v1/cluster/undrain", c.handleUndrain)
-		mux.HandleFunc("/v1/cluster/rebalance", c.handleRebalance)
-		mux.HandleFunc("/v1/cluster/status", c.handleStatus)
-		mux.HandleFunc("/v1/dag/place", c.handleDAGPlace)
-		mux.HandleFunc("/v1/dag/analyze", c.handleDAGAnalyze)
-		if c.repl != nil {
-			// Peer-to-peer consensus RPCs (append, vote, timeout-now).
-			h := repl.Handler(c.repl)
-			mux.Handle(repl.PathAppend, h)
-			mux.Handle(repl.PathVote, h)
-			mux.Handle(repl.PathTimeoutNow, h)
+	for _, rt := range Routes(clusterBackend{c, s}) {
+		// Without a cluster only /v1/simulate is served; the cluster and
+		// DAG routes fall through to the 404 below.
+		if c != nil || rt.Path == "/v1/simulate" {
+			mux.HandleFunc(rt.Path, rt.Handler)
 		}
+	}
+	if c != nil && c.repl != nil {
+		// Peer-to-peer consensus RPCs (append, vote, timeout-now).
+		h := repl.Handler(c.repl)
+		mux.Handle(repl.PathAppend, h)
+		mux.Handle(repl.PathVote, h)
+		mux.Handle(repl.PathTimeoutNow, h)
 	}
 	mux.Handle("/metrics", s.reg.Handler())
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -164,7 +159,7 @@ func (s *Server) HandlerWithCluster(c *Cluster) http.Handler {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	var body analyzeRequest
-	if !decodeQuery(w, req, &body) {
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	v, cached, err := s.AnalyzeContext(req.Context(), body.Tasks)
@@ -190,9 +185,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, req *http.Request) {
 	if !decodeBody(w, req, &body) {
 		return
 	}
-	if len(body.Items) > s.cfg.MaxBatchItems {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(body.Items), s.cfg.MaxBatchItems), 0)
+	if overBatchCap(w, len(body.Items), s.cfg.MaxBatchItems) {
 		return
 	}
 	sets := make([]plan.TaskSet, len(body.Items))
@@ -218,7 +211,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) handleCapacity(w http.ResponseWriter, req *http.Request) {
 	var body analyzeRequest
-	if !decodeQuery(w, req, &body) {
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	rep, err := s.CapacityContext(req.Context(), body.Tasks, body.ProbePeriodNs)
@@ -227,211 +220,6 @@ func (s *Server) handleCapacity(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// redirectToLeader answers a NotLeaderError with a 307 to the same path
-// on the leader (307 preserves the method and body, so a client that
-// follows it re-issues the identical mutation). Returns false when err is
-// anything else, or when no leader URL is known — the caller falls back
-// to writeQueryError's 503.
-func (c *Cluster) redirectToLeader(w http.ResponseWriter, req *http.Request, err error) bool {
-	var nl *NotLeaderError
-	if !errors.As(err, &nl) || nl.LeaderURL == "" {
-		return false
-	}
-	c.redirects.Add(1)
-	w.Header().Set("Location", strings.TrimSuffix(nl.LeaderURL, "/")+req.URL.Path)
-	writeError(w, http.StatusTemporaryRedirect, "not_leader", err.Error(), 0)
-	return true
-}
-
-func (c *Cluster) handlePlace(w http.ResponseWriter, req *http.Request) {
-	item, ok := DecodePlace(w, req)
-	if !ok {
-		return
-	}
-	res, err := c.Place(req.Context(), item.ID, item.Tasks)
-	if err != nil {
-		if !c.redirectToLeader(w, req, err) {
-			writeQueryError(w, err)
-		}
-		return
-	}
-	WritePlaceResult(w, res)
-}
-
-// handlePlaceBatch places many gangs in one request. The batch always
-// answers 200 with one envelope item per input, in input order; each item
-// carries either the PlaceResult the single route would have returned or
-// the APIError envelope it would have answered with. The one exception is
-// leadership: when the items fail with a redirectable NotLeaderError the
-// whole batch answers 307 to the leader, so a client that follows it
-// re-issues the identical batch there.
-func (c *Cluster) handlePlaceBatch(w http.ResponseWriter, req *http.Request) {
-	items, ok := DecodePlaceBatch(w, req)
-	if !ok {
-		return
-	}
-	if len(items) > c.cfg.MaxBatchItems {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d items exceeds the %d-item cap", len(items), c.cfg.MaxBatchItems), 0)
-		return
-	}
-	results := c.PlaceBatch(req.Context(), items)
-	out := make([]PlaceBatchEntry, len(results))
-	for i, r := range results {
-		out[i].ID = r.ID
-		if r.Err != nil {
-			if c.redirectToLeader(w, req, r.Err) {
-				return
-			}
-			_, e, _ := queryError(r.Err)
-			out[i].Error = &e
-			continue
-		}
-		res := r.Result
-		out[i].Result = &res
-	}
-	WritePlaceBatchReply(w, out)
-}
-
-// writeDAGError answers a structural DAG rejection: 422 with the uniform
-// envelope carrying the typed dag.ErrorCode and, for a precedence cycle,
-// the blocking node path. Returns false for any other error.
-func writeDAGError(w http.ResponseWriter, err error) bool {
-	var verr *dag.ValidationError
-	if !errors.As(err, &verr) {
-		return false
-	}
-	writeJSON(w, http.StatusUnprocessableEntity, APIError{
-		Code:         "invalid_dag",
-		Reason:       verr.Error(),
-		DAGCode:      string(verr.Code),
-		BlockingPath: verr.Path,
-	})
-	return true
-}
-
-func (c *Cluster) handleDAGPlace(w http.ResponseWriter, req *http.Request) {
-	var body dagRequest
-	if !decodeBody(w, req, &body) {
-		return
-	}
-	if _, err := dag.NewAnalyzer(body.Analyzer); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
-		return
-	}
-	res, err := c.PlaceDAG(req.Context(), body.ID, body.Task, body.Analyzer)
-	if err != nil {
-		if !writeDAGError(w, err) && !c.redirectToLeader(w, req, err) {
-			writeQueryError(w, err)
-		}
-		return
-	}
-	// Analytical and placement rejections are 200s: the Result carries the
-	// typed reason (path-overrun, deadline-miss) and the blocking path.
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (c *Cluster) handleDAGAnalyze(w http.ResponseWriter, req *http.Request) {
-	var body dagRequest
-	if !decodeBody(w, req, &body) {
-		return
-	}
-	rta, err := dag.NewAnalyzer(body.Analyzer)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
-		return
-	}
-	res, err := dag.New(c.cfg.Spec, rta).AnalyzeDAG(&body.Task)
-	if err != nil {
-		if !writeDAGError(w, err) {
-			writeQueryError(w, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (c *Cluster) handleRemove(w http.ResponseWriter, req *http.Request) {
-	id, ok := DecodeRemove(w, req)
-	if !ok {
-		return
-	}
-	v, err := c.Remove(req.Context(), id)
-	if err != nil {
-		if !c.redirectToLeader(w, req, err) {
-			writeQueryError(w, err)
-		}
-		return
-	}
-	WriteRemoveReply(w, v)
-}
-
-func (c *Cluster) handleDrain(w http.ResponseWriter, req *http.Request) {
-	var body nodeRequest
-	if !decodeBody(w, req, &body) {
-		return
-	}
-	// Detached context: a client hangup must not abort a multi-step
-	// admin operation halfway through its moves.
-	rep, err := c.Drain(context.WithoutCancel(req.Context()), body.Node)
-	if err != nil {
-		if !c.redirectToLeader(w, req, err) {
-			writeQueryError(w, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (c *Cluster) handleUndrain(w http.ResponseWriter, req *http.Request) {
-	var body nodeRequest
-	if !decodeBody(w, req, &body) {
-		return
-	}
-	if err := c.Undrain(body.Node); err != nil {
-		if !c.redirectToLeader(w, req, err) {
-			writeQueryError(w, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"node": body.Node})
-}
-
-func (c *Cluster) handleRebalance(w http.ResponseWriter, req *http.Request) {
-	var body struct{}
-	if !decodeBody(w, req, &body) {
-		return
-	}
-	// Detached for the same reason as handleDrain.
-	moved, err := c.Rebalance(context.WithoutCancel(req.Context()))
-	if err != nil {
-		if !c.redirectToLeader(w, req, err) {
-			writeQueryError(w, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"moved": moved})
-}
-
-func (c *Cluster) handleStatus(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only", 0)
-		return
-	}
-	// Status is served on every replica — a follower answers its durable
-	// view (the fold of the committed log prefix it has applied), with
-	// staleness headers so a client can judge how far behind it may be.
-	if c.repl != nil {
-		st := c.repl.Status()
-		w.Header().Set("X-Hrtd-Repl-Role", st.RoleName)
-		w.Header().Set("X-Hrtd-Repl-Term", fmt.Sprint(st.Term))
-		w.Header().Set("X-Hrtd-Repl-Applied-Lsn", fmt.Sprint(st.AppliedLSN))
-		w.Header().Set("X-Hrtd-Repl-Commit-Lsn", fmt.Sprint(st.CommitLSN))
-		w.Header().Set("X-Hrtd-Repl-Leader-Contact-Ms", fmt.Sprint(st.MsSinceLeaderContact))
-	}
-	writeJSON(w, http.StatusOK, c.Status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
@@ -444,10 +232,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		"shards":      len(s.shards),
 		"queue_depth": s.QueueDepth(),
 	})
-}
-
-func decodeQuery(w http.ResponseWriter, req *http.Request, into *analyzeRequest) bool {
-	return decodeBody(w, req, into)
 }
 
 // codeStatus pairs every v1 envelope code with the HTTP status a whole
@@ -525,8 +309,8 @@ func writeQueryError(w http.ResponseWriter, err error) {
 }
 
 // QueryError maps a session error to its v1 envelope — the exported form
-// of the mapping the single-item routes use, for front-ends (the shard
-// router) that must answer with byte-identical envelopes.
+// of a cluster's mapping, which the shard router's Backend.Envelope falls
+// back on for every failure that is not a remote group's own envelope.
 func QueryError(err error) (status int, e APIError, retryAfterSecs int64) {
 	return queryError(err)
 }
@@ -538,61 +322,6 @@ func WriteAPIError(w http.ResponseWriter, status int, e APIError, retryAfterSecs
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSecs))
 	}
 	writeJSON(w, status, e)
-}
-
-// WriteError writes the envelope for an ad-hoc code/reason pair.
-func WriteError(w http.ResponseWriter, status int, code, reason string, retryAfterMs int64) {
-	writeError(w, status, code, reason, retryAfterMs)
-}
-
-// WriteJSON writes v as the uniform JSON response (trailing newline
-// included), answering 500 if it cannot marshal.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-// DecodeBody parses a POST body into `into` with unknown fields rejected,
-// answering the envelope on any protocol error. Returns false when the
-// response has already been written.
-func DecodeBody(w http.ResponseWriter, req *http.Request, into any) bool {
-	return decodeBody(w, req, into)
-}
-
-// DecodePlace parses a /v1/cluster/place body as the served route does,
-// answering the envelope and returning false on any protocol error.
-func DecodePlace(w http.ResponseWriter, req *http.Request) (BatchPlaceItem, bool) {
-	var body placeRequest
-	ok := decodeBody(w, req, &body)
-	return BatchPlaceItem(body), ok
-}
-
-// DecodePlaceBatch parses a /v1/cluster/place-batch body as the served
-// route does, answering the envelope and returning false on any protocol
-// error. The item cap is the caller's to check.
-func DecodePlaceBatch(w http.ResponseWriter, req *http.Request) ([]BatchPlaceItem, bool) {
-	var body placeBatchRequest
-	if !decodeBody(w, req, &body) {
-		return nil, false
-	}
-	items := make([]BatchPlaceItem, len(body.Items))
-	for i, it := range body.Items {
-		items[i] = BatchPlaceItem(it)
-	}
-	return items, true
-}
-
-// DecodeRemove parses a /v1/cluster/remove body as the served route does,
-// answering the envelope and returning false on any protocol error.
-func DecodeRemove(w http.ResponseWriter, req *http.Request) (string, bool) {
-	var body idRequest
-	ok := decodeBody(w, req, &body)
-	return body.ID, ok
-}
-
-// WriteDAGErrorResponse answers a structural DAG rejection (422 with the
-// typed dag_code envelope) and reports whether err was one. Front-ends
-// replicating the /v1/dag/* contract use it before falling back to
-// QueryError.
-func WriteDAGErrorResponse(w http.ResponseWriter, err error) bool {
-	return writeDAGError(w, err)
 }
 
 func writeError(w http.ResponseWriter, status int, code, reason string, retryAfterMs int64) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,7 +96,7 @@ func (p *simPool) acquire(ctx context.Context) (*whatif.Node, error) {
 
 // Simulate runs one what-if scenario on the caller's goroutine once a
 // slot is free. The scenario must already be normalized and validated (the
-// HTTP handler and router do this so malformed scenarios answer 400, not
+// /v1/simulate handler does this so malformed scenarios answer 400, not
 // 500). A full wait line sheds with the standard overload error.
 func (s *Server) Simulate(ctx context.Context, req SimulateRequest) (*whatif.Report, error) {
 	p := s.sim
@@ -130,25 +129,6 @@ func (s *Server) Simulate(ctx context.Context, req SimulateRequest) (*whatif.Rep
 	p.hist.Add(float64(elapsed.Microseconds()))
 	p.histMu.Unlock()
 	return report, nil
-}
-
-// handleSimulate answers POST /v1/simulate.
-func (s *Server) handleSimulate(w http.ResponseWriter, req *http.Request) {
-	var body SimulateRequest
-	if !decodeBody(w, req, &body) {
-		return
-	}
-	body.Scenario = body.Scenario.Normalize()
-	if err := body.Scenario.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_scenario", err.Error(), 0)
-		return
-	}
-	report, err := s.Simulate(req.Context(), body)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, report)
 }
 
 func (s *Server) registerSimMetrics() {

@@ -380,15 +380,6 @@ func writeAppended(w http.ResponseWriter, appendJSON func([]byte) []byte) {
 	putBody(bp, b)
 }
 
-// WritePlaceResult answers 200 with the /v1/cluster/place body for res.
-func WritePlaceResult(w http.ResponseWriter, res PlaceResult) { writeAppended(w, res.AppendJSON) }
-
-// WriteRemoveReply answers 200 with the /v1/cluster/remove body
-// {"verdict":...} for v.
-func WriteRemoveReply(w http.ResponseWriter, v plan.Verdict) {
-	writeAppended(w, func(b []byte) []byte { return appendRemoveReply(b, v) })
-}
-
 // WritePlaceBatchReply answers 200 with the /v1/cluster/place-batch
 // envelope {"items":[...]} for items.
 func WritePlaceBatchReply(w http.ResponseWriter, items []PlaceBatchEntry) {
