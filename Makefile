@@ -65,9 +65,10 @@ perf-gate:
 # request scanners against encoding/json, the hot response appenders
 # against encoding/json's reflective encoding of a mirror type, the WAL
 # record codec against itself, the WAL frame reader, the what-if
-# model grammar against its own rendering, and the cold /v1 bodies
+# model grammar against its own rendering, the cold /v1 bodies
 # (drain, undrain, rebalance, DAG, simulate) against the envelope
-# contract. go test fuzzes
+# contract, snapshot bodies against a durable cluster's boot, and the
+# replication term envelope against itself. go test fuzzes
 # one target per run, hence one line each.
 fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanAnalyze$$' -fuzztime 5s
@@ -84,12 +85,16 @@ fuzz:
 	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 5s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzNextFrame$$' -fuzztime 5s
 	$(GO) test ./internal/whatif -run '^$$' -fuzz '^FuzzParseModel$$' -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSnapshotBoot$$' -fuzztime 5s
+	$(GO) test ./internal/repl -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 5s
 
 # planverify rebuilds the admission layers with the verification tag on,
 # so every Incremental verdict is asserted bit-identical to a fresh full
 # Analyze of the same candidate, under the race detector. It also runs
-# whatif's admission oracle in its long form: 20 000 one-CPU probe sets
-# plus 2-4-CPU partitions, none of them admitted and then missed.
+# the long forms that plain go test shortens: plan's two random-sequence
+# property suites at 1000 sequences each, and whatif's admission oracle
+# at 20 000 one-CPU probe sets plus 2-4-CPU partitions, none of them
+# admitted and then missed.
 planverify:
 	$(GO) vet -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
 	$(GO) test -race -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
+	"hrtsched/internal/plan"
 	"hrtsched/internal/sim"
 )
 
@@ -164,23 +166,16 @@ func (s *LocalScheduler) AdmitCheck(t *Thread, c Constraints) error {
 	if s.cfg.Admit == AdmitNone {
 		return nil
 	}
-	ownPeriodic, ownSporadic := 0.0, 0.0
-	switch t.cons.Type {
-	case Periodic:
-		ownPeriodic = t.cons.Utilization()
-	case Sporadic:
-		if t.isRTNow() {
-			ownSporadic = t.cons.Utilization()
-		}
-	}
+	ownPeriodic, ownSporadic := t.reservation()
 	switch c.Type {
 	case Aperiodic:
 		return nil
 	case Periodic:
 		if s.cfg.Admit == AdmitSim {
-			if !s.admitBySimulation(t, c) {
-				return s.rejectAdmission("hyperperiod-miss",
-					"hyperperiod simulation found missed deadlines")
+			set := append(s.periodicSet(t), plan.Task{PeriodNs: c.PeriodNs, SliceNs: c.SliceNs})
+			if v := plan.Analyze(s.k.admit, set); !v.Admit {
+				return s.rejectAdmission(v.Reason.String(),
+					fmt.Sprintf("plan.Analyze rejected the periodic set (util %.3f)", v.Utilization))
 			}
 			return nil
 		}
@@ -255,78 +250,40 @@ func (s *LocalScheduler) AdmitCurrent(t *Thread, c Constraints) error {
 }
 
 // Admit performs local admission control for thread t requesting c, at
-// wall-clock time nowNs, per Section 3.2. On success the thread's schedule
-// is reset with admission time Gamma = nowNs. Aperiodic requests are always
-// admitted.
+// wall-clock time nowNs, per Section 3.2: AdmitCheck, then, on success,
+// the thread's old reservation is released, the new one added, and its
+// schedule reset with admission time Gamma = nowNs. Aperiodic requests are
+// always admitted. A rejection leaves the reservations untouched.
 func (s *LocalScheduler) Admit(t *Thread, c Constraints, nowNs int64) error {
-	var limits *Limits
-	if s.cfg.Admit != AdmitNone {
-		limits = &s.cfg.Limits
-	}
-	if err := c.Validate(limits); err != nil {
+	if err := s.AdmitCheck(t, c); err != nil {
 		return err
 	}
-	// Release the thread's previous reservation.
-	oldUtil := t.cons.Utilization()
+	ownPeriodic, ownSporadic := t.reservation()
+	s.periodicUtil -= ownPeriodic
+	s.sporadicUtil -= ownSporadic
+	switch c.Type {
+	case Periodic:
+		s.periodicUtil += c.Utilization()
+	case Sporadic:
+		s.sporadicUtil += c.Utilization()
+	}
+	t.resetSchedule(c, nowNs, s.clock.NanosToCycles)
+	return nil
+}
+
+// reservation returns the periodic and sporadic utilization t's current
+// constraints hold on its scheduler: a periodic thread always holds its
+// share, a sporadic one only while its burst is real-time.
+func (t *Thread) reservation() (periodic, sporadic float64) {
 	switch t.cons.Type {
 	case Periodic:
-		s.periodicUtil -= oldUtil
+		return t.cons.Utilization(), 0
 	case Sporadic:
 		if t.isRTNow() {
-			s.sporadicUtil -= oldUtil
+			return 0, t.cons.Utilization()
 		}
 	}
-	restore := func() {
-		switch t.cons.Type {
-		case Periodic:
-			s.periodicUtil += oldUtil
-		case Sporadic:
-			if t.isRTNow() {
-				s.sporadicUtil += oldUtil
-			}
-		}
-	}
-
-	switch c.Type {
-	case Aperiodic:
-		t.resetSchedule(c, nowNs, s.clock.NanosToCycles)
-		return nil
-	case Periodic:
-		u := c.Utilization()
-		switch {
-		case s.cfg.Admit == AdmitNone:
-			// accept unconditionally
-		case s.cfg.Admit == AdmitSim:
-			if !s.admitBySimulation(t, c) {
-				restore()
-				return s.rejectAdmission("hyperperiod-miss",
-					"hyperperiod simulation found missed deadlines")
-			}
-		default:
-			if !s.periodicFits(u) {
-				restore()
-				return s.rejectAdmission("util-cap",
-					fmt.Sprintf("periodic util %.3f over cap (have %.3f, cap %.3f)",
-						u, s.periodicUtil, s.periodicCap()))
-			}
-		}
-		s.periodicUtil += u
-		t.resetSchedule(c, nowNs, s.clock.NanosToCycles)
-		return nil
-	case Sporadic:
-		u := c.Utilization()
-		if s.cfg.Admit != AdmitNone && s.sporadicUtil+u > s.cfg.SporadicReservation+1e-12 {
-			restore()
-			return s.rejectAdmission("sporadic-reservation",
-				fmt.Sprintf("sporadic util %.3f over reservation %.3f",
-					s.sporadicUtil+u, s.cfg.SporadicReservation))
-		}
-		s.sporadicUtil += u
-		t.resetSchedule(c, nowNs, s.clock.NanosToCycles)
-		return nil
-	}
-	restore()
-	return ErrBadConstraints
+	return 0, 0
 }
 
 // periodicCap returns the utilization available to periodic threads under
@@ -340,62 +297,18 @@ func (s *LocalScheduler) periodicCap() float64 {
 	cap := s.cfg.UtilizationLimit
 	if s.cfg.Admit == AdmitRM {
 		// Liu & Layland: n(2^(1/n)-1) of the available fraction.
-		n := float64(s.countPeriodic() + 1)
-		cap *= n * (pow2inv(n) - 1)
+		n := float64(len(s.periodicSet(nil)) + 1)
+		cap *= n * (math.Pow(2, 1/n) - 1)
 	}
 	return cap
-}
-
-func (s *LocalScheduler) periodicFits(u float64) bool {
-	return s.periodicUtil+u <= s.periodicCap()+1e-12
-}
-
-func (s *LocalScheduler) countPeriodic() int {
-	n := 0
-	count := func(t *Thread) {
-		if t.cons.Type == Periodic {
-			n++
-		}
-	}
-	s.pending.All(count)
-	s.rtq.All(count)
-	if s.current != nil && s.current.cons.Type == Periodic {
-		n++
-	}
-	return n
-}
-
-// pow2inv computes 2^(1/n) without importing math for a single call site.
-func pow2inv(n float64) float64 {
-	// Newton iteration on f(x) = n*ln(x) - ln(2) is overkill; use the
-	// identity 2^(1/n) = exp(ln2/n) with a short series good to ~1e-9 for
-	// n >= 1 (argument <= ln2).
-	x := 0.6931471805599453 / n
-	term, sum := 1.0, 1.0
-	for k := 1; k <= 12; k++ {
-		term *= x / float64(k)
-		sum += term
-	}
-	return sum
 }
 
 // exitThread finalizes t: releases reservations, detaches it from the CPU,
 // and fires OnExit.
 func (s *LocalScheduler) exitThread(t *Thread) {
-	switch t.cons.Type {
-	case Periodic:
-		s.periodicUtil -= t.cons.Utilization()
-		if s.periodicUtil < 0 {
-			s.periodicUtil = 0
-		}
-	case Sporadic:
-		if t.isRTNow() {
-			s.sporadicUtil -= t.cons.Utilization()
-			if s.sporadicUtil < 0 {
-				s.sporadicUtil = 0
-			}
-		}
-	}
+	ownPeriodic, ownSporadic := t.reservation()
+	s.periodicUtil = max(s.periodicUtil-ownPeriodic, 0)
+	s.sporadicUtil = max(s.sporadicUtil-ownSporadic, 0)
 	t.state = Exited
 	t.cur = nil
 	s.k.liveThreads--

@@ -304,10 +304,10 @@ func TestRMPolicyStricter(t *testing.T) {
 }
 
 func TestAdmitSimRejectsInfeasibleFineGrain(t *testing.T) {
-	// 20us period at 70% slice passes the 79% utilization bound, but with
-	// ~9.2us of scheduler overhead per period it cannot actually be
-	// scheduled (Figure 6's infeasible region). The hyperperiod-simulation
-	// admission test must reject it where the bound admits it.
+	// A 25us period at 70% slice passes the utilization bound, but with
+	// two ~5.2us worst-case scheduler invocations per job it cannot
+	// actually be scheduled (Figure 6's infeasible region). AdmitSim asks
+	// plan.Analyze, which must reject it where the bound admits it.
 	verdict := func(policy AdmitPolicy, periodNs, sliceNs int64) error {
 		k := testKernel(t, 1, 42, func(c *Config) { c.Admit = policy })
 		th := k.Spawn("x", 0, spin(1000))
@@ -315,12 +315,19 @@ func TestAdmitSimRejectsInfeasibleFineGrain(t *testing.T) {
 		return k.Locals[0].AdmitCheck(th, PeriodicConstraints(0, periodNs, sliceNs))
 	}
 	// The utilization bound admits this infeasible request...
-	if err := verdict(AdmitEDF, 20_000, 14_000); err != nil {
+	if err := verdict(AdmitEDF, 25_000, 17_500); err != nil {
 		t.Fatalf("EDF bound unexpectedly rejected: %v", err)
 	}
-	// ...the simulation does not.
-	if err := verdict(AdmitSim, 20_000, 14_000); err == nil {
-		t.Fatalf("simulation admitted an infeasible fine-grain set")
+	// ...the analysis does not, and says why with its own reason tag.
+	var ae *AdmissionError
+	if err := verdict(AdmitSim, 25_000, 17_500); !errors.As(err, &ae) || ae.Reason != "hyperperiod-miss" {
+		t.Fatalf("analysis admitted an infeasible fine-grain set: %v", err)
+	}
+	// A 20us period is below the minimum period (4·o) under either policy.
+	for _, policy := range []AdmitPolicy{AdmitEDF, AdmitSim} {
+		if err := verdict(policy, 20_000, 14_000); !errors.Is(err, ErrTooFine) {
+			t.Fatalf("policy %v: 20us period answered %v, want ErrTooFine", policy, err)
+		}
 	}
 	// Both admit a clearly feasible coarse request.
 	if err := verdict(AdmitSim, 1_000_000, 500_000); err != nil {
@@ -343,22 +350,23 @@ func TestAdmitSimEndToEndZeroMisses(t *testing.T) {
 }
 
 func TestSimulateHyperperiodUnit(t *testing.T) {
-	// Pure-function checks of the offline simulator (now internal/plan).
-	ovh := int64(4_600) // ~6000 cycles at 1.3GHz
-	if !plan.Simulate(plan.TaskSet{{PeriodNs: 100_000, SliceNs: 30_000}, {PeriodNs: 200_000, SliceNs: 60_000}}, ovh, 0.79).OK {
+	// Pure-function checks of the analysis AdmitSim asks (internal/plan).
+	spec := plan.Spec{OverheadNs: 4_600, UtilizationLimit: 0.79} // ~6000 cycles at 1.3GHz
+	admit := func(set plan.TaskSet) bool { return plan.Analyze(spec, set).Admit }
+	if !admit(plan.TaskSet{{PeriodNs: 100_000, SliceNs: 30_000}, {PeriodNs: 200_000, SliceNs: 60_000}}) {
 		t.Fatalf("feasible harmonic set rejected")
 	}
-	if plan.Simulate(plan.TaskSet{{PeriodNs: 10_000, SliceNs: 8_000}}, ovh, 0.79).OK {
+	if admit(plan.TaskSet{{PeriodNs: 10_000, SliceNs: 8_000}}) {
 		t.Fatalf("over-dense set admitted")
 	}
-	if !plan.Simulate(nil, ovh, 0.79).OK {
+	if !admit(nil) {
 		t.Fatalf("empty set rejected")
 	}
-	if plan.Simulate(plan.TaskSet{{PeriodNs: 0, SliceNs: 1}}, ovh, 0.79).OK {
+	if admit(plan.TaskSet{{PeriodNs: 0, SliceNs: 1}}) {
 		t.Fatalf("malformed task admitted")
 	}
 	// Pathological hyperperiod: conservative rejection, not a hang.
-	if plan.Simulate(plan.TaskSet{{PeriodNs: 999_983, SliceNs: 10}, {PeriodNs: 999_979, SliceNs: 10}, {PeriodNs: 999_961, SliceNs: 10}}, ovh, 0.79).OK {
+	if admit(plan.TaskSet{{PeriodNs: 999_983, SliceNs: 10}, {PeriodNs: 999_979, SliceNs: 10}, {PeriodNs: 999_961, SliceNs: 10}}) {
 		t.Fatalf("unbounded hyperperiod not rejected")
 	}
 }

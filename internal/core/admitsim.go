@@ -6,9 +6,10 @@ package core
 // the local scheduler for a hyperperiod. The decision procedure itself —
 // EDF over one hyperperiod, charging the scheduler's per-invocation
 // overhead (two interrupts per period, Section 5.3), with conservative
-// rejection on hyperperiod overflow or step-bound exhaustion — lives in
-// internal/plan as a pure, exported engine; this file only collects the
-// scheduler's currently admitted periodic set and asks plan for a verdict.
+// rejection on hyperperiod overflow or step-bound exhaustion — is
+// plan.Analyze, the verdict /v1/analyze answers, asked by AdmitCheck
+// under the boot's spec (Kernel.admit); this file only collects the
+// scheduler's currently admitted periodic set.
 
 import "hrtsched/internal/plan"
 
@@ -27,15 +28,4 @@ func (s *LocalScheduler) periodicSet(exclude *Thread) plan.TaskSet {
 		add(s.current)
 	}
 	return out
-}
-
-// admitBySimulation checks a periodic request by simulating the resulting
-// task set over a hyperperiod, including scheduler overhead.
-func (s *LocalScheduler) admitBySimulation(t *Thread, c Constraints) bool {
-	set := append(s.periodicSet(t), plan.Task{PeriodNs: c.PeriodNs, SliceNs: c.SliceNs})
-	overheadNs := s.clock.CyclesToNanos(s.k.M.Spec.TotalSchedCycles())
-	// The prototype is a "periodic thread-only model" (Section 3.2): it
-	// charges scheduler overhead explicitly and reserves only the
-	// utilization limit's headroom, not the sporadic/aperiodic fractions.
-	return plan.Simulate(set, overheadNs, s.cfg.UtilizationLimit).OK
 }

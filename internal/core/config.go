@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hrtsched/internal/machine"
+	"hrtsched/internal/plan"
 	"hrtsched/internal/sim"
 )
 
@@ -212,13 +213,15 @@ func (d DegradeConfig) maxAttempts() int {
 // DefaultConfig returns the paper's default configuration for the given
 // platform spec.
 func DefaultConfig(spec machine.Spec) Config {
-	minPeriod := 2 * spec.CyclesToNanos(sim.Time(2*spec.TotalSchedCycles()))
+	const utilLimit = 0.99
+	// Twice the two invocations (2·o) plan charges each job.
+	minPeriod := 4 * plan.SpecFor(spec, utilLimit).OverheadNs
 	minSlice := spec.CyclesToNanos(sim.Time(spec.ContextSwitchCycles))
 	if minSlice < 1 {
 		minSlice = 1
 	}
 	return Config{
-		UtilizationLimit:     0.99,
+		UtilizationLimit:     utilLimit,
 		SporadicReservation:  0.10,
 		AperiodicReservation: 0.10,
 		AperiodicQuantumNs:   100_000_000, // 10 Hz

@@ -115,8 +115,10 @@ var (
 // when the same request might plausibly succeed. It unwraps to
 // ErrAdmission, so errors.Is(err, ErrAdmission) keeps working.
 type AdmissionError struct {
-	// Reason is a stable tag: "util-cap", "sporadic-reservation", or
-	// "hyperperiod-miss".
+	// Reason is a stable tag: "util-cap" or "sporadic-reservation" from
+	// the utilization bounds, or under AdmitSim the plan.Reason tag of the
+	// rejecting verdict ("util-cap", "hyperperiod-miss",
+	// "hyperperiod-overflow" or "sim-steps-exhausted").
 	Reason string
 	Detail string
 	// RetryAfterNs estimates when capacity might free (the earliest

@@ -5,6 +5,7 @@ import (
 
 	"hrtsched/internal/machine"
 	"hrtsched/internal/mem"
+	"hrtsched/internal/plan"
 	"hrtsched/internal/sim"
 	"hrtsched/internal/timesync"
 )
@@ -28,6 +29,11 @@ type Kernel struct {
 
 	// AdmitCostCycles is the cost of one local admission-control run.
 	AdmitCostCycles int64
+
+	// admit is the plan.SpecFor spec of this boot. Every overhead term
+	// the kernel charges is a multiple of its OverheadNs (o): AdmitSim's
+	// plan.Analyze, the wake fit (2·o) and the lazy-EDF guard (3·o).
+	admit plan.Spec
 
 	// OnSwitch, if set, is called whenever a local scheduler context-
 	// switches into a thread: the instrumentation hook behind Figures 11
@@ -121,6 +127,7 @@ func (k *Kernel) Reboot(m *machine.Machine, cfg Config) {
 		Locals:          reuse(locals, n),
 		Mem:             numa,
 		AdmitCostCycles: m.Spec.AdmitCostCycles,
+		admit:           plan.SpecFor(m.Spec, cfg.UtilizationLimit),
 		threads:         k.threads[:0],
 		stackPool:       k.stackPool[:0],
 		threadRands:     k.threadRands,
@@ -303,11 +310,11 @@ func (k *Kernel) Wake(t *Thread) {
 		if t.arrivalNs <= nowNs {
 			// Waking mid-period: the thread waived the part of its slice
 			// it spent blocked, so commit only to what still fits before
-			// the deadline (leaving room for the scheduler's own
-			// invocations); committing to the full slice would fabricate a
-			// miss the thread never asked the scheduler to prevent.
-			overheadNs := s.clock.CyclesToNanos(2 * k.M.Spec.TotalSchedCycles())
-			fitNs := t.deadlineNs - nowNs - overheadNs
+			// the deadline (leaving room for the two invocations jobCharge
+			// charges per job); committing to the full slice would
+			// fabricate a miss the thread never asked the scheduler to
+			// prevent.
+			fitNs := t.deadlineNs - nowNs - 2*k.admit.OverheadNs
 			if fitNs <= 0 {
 				// Too close to the boundary: wait for the next arrival.
 				t.arrivalNs = t.deadlineNs

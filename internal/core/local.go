@@ -710,10 +710,11 @@ var debugInvoke func(*LocalScheduler, InvokeReason, sim.Time)
 var debugDispatch func(*LocalScheduler, int64, int64)
 
 // lazyGuardNs is the margin a lazy (latest-possible-start) scheduler must
-// leave for its own invocation costs. It deliberately cannot cover SMI
+// leave for its own invocation costs: three worst-case invocations (3·o).
+// It deliberately cannot cover SMI
 // missing time, which is exactly why the paper rejects lazy EDF (3.6).
 func (s *LocalScheduler) lazyGuardNs() int64 {
-	return s.clock.CyclesToNanos(3 * s.k.M.Spec.TotalSchedCycles())
+	return 3 * s.k.admit.OverheadNs
 }
 
 func (s *LocalScheduler) mustPush(h *threadHeap, t *Thread) {

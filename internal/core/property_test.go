@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"hrtsched/internal/machine"
+	"hrtsched/internal/plan"
 	"hrtsched/internal/sim"
 )
 
@@ -16,9 +17,10 @@ import (
 //
 // Scope: the classic utilization-bound admission test is overhead-blind
 // (it is the paper's classic scheme; see ablation-admitsim), so the
-// property holds for sets whose overhead-aware demand also fits. Task sets
-// beyond that are skipped here; the unconditional version of this property
-// runs under the AdmitSim policy below.
+// property checked here is "a set the service admits runs on the kernel
+// with zero misses": sets plan.Analyze rejects under the kernel's own spec
+// are skipped. The unconditional version of this property runs under the
+// AdmitSim policy below.
 func TestPropertyAdmittedNeverMisses(t *testing.T) {
 	periods := []int64{50_000, 100_000, 200_000, 250_000, 500_000, 1_000_000}
 	f := func(seed uint64, nRaw uint8, sliceRaw []uint8) bool {
@@ -28,18 +30,17 @@ func TestPropertyAdmittedNeverMisses(t *testing.T) {
 		}
 		k := testKernel(t, 1, seed, nil)
 		rng := sim.NewRand(seed)
-		overheadNs := k.Clocks[0].CyclesToNanos(k.M.Spec.TotalSchedCycles())
-		overheadAware := 0.0
+		set := make(plan.TaskSet, 0, n)
 		ths := make([]*Thread, 0, n)
 		for i := 0; i < n; i++ {
 			period := periods[rng.Intn(len(periods))]
 			pct := int64(sliceRaw[i]%35) + 2 // 2..36% each
 			cons := PeriodicConstraints(0, period, period*pct/100)
-			overheadAware += float64(cons.SliceNs+2*overheadNs) / float64(period)
+			set = append(set, plan.Task{PeriodNs: cons.PeriodNs, SliceNs: cons.SliceNs})
 			ths = append(ths, k.Spawn("p", 0, mkPeriodic(cons)))
 		}
-		if overheadAware > 0.97 {
-			return true // beyond the classic bound's validity; see AdmitSim
+		if !plan.Analyze(k.admit, set).Admit {
+			return true // the service rejects it; see AdmitSim
 		}
 		k.RunNs(40_000_000)
 		for _, th := range ths {
@@ -54,7 +55,7 @@ func TestPropertyAdmittedNeverMisses(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 63}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -272,6 +273,55 @@ func TestSnapshotRoundtripFallbackAndPrune(t *testing.T) {
 	}
 	if len(snaps) != snapKeep {
 		t.Fatalf("snapshots after prune: %v", snaps)
+	}
+}
+
+// TestSnapshotNotInstallableIsBad: a CRC-valid snapshot the cluster
+// could not install is refused at load and counted bad, and recovery
+// falls back to the older snapshot. That is a placement naming a node
+// outside the snapshot's own [0, 2), a task plan.Analyze calls bad-task,
+// or the last lsn, after which the log would wrap.
+func TestSnapshotNotInstallableIsBad(t *testing.T) {
+	cases := map[string]func(st *State) uint64{}
+	for _, node := range []int{-1, 2, 5} {
+		cases[fmt.Sprintf("node %d", node)] = func(st *State) uint64 { st.Placements["a"] = node; return 7 }
+	}
+	for name, task := range map[string]plan.Task{
+		"period 0":       {PeriodNs: 0, SliceNs: 10_000},
+		"slice 0":        {PeriodNs: 100_000, SliceNs: 0},
+		"slice > period": {PeriodNs: 100_000, SliceNs: 200_000},
+	} {
+		cases[name] = func(st *State) uint64 {
+			st.Nodes[1][0].Tasks = plan.TaskSet{task}
+			return 7
+		}
+	}
+	cases["last lsn"] = func(*State) uint64 { return math.MaxUint64 }
+
+	for name, spoil := range cases {
+		dir := t.TempDir()
+		fs := wal.OSFS{}
+		good := NewState(2)
+		good.Apply(Record{Kind: KindPlace, Origin: OriginClient, Node: 1, ID: "a", Tasks: taskSet(2, 100_000)})
+		if err := writeSnapshot(fs, dir, 3, 0, testSpec, good); err != nil {
+			t.Fatalf("writeSnapshot: %v", err)
+		}
+		bad := good.Clone()
+		lsn := spoil(bad)
+		if err := writeSnapshot(fs, dir, lsn, 0, testSpec, bad); err != nil {
+			t.Fatalf("writeSnapshot: %v", err)
+		}
+		s, err := Open(Config{Dir: dir, NumNodes: 2, Spec: testSpec})
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		rec := s.Recovery()
+		if rec.BadSnapshots != 1 || rec.SnapshotLSN != 3 || !reflect.DeepEqual(s.RecoveredState(), good) {
+			t.Fatalf("%s: recovery %+v state %+v, want the lsn-3 snapshot and 1 bad", name, rec, s.RecoveredState())
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	}
 }
 
@@ -564,6 +614,18 @@ func TestStoreRefusesNodeShrink(t *testing.T) {
 	_, err := Open(Config{Dir: dir, NumNodes: 2, Spec: testSpec})
 	if err == nil || !strings.Contains(err.Error(), "drain") {
 		t.Fatalf("shrink allowed: %v", err)
+	}
+	// A live placement on the dropped node is refused the same way, not
+	// counted as a bad snapshot and silently replaced by an older one.
+	placedDir := t.TempDir()
+	placed := NewState(3)
+	placed.Apply(Record{Kind: KindPlace, Origin: OriginClient, Node: 2, ID: "a", Tasks: taskSet(1, 100_000)})
+	if err := writeSnapshot(wal.OSFS{}, placedDir, 2, 0, testSpec, placed); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
+	}
+	_, err = Open(Config{Dir: placedDir, NumNodes: 2, Spec: testSpec})
+	if err == nil || !strings.Contains(err.Error(), "drain") {
+		t.Fatalf("shrink with a placement on the dropped node allowed: %v", err)
 	}
 	// Growing is fine: the new nodes start empty.
 	s, err := Open(Config{Dir: dir, NumNodes: 5, Spec: testSpec})

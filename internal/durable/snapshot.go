@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -104,8 +105,12 @@ func writeSnapshot(fs wal.FS, dir string, lsn, term uint64, spec plan.Spec, stat
 }
 
 // loadLatestSnapshot returns the newest snapshot that validates, counting
-// the ones that did not. A dir with no usable snapshot returns a nil
-// state with lsn 0: replay starts from the beginning of the log.
+// the ones that did not. A snapshot the cluster could not install does
+// not validate, nor does one at the last lsn, after which the log would
+// wrap. Placements are checked against the snapshot's own nodes: a
+// snapshot with more nodes than are configured is the caller's shrink
+// refusal, not a bad snapshot. A dir with no usable snapshot returns a
+// nil state with lsn 0: replay starts from the beginning of the log.
 func loadLatestSnapshot(fs wal.FS, dir string, spec plan.Spec) (
 	state *State, lsn, term uint64, specChanged bool, bad int, err error) {
 	names, err := fs.ReadDir(dir)
@@ -126,7 +131,8 @@ func loadLatestSnapshot(fs wal.FS, dir string, spec plan.Spec) (
 
 	for _, cd := range cands {
 		payload, lerr := readSnapshot(fs, filepath.Join(dir, cd.name))
-		if lerr != nil || payload.LSN != cd.lsn {
+		if lerr != nil || payload.LSN != cd.lsn || payload.LSN == math.MaxUint64 ||
+			!payload.State.installable() {
 			bad++
 			continue
 		}

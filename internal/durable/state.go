@@ -164,6 +164,27 @@ func (st *State) Orphans() []Orphan {
 	return out
 }
 
+// installable reports whether the cluster can install the state as it
+// stands: every placement names one of its own nodes and every entry
+// task is one plan.Analyze would not refuse as bad-task.
+func (st *State) installable() bool {
+	for _, node := range st.Placements {
+		if node < 0 || node >= len(st.Nodes) {
+			return false
+		}
+	}
+	for _, list := range st.Nodes {
+		for _, e := range list {
+			for _, t := range e.Tasks {
+				if !t.Valid() {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 func (st *State) entryIndex(r Record) int {
 	for i, e := range st.Nodes[r.Node] {
 		if e.ID == r.ID {

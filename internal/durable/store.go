@@ -57,7 +57,7 @@ type RecoveryResult struct {
 	// (0 outside replicated mode); it seeds the replicated log's floor.
 	SnapshotTerm uint64 `json:"snapshot_term,omitempty"`
 	// BadSnapshots counts snapshot files skipped for CRC or decode
-	// failures.
+	// failures, or because the cluster could not install them.
 	BadSnapshots int `json:"bad_snapshots"`
 	// Replayed counts WAL records applied on top of the snapshot.
 	Replayed int64 `json:"replayed"`

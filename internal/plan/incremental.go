@@ -18,7 +18,7 @@ import (
 // meets every deadline over the hyperperiod H exactly when, at every
 // deadline checkpoint t (every multiple of an admitted period up to H),
 // the window charge plus the total per-job charge released with deadline
-// <= t fits in t (Simulate starts its clock at the window charge). That
+// <= t fits in t (simulateSet starts its clock at the window charge). That
 // criterion is exact — it accepts and rejects precisely the sets the
 // hyperperiod simulation accepts and rejects — and it is patchable: a new
 // task with period P dividing H adds floor(t/P)*rem demand at each
@@ -300,7 +300,7 @@ func (inc *Incremental) gangEligible(gang TaskSet) (gangJobs int64, ok bool) {
 		return 0, false
 	}
 	for _, g := range gang {
-		if g.PeriodNs <= 0 || g.SliceNs <= 0 || g.SliceNs > g.PeriodNs {
+		if !g.Valid() {
 			return 0, false
 		}
 		if inc.hyper%g.PeriodNs != 0 {

@@ -129,15 +129,29 @@ func TestIncrementalBadTaskAndConservativeReasons(t *testing.T) {
 	}
 }
 
+// propertySequences is how many seeded random sequences each property
+// suite below runs: the long form (1000) under `make planverify`, a short
+// form (the first 100) in plain `go test`. Each suite's short form still
+// fails on a seeded off-by-one prefix install, stale removal states and
+// a reversed merge comparison; the latest first failure among them is at
+// sequence 38.
+func propertySequences() int {
+	if VerifyEnabled {
+		return 1000
+	}
+	return 100
+}
+
 // TestIncrementalPropertyRandomSequences is the planverify property: over
-// 1000 seeded random add/remove/gang sequences, every engine verdict must
-// be equivalent to the full analysis of the same candidate set. The whole
-// property runs through the Analysis interface — the engine comes from the
-// registry's NewEngine and the oracles are the interface Analyze and
-// AnalyzeGang — so registry dispatch is proven to change nothing. Under
-// `-tags planverify` the engine additionally self-checks every verdict.
+// seeded random add/remove/gang sequences (propertySequences), every
+// engine verdict must be equivalent to the full analysis of the same
+// candidate set. The whole property runs through the Analysis interface —
+// the engine comes from the registry's NewEngine and the oracles are the
+// interface Analyze and AnalyzeGang — so registry dispatch is proven to
+// change nothing. Under `-tags planverify` the engine additionally
+// self-checks every verdict.
 func TestIncrementalPropertyRandomSequences(t *testing.T) {
-	const sequences = 1000
+	sequences := propertySequences()
 	periods := []int64{50_000, 100_000, 200_000, 400_000, 1_000_000, 999_983}
 	rng := sim.NewRand(0x19c7e)
 

@@ -94,15 +94,16 @@ func TestMemoDigestCollisionMisses(t *testing.T) {
 }
 
 // TestMemoAndBatchPropertyRandomSequences is the cached/batched
-// counterpart of TestIncrementalPropertyRandomSequences: 1000 random
-// mutation sequences driven through a committed engine, where every
-// step's answers from (a) the Memo cache, (b) the evaluate-only
-// EvaluateGang/TryGangBatch curve path, and (c) the package batch
-// functions are compared against the serial uncached Analyze oracle.
+// counterpart of TestIncrementalPropertyRandomSequences: random
+// mutation sequences (propertySequences) driven through a committed
+// engine, where every step's answers from (a) the Memo cache, (b) the
+// evaluate-only EvaluateGang/TryGangBatch curve path, and (c) the
+// package batch functions are compared against the serial uncached
+// Analyze oracle.
 // Under -tags planverify every curve answer is additionally
 // self-checked inside the engine.
 func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
-	const sequences = 1000
+	sequences := propertySequences()
 	periods := []int64{50_000, 100_000, 200_000, 400_000, 1_000_000, 999_983}
 	rng := sim.NewRand(0x8ba7c)
 

@@ -40,6 +40,12 @@ func (t Task) Utilization() float64 {
 	return float64(t.SliceNs) / float64(t.PeriodNs)
 }
 
+// Valid reports whether the task is well formed: 0 < slice <= period.
+// Analyze answers bad-task for a set holding any other task.
+func (t Task) Valid() bool {
+	return t.PeriodNs > 0 && t.SliceNs > 0 && t.SliceNs <= t.PeriodNs
+}
+
 // TaskSet is a set of periodic tasks competing for one CPU.
 type TaskSet []Task
 
@@ -258,15 +264,15 @@ type SimResult struct {
 	Steps int `json:"steps"`
 }
 
-// Simulate runs EDF over one hyperperiod of the task set, charging
+// simulateSet runs EDF over one hyperperiod of the task set, charging
 // overheadNs of scheduler time at each arrival and each slice completion,
 // and reserving the non-periodic fraction implied by utilLimit. Its clock
 // starts at windowCharge, the arrivals no job's own charge pays for. It
 // reports whether every job met its deadline. A task set whose
 // hyperperiod is too long — or which needs more than MaxSimSteps steps —
-// is rejected conservatively. This is the exact decision procedure
-// internal/core uses for the AdmitSim policy.
-func Simulate(tasks TaskSet, overheadNs int64, utilLimit float64) SimResult {
+// is rejected conservatively. Analyze runs it after the utilization
+// bound; it is not a question of its own.
+func simulateSet(tasks TaskSet, overheadNs int64, utilLimit float64) SimResult {
 	if len(tasks) == 0 {
 		return SimResult{OK: true, Reason: OK}
 	}
@@ -294,7 +300,7 @@ type simJob struct {
 	rem      int64
 }
 
-// simScratch pools the ready-queue buffer so a steady-state Simulate —
+// simScratch pools the ready-queue buffer so a steady-state simulateSet —
 // and therefore a steady-state Analyze — allocates nothing.
 var simScratch = sync.Pool{New: func() any {
 	buf := make([]simJob, 0, 64)
@@ -325,7 +331,7 @@ func nextReleaseAfter(tasks TaskSet, after int64) int64 {
 	return next
 }
 
-// simulate is Simulate's validated core; it returns the (possibly grown)
+// simulate is simulateSet's validated core; it returns the (possibly grown)
 // ready buffer alongside the result so the caller can pool it.
 func simulate(tasks TaskSet, overheadNs int64, utilLimit float64, hyper int64, ready []simJob) (SimResult, []simJob) {
 	// Releases inside the window need no pass of their own: a window that
@@ -385,7 +391,7 @@ func simulate(tasks TaskSet, overheadNs int64, utilLimit float64, hyper int64, r
 // invocations (the arrival interrupt and the slice-completion pass),
 // inflated by the utilization limit, which reserves a share of every
 // interval for non-periodic work (D ns of demand takes D/limit ns, ceil).
-// Simulate and Incremental both charge through it.
+// simulateSet and Incremental both charge through it.
 func jobCharge(t Task, overheadNs int64, utilLimit float64) int64 {
 	ns := t.SliceNs + 2*overheadNs
 	if utilLimit <= 0 || utilLimit >= 1 {
@@ -498,14 +504,14 @@ func Analyze(spec Spec, set TaskSet) Verdict {
 		Digest:      set.Digest(),
 	}
 	for _, t := range set {
-		if t.PeriodNs <= 0 || t.SliceNs <= 0 || t.SliceNs > t.PeriodNs {
+		if !t.Valid() {
 			v.Reason = BadTask
 			v.Sim = SimResult{Reason: BadTask}
 			return v
 		}
 	}
 	v.BoundOK = v.Utilization <= spec.UtilizationLimit+utilEpsilon
-	v.Sim = Simulate(set, spec.OverheadNs, spec.UtilizationLimit)
+	v.Sim = simulateSet(set, spec.OverheadNs, spec.UtilizationLimit)
 	v.Admit = v.BoundOK && v.Sim.OK
 	switch {
 	case v.Admit:
@@ -522,7 +528,7 @@ func Analyze(spec Spec, set TaskSet) Verdict {
 // constitutes the admission decision: Admit, Reason, BoundOK, Utilization,
 // Digest, and the simulation's OK/Reason/HyperperiodNs. Sim.Steps is
 // excluded — it measures the work a particular decision procedure did
-// (simulation events for Simulate, demand checkpoints for Incremental),
+// (simulation events for simulateSet, demand checkpoints for Incremental),
 // not the decision itself. The planverify build and the incremental
 // property tests compare through this one definition.
 func VerdictsEquivalent(a, b Verdict) bool {

@@ -168,7 +168,7 @@ func TestSpecForChargesWorstCase(t *testing.T) {
 }
 
 func TestSimStepBoundActuallyBounds(t *testing.T) {
-	res := Simulate(TaskSet{{PeriodNs: 999_983, SliceNs: 10}, {PeriodNs: 1_000_003, SliceNs: 10}},
+	res := simulateSet(TaskSet{{PeriodNs: 999_983, SliceNs: 10}, {PeriodNs: 1_000_003, SliceNs: 10}},
 		specPhi79.OverheadNs, specPhi79.UtilizationLimit)
 	if res.OK || res.Reason != SimSteps {
 		t.Fatalf("expected SimSteps rejection, got %+v", res)
