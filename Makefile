@@ -99,18 +99,22 @@ planverify:
 	$(GO) vet -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
 	$(GO) test -race -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
 
-# experiments regenerates the committed quick-scale artifact: every
-# experiment of `hrtbench -all` at the default seed, each block ending in
-# its figure digest (the wall-time lines go to stderr). A behaviour change
-# shows as a cell diff against results/quick.txt, which
-# TestGoldenDeterminism checks in tier-1. experiments-check requires the
-# CLI to print the artifact byte for byte at the default worker count, at
-# one worker and at GOMAXPROCS=1.
+# experiments regenerates the committed artifacts: every experiment of
+# `hrtbench -all` at the default seed, at the quick preset into
+# results/quick.txt and at the full preset (`-full`, about half a minute)
+# into results/full.txt, each block ending in its figure digest (the
+# wall-time lines go to stderr). A behaviour change shows as a cell diff
+# against them; tier-1's TestGoldenDeterminism checks the quick one.
+# experiments-check requires the CLI to print the full artifact byte for
+# byte once, and the quick one at the default worker count, at one worker
+# and at GOMAXPROCS=1.
 .PHONY: experiments experiments-check
 experiments:
 	$(GO) run ./cmd/hrtbench -all > results/quick.txt
+	$(GO) run ./cmd/hrtbench -all -full > results/full.txt
 
 experiments-check:
+	$(GO) run ./cmd/hrtbench -all -full 2>/dev/null | diff -u results/full.txt -
 	$(GO) run ./cmd/hrtbench -all 2>/dev/null | diff -u results/quick.txt -
 	$(GO) run ./cmd/hrtbench -all -workers 1 2>/dev/null | diff -u results/quick.txt -
 	GOMAXPROCS=1 $(GO) run ./cmd/hrtbench -all 2>/dev/null | diff -u results/quick.txt -

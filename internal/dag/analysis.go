@@ -27,57 +27,14 @@ func AnalyzerNames() []string {
 	return []string{"alpha-beta", "alpha-beta/longest-path-first", "alpha-beta/topo-order", "classical"}
 }
 
-// Analysis is the DAG admission theory behind the plan.Analysis
-// interface: periodic-set questions (Analyze, engines, capacity) delegate
-// to the default EDF-hyperperiod machinery — a DAG reservation IS a
-// derived periodic server task once admitted — while AnalyzeDAG answers
-// the graph-level response-time question the periodic theory cannot.
-type Analysis struct {
-	base plan.Analysis
-	rta  Analyzer
-}
-
-// New builds a DAG analysis over spec using the given RTA plug-in.
-func New(spec plan.Spec, rta Analyzer) *Analysis {
-	return &Analysis{base: plan.DefaultEDF(spec), rta: rta}
-}
-
-// Name returns "dag-" + the RTA plug-in's name.
-func (a *Analysis) Name() string { return "dag-" + a.rta.Name() }
-
-// Spec returns the platform spec.
-func (a *Analysis) Spec() plan.Spec { return a.base.Spec() }
-
-// Analyze delegates periodic-set admission to the default EDF analysis.
-func (a *Analysis) Analyze(set plan.TaskSet) plan.Verdict { return a.base.Analyze(set) }
-
-// AnalyzeGang delegates gang admission to the default EDF analysis.
-func (a *Analysis) AnalyzeGang(existing, gang plan.TaskSet) plan.Verdict {
-	return a.base.AnalyzeGang(existing, gang)
-}
-
-// AnalyzeBatch delegates batched periodic-set admission to the default
-// EDF analysis.
-func (a *Analysis) AnalyzeBatch(sets []plan.TaskSet) []plan.Verdict {
-	return a.base.AnalyzeBatch(sets)
-}
-
-// Capacity delegates headroom probing to the default EDF analysis.
-func (a *Analysis) Capacity(set plan.TaskSet, probePeriodNs int64) plan.CapacityReport {
-	return a.base.Capacity(set, probePeriodNs)
-}
-
-// NewEngine delegates incremental engines to the default EDF analysis.
-func (a *Analysis) NewEngine() plan.Engine { return a.base.NewEngine() }
-
-// AnalyzeDAG validates t and, when structurally sound, runs the RTA
-// plug-in. The error is a *ValidationError on structural rejection; a
-// nil error with Result.Admit == false is an analytical rejection.
-func (a *Analysis) AnalyzeDAG(t *Task) (Result, error) {
+// Analyze validates t and, when structurally sound, runs rta. The error
+// is a *ValidationError on structural rejection; a nil error with
+// Result.Admit == false is an analytical rejection.
+func Analyze(t *Task, rta Analyzer) (Result, error) {
 	if err := t.Validate(); err != nil {
 		return Result{}, err
 	}
-	return a.rta.Analyze(t), nil
+	return rta.Analyze(t), nil
 }
 
 // ServerTask derives the periodic server reservation for an admitted DAG:
@@ -86,13 +43,4 @@ func (a *Analysis) AnalyzeDAG(t *Task) (Result, error) {
 // durability, replication) sees only this task.
 func ServerTask(t *Task, r Result) plan.Task {
 	return plan.Task{PeriodNs: t.PeriodNs, SliceNs: r.BoundNs}
-}
-
-func init() {
-	plan.RegisterAnalysis("dag-classical", func(spec plan.Spec) (plan.Analysis, error) {
-		return New(spec, Classical{}), nil
-	})
-	plan.RegisterAnalysis("dag-alpha-beta", func(spec plan.Spec) (plan.Analysis, error) {
-		return New(spec, AlphaBeta{Policy: LongestPathFirstPolicy{}}), nil
-	})
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"hrtsched/internal/plan"
 )
 
 // diamond is the canonical 4-node test graph:
@@ -233,40 +231,11 @@ func TestNewAnalyzer(t *testing.T) {
 	}
 }
 
-func TestPlanRegistryIntegration(t *testing.T) {
-	spec := plan.Spec{OverheadNs: 4_600, UtilizationLimit: 0.79}
-	for _, name := range []string{"dag-classical", "dag-alpha-beta"} {
-		a, err := plan.NewAnalysis(name, spec)
-		if err != nil {
-			t.Fatalf("NewAnalysis(%q) = %v", name, err)
-		}
-		if a.Spec() != spec {
-			t.Fatalf("spec = %+v, want %+v", a.Spec(), spec)
-		}
-		// The periodic half must agree with the default EDF analysis bit
-		// for bit — a DAG plug-in changes nothing about periodic verdicts.
-		set := plan.TaskSet{{PeriodNs: 1_000_000, SliceNs: 200_000}, {PeriodNs: 500_000, SliceNs: 100_000}}
-		got, want := a.Analyze(set), plan.Analyze(spec, set)
-		if !plan.VerdictsEquivalent(got, want) {
-			t.Fatalf("%s periodic verdict diverged: %+v vs %+v", name, got, want)
-		}
-		eng := a.NewEngine()
-		if v := eng.TryGang(set); !v.Admit {
-			t.Fatalf("engine rejected %+v", v)
-		}
-	}
-}
-
 func TestAnalyzeDAGAndServerTask(t *testing.T) {
-	spec := plan.Spec{OverheadNs: 4_600, UtilizationLimit: 0.79}
-	a := New(spec, Classical{})
-	if a.Name() != "dag-classical" {
-		t.Fatalf("Name() = %q", a.Name())
-	}
 	d := diamond()
-	r, err := a.AnalyzeDAG(d)
+	r, err := Analyze(d, Classical{})
 	if err != nil || !r.Admit {
-		t.Fatalf("AnalyzeDAG = %+v, %v", r, err)
+		t.Fatalf("Analyze = %+v, %v", r, err)
 	}
 	st := ServerTask(d, r)
 	if st.PeriodNs != d.PeriodNs || st.SliceNs != r.BoundNs {
@@ -275,7 +244,7 @@ func TestAnalyzeDAGAndServerTask(t *testing.T) {
 	// Structural rejection comes back as a typed error, not a Result.
 	bad := diamond()
 	bad.Edges = append(bad.Edges, Edge{3, 0})
-	if _, err := a.AnalyzeDAG(bad); err == nil {
-		t.Fatal("AnalyzeDAG accepted a cyclic task")
+	if _, err := Analyze(bad, Classical{}); err == nil {
+		t.Fatal("Analyze accepted a cyclic task")
 	}
 }

@@ -76,7 +76,7 @@ type Result struct {
 // task, produce a deterministic admission verdict. Analyze may assume
 // t.Validate() returned nil.
 type Analyzer interface {
-	// Name is the analyzer's stable registry name.
+	// Name is the analyzer's stable wire name.
 	Name() string
 	// Analyze bounds the response time of one release of t.
 	Analyze(t *Task) Result

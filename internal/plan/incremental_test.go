@@ -145,26 +145,18 @@ func propertySequences() int {
 // TestIncrementalPropertyRandomSequences is the planverify property: over
 // seeded random add/remove/gang sequences (propertySequences), every
 // engine verdict must be equivalent to the full analysis of the same
-// candidate set. The whole property runs through the Analysis interface —
-// the engine comes from the registry's NewEngine and the oracles are the
-// interface Analyze and AnalyzeGang — so registry dispatch is proven to
-// change nothing. Under `-tags planverify` the engine additionally
-// self-checks every verdict.
+// candidate set (Analyze, or AnalyzeGang for a gang). Under `-tags
+// planverify` the engine additionally self-checks every verdict.
 func TestIncrementalPropertyRandomSequences(t *testing.T) {
 	sequences := propertySequences()
 	periods := []int64{50_000, 100_000, 200_000, 400_000, 1_000_000, 999_983}
 	rng := sim.NewRand(0x19c7e)
 
-	analysis, err := NewAnalysis(DefaultAnalysisName, specPhi79)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var totals IncrementalStats
 	var gangRemovals int
 	for seq := 0; seq < sequences; seq++ {
 		r := rng.Split()
-		var eng Engine = analysis.NewEngine()
+		eng := NewIncremental(specPhi79)
 		var mirror TaskSet
 		ops := 8 + r.Intn(6)
 		for op := 0; op < ops; op++ {
@@ -187,7 +179,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				if !found {
 					t.Fatalf("seq %d op %d: committed gang %v not found", seq, op, gang)
 				}
-				if want := analysis.Analyze(candidate); !VerdictsEquivalent(v, want) {
+				if want := Analyze(specPhi79, candidate); !VerdictsEquivalent(v, want) {
 					t.Fatalf("seq %d op %d: gang-remove verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 						seq, op, candidate, v, want)
 				}
@@ -203,7 +195,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				if !found {
 					t.Fatalf("seq %d op %d: committed task %v not found", seq, op, victim)
 				}
-				if want := analysis.Analyze(candidate); !VerdictsEquivalent(v, want) {
+				if want := Analyze(specPhi79, candidate); !VerdictsEquivalent(v, want) {
 					t.Fatalf("seq %d op %d: remove verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 						seq, op, candidate, v, want)
 				}
@@ -216,7 +208,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				}
 				candidate := append(append(TaskSet{}, mirror...), gang...)
 				v := eng.TryGang(gang)
-				if want := analysis.AnalyzeGang(mirror, gang); !VerdictsEquivalent(v, want) {
+				if want := AnalyzeGang(specPhi79, mirror, gang); !VerdictsEquivalent(v, want) {
 					t.Fatalf("seq %d op %d: gang verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 						seq, op, candidate, v, want)
 				}
@@ -225,7 +217,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				}
 			}
 		}
-		if want := analysis.Analyze(mirror); !VerdictsEquivalent(eng.Verdict(), want) {
+		if want := Analyze(specPhi79, mirror); !VerdictsEquivalent(eng.Verdict(), want) {
 			t.Fatalf("seq %d: final committed verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 				seq, mirror, eng.Verdict(), want)
 		}

@@ -9,17 +9,16 @@ import (
 const DefaultMemoEntries = 1024
 
 // Memo is a digest-keyed LRU over canonically-equal task sets that caches
-// the admission verdict of each set and, once a gang or capacity question
-// asks for it, the set's retained demand-bound curve (an Incremental
-// committed to the canonical set), so repeated Analyze questions skip the
-// hyperperiod simulation and gang probes and capacity binary-search steps
-// patch the curve instead of simulating. It is the serving layer's one
+// the admission verdict of each set and, once a capacity question asks
+// for it, the set's retained demand-bound curve (an Incremental committed
+// to the canonical set), so repeated Analyze questions skip the
+// hyperperiod simulation and capacity binary-search steps patch the curve
+// instead of simulating. It is the serving layer's one
 // cache: each shard's analyze and capacity queries share one Memo.
 //
 // Answer convention: the Memo canonicalizes before analyzing, so
 // Memo.Analyze(set) is bit-identical to Analyze(spec, set.Canonical()) —
 // the order a client listed tasks in does not perturb float summation.
-// Gang answers describe the canonical(existing) ++ gang candidate.
 // Verdicts never go stale — they are pure functions of (spec, canonical
 // set) — so the only invalidation is LRU eviction. Each entry keeps its
 // canonical set, and a hit must match it task for task, not just by the
@@ -42,7 +41,7 @@ type Memo struct {
 }
 
 // memoEntry is one cached set: its canonical tasks, its verdict, and its
-// demand-bound curve once a gang or capacity question has built it. The
+// demand-bound curve once a capacity question has built it. The
 // recency ring is intrusive rather than a container/list so that an entry
 // is one heap object besides its set: a serving shard holds thousands of
 // entries, and every object adds to each garbage collection's mark work.
@@ -123,28 +122,6 @@ func (m *Memo) AnalyzeCanonical(canon TaskSet, digest uint64) (v Verdict, hit bo
 	return e.verdict, hit
 }
 
-// AnalyzeGang answers all-or-nothing group admission for existing plus
-// gang: the verdict of the canonical(existing) ++ gang candidate,
-// answered by patching existing's cached demand curve when eligible.
-func (m *Memo) AnalyzeGang(existing, gang TaskSet) Verdict {
-	bp := canonScratch(existing)
-	defer digestScratch.Put(bp)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.curveLocked(*bp).EvaluateGang(gang)
-}
-
-// TryGangBatch evaluates many candidate gangs against one existing set in
-// a single retained-curve pass: out[i] describes canonical(existing) ++
-// gangs[i], and nothing is committed anywhere.
-func (m *Memo) TryGangBatch(existing TaskSet, gangs []TaskSet) []Verdict {
-	bp := canonScratch(existing)
-	defer digestScratch.Put(bp)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.curveLocked(*bp).TryGangBatch(gangs)
-}
-
 // Capacity produces the what-if headroom report for a CPU running set —
 // identical to Capacity(spec, set.Canonical(), probePeriodNs) — with
 // every binary-search probe answered from the cached demand curve
@@ -154,19 +131,13 @@ func (m *Memo) Capacity(set TaskSet, probePeriodNs int64) CapacityReport {
 	defer digestScratch.Put(bp)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	curve := m.curveLocked(*bp)
+	e, _ := m.entryLocked(*bp, digestOf(*bp))
+	curve := e.curveFor(m.spec)
 	var probeBuf [1]Task
 	return capacitySearch(m.spec, curve.tasks, probePeriodNs, func(probe Task) bool {
 		probeBuf[0] = probe
 		return curve.EvaluateGang(probeBuf[:]).Admit
 	})
-}
-
-// curveLocked returns the demand-bound curve of a canonical set's entry.
-// Callers hold m.mu.
-func (m *Memo) curveLocked(canon TaskSet) *Incremental {
-	e, _ := m.entryLocked(canon, digestOf(canon))
-	return e.curveFor(m.spec)
 }
 
 // entryLocked returns the cached entry for a canonical set and whether it
@@ -205,31 +176,3 @@ func (m *Memo) pushFront(e *memoEntry) {
 
 // unlink takes e out of the recency ring. Callers hold the Memo's lock.
 func (e *memoEntry) unlink() { e.prev.next, e.next.prev = e.next, e.prev }
-
-// AnalyzeBatch answers many admission questions in one pass, sharing
-// analysis work across canonically-equal sets: each distinct digest is
-// analyzed once and its verdict reused for every equal set in the batch.
-// out[i] is bit-identical to Analyze(spec, sets[i].Canonical()).
-func AnalyzeBatch(spec Spec, sets []TaskSet) []Verdict {
-	n := len(sets)
-	if n == 0 {
-		return nil
-	}
-	m := NewMemo(spec, n)
-	out := make([]Verdict, n)
-	for i, s := range sets {
-		out[i] = m.Analyze(s)
-	}
-	return out
-}
-
-// TryGangBatch evaluates many candidate gangs against one existing set:
-// one demand-curve decomposition of canonical(existing) answers every
-// candidate, so out[i] — the verdict of canonical(existing) ++ gangs[i]
-// — costs a curve patch instead of a hyperperiod simulation. Nothing is
-// committed; this is the pure batch-placement probe.
-func TryGangBatch(spec Spec, existing TaskSet, gangs []TaskSet) []Verdict {
-	eng := NewIncremental(spec)
-	eng.Restore(existing.Canonical())
-	return eng.TryGangBatch(gangs)
-}

@@ -98,8 +98,8 @@ func TestMemoDigestCollisionMisses(t *testing.T) {
 // mutation sequences (propertySequences) driven through a committed
 // engine, where every step's answers from (a) the Memo cache, (b) the
 // evaluate-only EvaluateGang/TryGangBatch curve path, and (c) the
-// package batch functions are compared against the serial uncached
-// Analyze oracle.
+// Memo's lazily built capacity curve are compared against the serial
+// uncached Analyze and Capacity oracles.
 // Under -tags planverify every curve answer is additionally
 // self-checked inside the engine.
 func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
@@ -177,44 +177,25 @@ func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
 			}
 		}
 
-		// (c) package batch functions over this sequence's final state.
-		sets := []TaskSet{mirror, append(TaskSet(nil), mirror...), {randTask(r, periods)}}
-		for i, got := range AnalyzeBatch(specPhi79, sets) {
-			if want := Analyze(specPhi79, sets[i].Canonical()); got != want {
-				t.Fatalf("seq %d: AnalyzeBatch[%d] diverged\n got %+v\nwant %+v", seq, i, got, want)
-			}
-		}
-		gangs := []TaskSet{{randTask(r, periods)}, {randTask(r, periods), randTask(r, periods)}}
-		for i, got := range TryGangBatch(specPhi79, mirror, gangs) {
-			cand := append(mirror.Canonical(), gangs[i]...)
-			if want := Analyze(specPhi79, cand); !VerdictsEquivalent(got, want) {
-				t.Fatalf("seq %d: TryGangBatch[%d] diverged\n got %+v\nwant %+v", seq, i, got, want)
-			}
-		}
-
-		// (d) the final state analyzed first, then asked a gang and a
-		// capacity question: Analyze leaves the entry without a curve,
-		// the first curve question builds it, and both answer like the
-		// uncached functions from the one entry.
+		// (c) the final state analyzed first, then asked a capacity
+		// question: Analyze leaves the entry without a curve, the
+		// capacity search builds it, and both answer like the uncached
+		// functions from the one entry.
 		lazy := NewMemo(specPhi79, 4)
 		lazy.Analyze(mirror)
 		entry := lazy.entries[mirror.Digest()]
 		if entry.curve != nil {
 			t.Fatalf("seq %d: Analyze built a demand curve", seq)
 		}
-		canon := mirror.Canonical()
-		if got, want := lazy.AnalyzeGang(mirror, gangs[0]), AnalyzeGang(specPhi79, canon, gangs[0]); !VerdictsEquivalent(got, want) {
-			t.Fatalf("seq %d: lazy AnalyzeGang diverged\n got %+v\nwant %+v", seq, got, want)
-		}
-		if entry.curve == nil {
-			t.Fatalf("seq %d: AnalyzeGang did not build the demand curve", seq)
-		}
 		probe := periods[r.Intn(len(periods))]
-		if got, want := lazy.Capacity(mirror, probe), Capacity(specPhi79, canon, probe); got != want {
+		if got, want := lazy.Capacity(mirror, probe), Capacity(specPhi79, mirror.Canonical(), probe); got != want {
 			t.Fatalf("seq %d: lazy Capacity diverged\n got %+v\nwant %+v", seq, got, want)
 		}
+		if entry.curve == nil {
+			t.Fatalf("seq %d: Capacity did not build the demand curve", seq)
+		}
 		if st := lazy.Stats(); st.Misses != 1 || st.Entries != 1 {
-			t.Fatalf("seq %d: lazy stats = %+v, want one entry answering all three", seq, st)
+			t.Fatalf("seq %d: lazy stats = %+v, want one entry answering both", seq, st)
 		}
 	}
 	if st := memo.Stats(); st.Hits == 0 || st.Misses == 0 {

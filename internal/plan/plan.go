@@ -626,41 +626,3 @@ func capacitySearch(spec Spec, set TaskSet, probePeriodNs int64, admitsProbe fun
 	r.MaxExtraUtilization = float64(lo) / float64(probePeriodNs)
 	return r
 }
-
-// Placement assigns task sets to CPUs.
-type Placement struct {
-	// CPUOf[i] is the CPU the i-th input set was placed on.
-	CPUOf []int `json:"cpu_of"`
-	// Utilization[c] is the summed utilization placed on CPU c.
-	Utilization []float64 `json:"utilization"`
-}
-
-// PlaceFirstFit packs the task sets onto ncpus CPUs first-fit: each set, in
-// input order, lands on the lowest-numbered CPU whose combined set still
-// passes Analyze. Every bin decision runs the full analysis, so a placement
-// that "fits" by utilization arithmetic but fails the hyperperiod
-// simulation is correctly pushed to another CPU. It returns an error naming
-// the first set that fits nowhere.
-func PlaceFirstFit(spec Spec, ncpus int, sets []TaskSet) (Placement, error) {
-	if ncpus < 1 {
-		return Placement{}, fmt.Errorf("plan: need at least one CPU (got %d)", ncpus)
-	}
-	bins := make([]TaskSet, ncpus)
-	p := Placement{CPUOf: make([]int, len(sets)), Utilization: make([]float64, ncpus)}
-	for i, set := range sets {
-		placed := -1
-		for c := 0; c < ncpus; c++ {
-			if AnalyzeGang(spec, bins[c], set).Admit {
-				placed = c
-				break
-			}
-		}
-		if placed < 0 {
-			return Placement{}, fmt.Errorf("plan: task set %d (util %.3f) fits on no CPU", i, set.Utilization())
-		}
-		bins[placed] = append(bins[placed], set...)
-		p.CPUOf[i] = placed
-		p.Utilization[placed] = bins[placed].Utilization()
-	}
-	return p, nil
-}

@@ -250,48 +250,3 @@ func TestCapacityEmptySetDefaults(t *testing.T) {
 		t.Fatalf("an idle CPU should take most of the limit, got %.3f", r.MaxExtraUtilization)
 	}
 }
-
-func TestPlaceFirstFit(t *testing.T) {
-	s := func(sliceNs int64) TaskSet { return TaskSet{{PeriodNs: 1_000_000, SliceNs: sliceNs}} }
-	sets := []TaskSet{s(300_000), s(300_000), s(300_000), s(300_000)}
-	p, err := PlaceFirstFit(specPhi79, 2, sets)
-	if err != nil {
-		t.Fatalf("PlaceFirstFit: %v", err)
-	}
-	want := []int{0, 0, 1, 1} // 0.6 per CPU; a third 0.3 would break the 0.79 limit
-	if !reflect.DeepEqual(p.CPUOf, want) {
-		t.Fatalf("assignment = %v, want %v", p.CPUOf, want)
-	}
-	for c, u := range p.Utilization {
-		if u > specPhi79.UtilizationLimit {
-			t.Fatalf("CPU %d overpacked: %.3f", c, u)
-		}
-	}
-	if _, err := PlaceFirstFit(specPhi79, 1, sets); err == nil {
-		t.Fatalf("four 0.3-util sets cannot fit one CPU under a 0.79 limit")
-	}
-	if _, err := PlaceFirstFit(specPhi79, 0, nil); err == nil {
-		t.Fatalf("zero CPUs must be rejected")
-	}
-}
-
-func TestPlaceFirstFitRespectsSimulationNotJustArithmetic(t *testing.T) {
-	// Each set passes the bound on paper (0.30 util) but is fine-grain
-	// enough that two of them on one CPU fail the hyperperiod simulation
-	// even though 0.60 < 0.79. First-fit must consult the simulation and
-	// spread them.
-	fine := TaskSet{{PeriodNs: 40_000, SliceNs: 12_000}}
-	if !Analyze(specPhi79, fine).Admit {
-		t.Fatalf("single fine-grain set should be feasible")
-	}
-	if AnalyzeGang(specPhi79, fine, fine).Admit {
-		t.Fatalf("test premise broken: two fine-grain sets fit one CPU")
-	}
-	p, err := PlaceFirstFit(specPhi79, 2, []TaskSet{fine, fine})
-	if err != nil {
-		t.Fatalf("PlaceFirstFit: %v", err)
-	}
-	if p.CPUOf[0] == p.CPUOf[1] {
-		t.Fatalf("simulation-infeasible pair packed onto one CPU: %v", p.CPUOf)
-	}
-}

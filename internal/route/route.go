@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -120,6 +121,12 @@ type Router struct {
 	partition   [][]int
 
 	m routeMetrics
+
+	// moveMu orders cross-shard moves against routed placements and
+	// removals: a move holds it for writing, so a placement or removal,
+	// holding it for reading, never sees a moving set in both groups or in
+	// neither.
+	moveMu sync.RWMutex
 
 	// statusMu guards lastStatus, the per-group cache serving staleness
 	// when a group is unreachable.
@@ -302,6 +309,11 @@ func PartitionNodes(total, groups int) [][]int {
 // feeds the X-Hrtd-Shard-Group attribution header.
 func (r *Router) Place(ctx context.Context, id string, set plan.TaskSet) (serve.PlaceResult, int, error) {
 	g := r.GroupFor(id)
+	r.moveMu.RLock()
+	defer r.moveMu.RUnlock()
+	if r.heldElsewhere(g, id) {
+		return serve.PlaceResult{Node: -1}, g, duplicateID(id)
+	}
 	start := time.Now()
 	res, err := r.groups[g].Place(ctx, id, set)
 	r.m.observe(g, start, err)
@@ -361,9 +373,32 @@ func rendezvousOrder(key string, names []string) []int {
 	return out
 }
 
+// heldElsewhere reports whether a Migrator group other than g holds id,
+// as a cross-shard move leaves it. A re-place of such an id answers
+// ErrDuplicateID, as a monolith would, before the owning group validates
+// or analyzes the request. Remote groups never take part in a move, so
+// they are not asked. Callers hold moveMu for reading.
+func (r *Router) heldElsewhere(g int, id string) bool {
+	for og, grp := range r.groups {
+		if mig, ok := grp.(Migrator); ok && og != g {
+			if _, held := mig.Placement(id); held {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func duplicateID(id string) error { return fmt.Errorf("%w: %q", serve.ErrDuplicateID, id) }
+
 // PlaceDAG routes one DAG submission to its owning group.
 func (r *Router) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer string) (serve.DAGPlaceResult, int, error) {
 	g := r.GroupFor(id)
+	r.moveMu.RLock()
+	defer r.moveMu.RUnlock()
+	if r.heldElsewhere(g, id) {
+		return serve.DAGPlaceResult{Node: -1}, g, duplicateID(id)
+	}
 	start := time.Now()
 	res, err := r.groups[g].PlaceDAG(ctx, id, t, analyzer)
 	r.m.observe(g, start, err)
@@ -388,6 +423,8 @@ func (r *Router) AnalyzeDAG(ctx context.Context, t dag.Task, analyzer string) (d
 // reporting the id unknown.
 func (r *Router) Remove(ctx context.Context, id string) (plan.Verdict, int, error) {
 	g := r.GroupFor(id)
+	r.moveMu.RLock()
+	defer r.moveMu.RUnlock()
 	start := time.Now()
 	v, err := r.groups[g].Remove(ctx, id)
 	r.m.observe(g, start, err)
@@ -423,9 +460,13 @@ type BatchResult struct {
 // group's items are forwarded in their original relative order, chunked to
 // the group's MaxBatchItems, chunks applied sequentially per group — so
 // in-batch duplicate-id semantics (first occurrence in input order wins)
-// hold exactly as they do on one flat cluster. With a single group the
-// whole batch forwards unsplit, byte-identical to the unrouted path.
+// hold exactly as they do on one flat cluster. An item whose id another
+// group holds answers ErrDuplicateID without being forwarded. With a
+// single group the whole batch forwards unsplit, byte-identical to the
+// unrouted path.
 func (r *Router) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) BatchResult {
+	r.moveMu.RLock()
+	defer r.moveMu.RUnlock()
 	out := BatchResult{
 		Results: make([]serve.BatchPlaceResult, len(items)),
 		Groups:  make([]int, len(items)),
@@ -447,6 +488,10 @@ func (r *Router) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) B
 	for i, it := range items {
 		g := r.GroupFor(it.ID)
 		out.Groups[i] = g
+		if r.heldElsewhere(g, it.ID) {
+			out.Results[i] = serve.BatchPlaceResult{ID: it.ID, Result: serve.PlaceResult{Node: -1}, Err: duplicateID(it.ID)}
+			continue
+		}
 		perGroup[g] = append(perGroup[g], member{item: it, idx: i})
 	}
 	width := 0
@@ -573,10 +618,8 @@ func (r *Router) Undrain(ctx context.Context, globalNode int) (int, error) {
 
 // migrateOut moves one placement from group src to the first other group
 // whose evaluate-only probe admits it, destination groups tried in
-// ascending mean-utilization order. The move is admit-before-release: the
-// destination holds the set before the source drops it, so a failure at
-// any step leaves the set placed somewhere. DAG reservations never migrate
-// (their provenance cannot survive a plain re-place).
+// ascending mean-utilization order. DAG reservations never migrate (their
+// provenance cannot survive a plain re-place).
 func (r *Router) migrateOut(ctx context.Context, src int, id string) bool {
 	mig, ok := r.groups[src].(Migrator)
 	if !ok {
@@ -590,22 +633,37 @@ func (r *Router) migrateOut(ctx context.Context, src int, id string) bool {
 		if !r.probeAdmits(ctx, dst, info.Tasks) {
 			continue
 		}
-		res, err := r.groups[dst].Place(ctx, id, info.Tasks)
-		if err != nil || !res.Placed {
-			continue
+		if admitted, moved := r.move(ctx, src, dst, id, info.Tasks); admitted {
+			return moved
 		}
-		if _, err := r.groups[src].Remove(ctx, id); err != nil {
-			// The destination holds a copy but the source release failed —
-			// roll the copy back rather than leave double-counted demand.
-			r.groups[dst].Remove(ctx, id) //nolint:errcheck — best-effort rollback
-			r.m.migrationFails.Add(1)
-			return false
-		}
-		r.m.migrations.Add(1)
-		return true
 	}
 	r.m.migrationFails.Add(1)
 	return false
+}
+
+// move migrates id from Migrator group src to group dst,
+// admit-before-release: dst places the set before src drops it, so a
+// failure at any step leaves the set placed somewhere. A failed release
+// rolls the copy back rather than leave double-counted demand. The move
+// holds moveMu for writing and does nothing unless src still holds
+// exactly set. It reports whether dst admitted the set and whether the
+// move completed; a failed release counts as a migration failure.
+func (r *Router) move(ctx context.Context, src, dst int, id string, set plan.TaskSet) (admitted, moved bool) {
+	r.moveMu.Lock()
+	defer r.moveMu.Unlock()
+	if info, ok := r.groups[src].(Migrator).Placement(id); !ok || !slices.Equal(info.Tasks, set) {
+		return false, false
+	}
+	if res, err := r.groups[dst].Place(ctx, id, set); err != nil || !res.Placed {
+		return false, false
+	}
+	if _, err := r.groups[src].Remove(ctx, id); err != nil {
+		r.groups[dst].Remove(ctx, id) //nolint:errcheck — best-effort rollback
+		r.m.migrationFails.Add(1)
+		return true, false
+	}
+	r.m.migrations.Add(1)
+	return true, true
 }
 
 // probeAdmits runs the evaluate-only engine path on a destination group
@@ -709,17 +767,13 @@ func (r *Router) Rebalance(ctx context.Context) (RebalanceReport, error) {
 		if !r.probeAdmits(ctx, lo, info.Tasks) {
 			break
 		}
-		res, err := r.groups[lo].Place(ctx, id, info.Tasks)
-		if err != nil || !res.Placed {
-			r.m.migrationFails.Add(1)
+		admitted, moved := r.move(ctx, hi, lo, id, info.Tasks)
+		if !moved {
+			if !admitted {
+				r.m.migrationFails.Add(1)
+			}
 			break
 		}
-		if _, err := r.groups[hi].Remove(ctx, id); err != nil {
-			r.groups[lo].Remove(ctx, id) //nolint:errcheck — best-effort rollback
-			r.m.migrationFails.Add(1)
-			break
-		}
-		r.m.migrations.Add(1)
 		rep.Migrated++
 	}
 	return rep, nil

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hrtsched/internal/client"
+	"hrtsched/internal/dag"
 	"hrtsched/internal/plan"
 	"hrtsched/internal/serve"
 )
@@ -290,6 +291,94 @@ func TestCrossShardRebalanceNarrowsSpread(t *testing.T) {
 	u1 := meanNodeUtil(clusters[1])
 	if gap := u0 - u1; gap < -0.25 || gap > 0.25 {
 		t.Fatalf("rebalance left a wide spread: group0=%.2f group1=%.2f", u0, u1)
+	}
+}
+
+// TestMigratedIDIsNotPlacedTwice re-places every id after a cross-shard
+// drain and after a cross-shard rebalance. A migrated id lives off its
+// hash-owning group, yet the router must answer ErrDuplicateID for it on
+// every placement route, as a monolith does; the removal that follows
+// must leave no copy live.
+func TestMigratedIDIsNotPlacedTwice(t *testing.T) {
+	ctx := context.Background()
+	replaceAndRemove := func(t *testing.T, r *Router, clusters []*serve.Cluster, ids []string) {
+		t.Helper()
+		for _, id := range ids {
+			if res, _, err := r.Place(ctx, id, setOfUtil(0.01)); !errors.Is(err, serve.ErrDuplicateID) || res.Placed {
+				t.Fatalf("re-Place(%s): placed=%v err=%v, want ErrDuplicateID", id, res.Placed, err)
+			}
+			br := r.PlaceBatch(ctx, []serve.BatchPlaceItem{{ID: id, Tasks: setOfUtil(0.01)}})
+			if res := br.Results[0]; !errors.Is(res.Err, serve.ErrDuplicateID) || res.Result.Placed || res.ID != id {
+				t.Fatalf("re-PlaceBatch(%s): %+v, want ErrDuplicateID", id, res)
+			}
+			if res, _, err := r.PlaceDAG(ctx, id, diamondTask(), "classical"); !errors.Is(err, serve.ErrDuplicateID) || res.Placed {
+				t.Fatalf("re-PlaceDAG(%s): placed=%v err=%v, want ErrDuplicateID", id, res.Placed, err)
+			}
+		}
+		for _, id := range ids {
+			if _, _, err := r.Remove(ctx, id); err != nil {
+				t.Fatalf("Remove(%s): %v", id, err)
+			}
+			if _, _, err := r.Remove(ctx, id); !errors.Is(err, serve.ErrUnknownID) {
+				t.Fatalf("second Remove(%s) = %v, want ErrUnknownID", id, err)
+			}
+		}
+		for g, c := range clusters {
+			if n := c.Status().Placements; n != 0 {
+				t.Fatalf("group %d holds %d placements after removing every id", g, n)
+			}
+		}
+	}
+	placeOnZero := func(t *testing.T, r *Router, prefix string, n int, util float64) []string {
+		t.Helper()
+		var ids []string
+		for i := 0; len(ids) < n && i < 1000; i++ {
+			id := fmt.Sprintf("%s-%d", prefix, i)
+			if r.GroupFor(id) != 0 {
+				continue
+			}
+			if res, _, err := r.Place(ctx, id, setOfUtil(util)); err != nil || !res.Placed {
+				t.Fatalf("Place(%s): placed=%v err=%v", id, res.Placed, err)
+			}
+			ids = append(ids, id)
+		}
+		if len(ids) < n {
+			t.Fatalf("found %d ids hashing to group 0, want %d", len(ids), n)
+		}
+		return ids
+	}
+
+	t.Run("drain", func(t *testing.T) {
+		r, clusters := newLocalRouter(t, 1, 1)
+		ids := placeOnZero(t, r, "drained", 2, 0.10)
+		rep, err := r.Drain(ctx, 0)
+		if err != nil || rep.Migrated != len(ids) {
+			t.Fatalf("Drain: %+v, %v; want %d migrated", rep, err, len(ids))
+		}
+		if _, err := r.Undrain(ctx, 0); err != nil {
+			t.Fatalf("Undrain: %v", err)
+		}
+		replaceAndRemove(t, r, clusters, ids)
+	})
+	t.Run("rebalance", func(t *testing.T) {
+		r, clusters := newLocalRouter(t, 1, 1)
+		ids := placeOnZero(t, r, "skewed", 6, 0.08)
+		rep, err := r.Rebalance(ctx)
+		if err != nil || rep.Migrated == 0 {
+			t.Fatalf("Rebalance: %+v, %v; want a cross-shard move", rep, err)
+		}
+		replaceAndRemove(t, r, clusters, ids)
+	})
+}
+
+// diamondTask is a small DAG the classical analysis admits on a 2-core
+// reservation.
+func diamondTask() dag.Task {
+	return dag.Task{
+		Nodes:    []dag.Node{{WCETNs: 10_000}, {WCETNs: 20_000}, {WCETNs: 30_000}, {WCETNs: 10_000}},
+		Edges:    []dag.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+		Cores:    2,
+		PeriodNs: 1_000_000,
 	}
 }
 

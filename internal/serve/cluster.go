@@ -137,11 +137,6 @@ func ParsePolicy(s string) (Policy, error) {
 type ClusterConfig struct {
 	// Spec is the per-node platform model every admission runs against.
 	Spec plan.Spec
-	// Analysis is the admission analysis every node engine dispatches
-	// through; default the registered plan.DefaultAnalysisName plug-in
-	// (EDF utilization bound + hyperperiod simulation) for Spec. A non-nil
-	// Analysis must report the same Spec.
-	Analysis plan.Analysis
 	// Nodes is the number of simulated nodes; default 4.
 	Nodes int
 	// Policy selects candidate-node ordering; default FirstFit.
@@ -177,9 +172,6 @@ func (c *ClusterConfig) fillDefaults() {
 	if c.MaxBatchItems == 0 {
 		c.MaxBatchItems = DefaultMaxBatchItems
 	}
-	if c.Analysis == nil {
-		c.Analysis = plan.DefaultEDF(c.Spec)
-	}
 }
 
 // Validate rejects nonsensical settings.
@@ -195,10 +187,6 @@ func (c ClusterConfig) Validate() error {
 	}
 	if c.Spec.UtilizationLimit <= 0 || c.Spec.UtilizationLimit > 1 {
 		return fmt.Errorf("serve: utilization limit %g outside (0,1]", c.Spec.UtilizationLimit)
-	}
-	if c.Analysis != nil && c.Analysis.Spec() != c.Spec {
-		return fmt.Errorf("serve: analysis %q spec %+v disagrees with cluster spec %+v",
-			c.Analysis.Name(), c.Analysis.Spec(), c.Spec)
 	}
 	if c.Durability != nil && c.Durability.Dir == "" {
 		return errors.New("serve: Durability.Dir is required when durability is enabled")
@@ -261,11 +249,9 @@ type mutResult struct {
 }
 
 type node struct {
-	id int
-	ch chan *mutation
-	// eng is created through the configured plan.Analysis, so every
-	// cluster verdict dispatches through the interface.
-	eng plan.Engine
+	id  int
+	ch  chan *mutation
+	eng *plan.Incremental
 	// engMu guards eng: the worker holds it across a batch's evaluation,
 	// and the replicated log's apply loop across each committed record.
 	engMu sync.Mutex
@@ -345,7 +331,7 @@ func newCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.nodes[i] = &node{
 			id:  i,
 			ch:  make(chan *mutation, cfg.QueueDepth),
-			eng: cfg.Analysis.NewEngine(),
+			eng: plan.NewIncremental(cfg.Spec),
 		}
 		c.nodes[i].svc.ns.Store(queueSeedServiceNs)
 	}
@@ -574,7 +560,7 @@ func (c *Cluster) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer 
 		return res, err
 	}
 	c.dagSubmitted.Add(1)
-	r, err := dag.New(c.cfg.Spec, rta).AnalyzeDAG(&t)
+	r, err := dag.Analyze(&t, rta)
 	if err != nil {
 		c.dagRejected.Add(1)
 		return res, err
@@ -607,15 +593,15 @@ func (c *Cluster) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer 
 	return res, err
 }
 
-// AnalyzeDAG runs the named response-time analysis of t against the
-// cluster's platform spec and places nothing: the /v1/dag/analyze answer.
+// AnalyzeDAG runs the named response-time analysis of t and places
+// nothing: the /v1/dag/analyze answer.
 // Structural rejections return a *dag.ValidationError.
 func (c *Cluster) AnalyzeDAG(_ context.Context, t dag.Task, analyzer string) (dag.Result, error) {
 	rta, err := dag.NewAnalyzer(analyzer)
 	if err != nil {
 		return dag.Result{}, err
 	}
-	return dag.New(c.cfg.Spec, rta).AnalyzeDAG(&t)
+	return dag.Analyze(&t, rta)
 }
 
 // placeOnCandidates walks the candidate nodes in order, returning on the

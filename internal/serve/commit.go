@@ -203,7 +203,7 @@ func (c *Cluster) fold(recs ...durable.Record) {
 // applyRecord applies one recovered or replicated record to an engine,
 // reporting whether the engine took it. A DAG record applies its stored
 // server task; the response-time analysis is never re-run.
-func applyRecord(eng plan.Engine, rec durable.Record) bool {
+func applyRecord(eng *plan.Incremental, rec durable.Record) bool {
 	switch rec.Kind {
 	case durable.KindPlace, durable.KindPlaceDAG:
 		return eng.TryGang(rec.Tasks).Admit
