@@ -38,8 +38,10 @@ fmt:
 	@out=$$(find . -name '*.go' -not -path './.*/*' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# vet also vets the perf-gate test files, which only -tags perfgate compiles.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags perfgate ./...
 
 test:
 	$(GO) test ./...

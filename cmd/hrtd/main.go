@@ -25,7 +25,11 @@
 // POST /v1/cluster/{place,place-batch,remove,drain,undrain,rebalance},
 // GET /v1/cluster/status, POST /v1/dag/{place,analyze}, GET /metrics,
 // GET /healthz. Any other path, the pre-v1 /analyze and /capacity
-// included, answers 404 with the not_found envelope.
+// included, answers 404 with the not_found envelope. A batch request
+// carries at most 1024 items. Each query shard answers up to 64 queued
+// requests per batch from a 4096-entry cache; these sizes are constants,
+// not flags. -util must lie in (0,1]: any other value, NaN included,
+// stops the daemon at boot.
 //
 // POST /v1/simulate runs stochastic what-if replications (internal/whatif)
 // on the request's own goroutine once it holds one of -sim-workers slots
@@ -77,8 +81,6 @@ func main() {
 		overhead = flag.Int64("overhead-ns", 0, "override per-invocation overhead ns (0 = derive from -machine)")
 		shards   = flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "per-shard queue depth (0 = default 1024)")
-		batch    = flag.Int("batch", 0, "max queued requests a shard answers as one batch (0 = default 64)")
-		cache    = flag.Int("cache", 0, "per-shard cache entries, shared by analyze and capacity queries (0 = default 4096)")
 		nodes    = flag.Int("nodes", 4, "placement-cluster nodes (0 disables the cluster routes)")
 		policy   = flag.String("policy", "first-fit", "placement policy: first-fit or worst-fit")
 		dataDir  = flag.String("data-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")
@@ -134,14 +136,11 @@ func main() {
 	default:
 		fail("-machine must be phi or r415 (got %q)", *mach)
 	}
-	if *util <= 0 || *util > 1 {
-		fail("-util must be in (0,1] (got %g)", *util)
-	}
 	if *overhead < 0 {
 		fail("-overhead-ns must be non-negative (got %d)", *overhead)
 	}
-	if *shards < 0 || *queue < 0 || *batch < 0 || *cache < 0 || *nodes < 0 {
-		fail("-shards, -queue, -batch, -cache and -nodes must be non-negative")
+	if *shards < 0 || *queue < 0 || *nodes < 0 {
+		fail("-shards, -queue and -nodes must be non-negative")
 	}
 	if *simWork < 0 || *simQueue < 0 {
 		fail("-sim-workers and -sim-queue must be non-negative")
@@ -198,8 +197,6 @@ func main() {
 		Spec:          planSpec,
 		Shards:        *shards,
 		QueueDepth:    *queue,
-		BatchSize:     *batch,
-		CacheEntries:  *cache,
 		SimWorkers:    *simWork,
 		SimQueueDepth: *simQueue,
 	})
@@ -330,10 +327,9 @@ func main() {
 		}
 	}
 	cfg := srv.Config()
-	fmt.Printf("hrtd: listening on %s (machine=%s overhead=%dns util=%g shards=%d queue=%d batch=%d cache=%d nodes=%d policy=%s)\n",
+	fmt.Printf("hrtd: listening on %s (machine=%s overhead=%dns util=%g shards=%d queue=%d nodes=%d policy=%s)\n",
 		bound, spec.Name, planSpec.OverheadNs, planSpec.UtilizationLimit,
-		cfg.Shards, cfg.QueueDepth, cfg.BatchSize, cfg.CacheEntries,
-		*nodes, pol)
+		cfg.Shards, cfg.QueueDepth, *nodes, pol)
 
 	var handler http.Handler = srv.HandlerWithCluster(cluster)
 	if router != nil {

@@ -59,7 +59,9 @@ const (
 // Config is the boot-time configuration of every local scheduler. The
 // defaults mirror the paper's evaluation configuration: "99% utilization
 // limit, 10% sporadic reservation, 10% aperiodic reservation", round-robin
-// aperiodic scheduling on a 10 Hz timer.
+// aperiodic scheduling on a 10 Hz timer. The aperiodic reservation has no
+// field: nothing admits against it, since the scheduler is
+// work-conserving and unreserved time flows to whoever is runnable.
 type Config struct {
 	// UtilizationLimit leaves headroom for the scheduler's own invocations
 	// and, if need be, interrupts and SMIs. Fraction of 1.0.
@@ -67,13 +69,6 @@ type Config struct {
 	// SporadicReservation is the utilization fraction reserved for
 	// spontaneously arriving sporadic threads.
 	SporadicReservation float64
-	// AperiodicReservation is the fraction intended for non-real-time
-	// threads and admission-control processing. Like the sporadic
-	// reservation it guides capacity planning; periodic admission checks
-	// against the utilization limit itself (the scheduler is
-	// work-conserving, so unreserved time flows to whoever is runnable).
-	AperiodicReservation float64
-
 	// AperiodicQuantumNs is the round-robin quantum for aperiodic threads
 	// (the paper's 10 Hz timer => 100 ms).
 	AperiodicQuantumNs int64
@@ -164,12 +159,6 @@ type DegradeConfig struct {
 	// MissStreak is the consecutive-miss threshold that triggers a shed.
 	// Values below 1 are treated as the default of 3.
 	MissStreak int
-	// ShrinkPct is the percentage of the current slice kept by each
-	// DegradeShrink step; outside (0,100) it defaults to 50.
-	ShrinkPct int64
-	// MinSliceNs is the floor below which DegradeShrink demotes instead.
-	// Zero uses the platform's Limits.MinSliceNs.
-	MinSliceNs int64
 	// Readmit enables the re-admission supervisor: shed threads are retried
 	// with their original constraints under exponential backoff.
 	Readmit bool
@@ -194,13 +183,10 @@ func (d DegradeConfig) streak() int {
 	return d.MissStreak
 }
 
-// shrinkPct returns the effective per-step slice retention percentage.
-func (d DegradeConfig) shrinkPct() int64 {
-	if d.ShrinkPct <= 0 || d.ShrinkPct >= 100 {
-		return 50
-	}
-	return d.ShrinkPct
-}
+// shrinkPct is the percentage of the current slice each DegradeShrink
+// step keeps. Once a slice would fall below Limits.MinSliceNs the thread
+// is demoted instead.
+const shrinkPct = 50
 
 // maxAttempts returns the effective re-admission retry bound.
 func (d DegradeConfig) maxAttempts() int {
@@ -221,16 +207,15 @@ func DefaultConfig(spec machine.Spec) Config {
 		minSlice = 1
 	}
 	return Config{
-		UtilizationLimit:     utilLimit,
-		SporadicReservation:  0.10,
-		AperiodicReservation: 0.10,
-		AperiodicQuantumNs:   100_000_000, // 10 Hz
-		Mode:                 EagerEDF,
-		Admit:                AdmitEDF,
-		Steal:                StealPowerOfTwo,
-		StealCheckNs:         50_000,
-		Limits:               Limits{MinPeriodNs: minPeriod, MinSliceNs: minSlice},
-		MaxThreads:           1024,
-		PriorityFiltering:    true,
+		UtilizationLimit:    utilLimit,
+		SporadicReservation: 0.10,
+		AperiodicQuantumNs:  100_000_000, // 10 Hz
+		Mode:                EagerEDF,
+		Admit:               AdmitEDF,
+		Steal:               StealPowerOfTwo,
+		StealCheckNs:        50_000,
+		Limits:              Limits{MinPeriodNs: minPeriod, MinSliceNs: minSlice},
+		MaxThreads:          1024,
+		PriorityFiltering:   true,
 	}
 }

@@ -85,12 +85,7 @@ func (k *Kernel) shedCohort(t *Thread, nowNs int64) {
 			if m.state == Exited || m.cons.Type != Periodic {
 				continue
 			}
-			s := k.Locals[m.cpu]
-			floor := dc.MinSliceNs
-			if floor <= 0 {
-				floor = s.cfg.Limits.MinSliceNs
-			}
-			if m.cons.SliceNs*dc.shrinkPct()/100 < floor {
+			if m.cons.SliceNs*shrinkPct/100 < k.Locals[m.cpu].cfg.Limits.MinSliceNs {
 				policy = DegradeDemote
 				break
 			}
@@ -124,7 +119,6 @@ func (k *Kernel) shedCohort(t *Thread, nowNs int64) {
 
 // degradeOne applies policy to one periodic thread on its own scheduler.
 func (s *LocalScheduler) degradeOne(t *Thread, nowNs int64, cohort int, policy DegradePolicy) {
-	dc := s.cfg.Degrade
 	old := t.cons
 	orig := old
 	if t.degraded {
@@ -136,7 +130,7 @@ func (s *LocalScheduler) degradeOne(t *Thread, nowNs int64, cohort int, policy D
 	switch policy {
 	case DegradeShrink:
 		cons := old
-		cons.SliceNs = old.SliceNs * dc.shrinkPct() / 100
+		cons.SliceNs = old.SliceNs * shrinkPct / 100
 		s.periodicUtil -= old.Utilization()
 		if s.periodicUtil < 0 {
 			s.periodicUtil = 0

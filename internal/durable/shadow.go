@@ -128,7 +128,7 @@ func (s *shadow) advanceLocked(lsn, term uint64, n, size int64) bool {
 	s.appliedLSN, s.appliedTerm = lsn, term
 	s.recSinceSnap += n
 	s.bytesSinceSnap += size
-	return s.recSinceSnap >= s.cfg.SnapshotEveryRecords || s.bytesSinceSnap >= s.cfg.SnapshotEveryBytes
+	return s.recSinceSnap >= s.cfg.SnapshotEveryRecords || s.bytesSinceSnap >= snapshotEveryBytes
 }
 
 // maybeSnapshot starts one background snapshot if none is running.

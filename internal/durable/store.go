@@ -28,12 +28,13 @@ type Config struct {
 	// ignores it: the replication layer owns that log.
 	SegmentBytes int64
 	// SnapshotEveryRecords triggers a snapshot after this many logged
-	// records; default 4096.
+	// records; default 4096. A snapshot is also due once
+	// snapshotEveryBytes have been logged since the last one.
 	SnapshotEveryRecords int64
-	// SnapshotEveryBytes triggers a snapshot after this many logged
-	// bytes; default 1 MiB.
-	SnapshotEveryBytes int64
 }
+
+// snapshotEveryBytes triggers a snapshot after this many logged bytes.
+const snapshotEveryBytes = 1 << 20
 
 func (c *Config) fillDefaults() {
 	if c.FS == nil {
@@ -41,9 +42,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.SnapshotEveryRecords == 0 {
 		c.SnapshotEveryRecords = 4096
-	}
-	if c.SnapshotEveryBytes == 0 {
-		c.SnapshotEveryBytes = 1 << 20
 	}
 }
 

@@ -32,8 +32,6 @@ type Config struct {
 	Dir string
 	// FS is the filesystem to write through; default the real one.
 	FS wal.FS
-	// SegmentBytes is the WAL roll threshold (0 = wal default).
-	SegmentBytes int64
 	// BaseLSN seeds the WAL when the directory holds no records (used
 	// after a snapshot-outran-log wipe; see durable.Store).
 	BaseLSN uint64
@@ -51,8 +49,6 @@ type Config struct {
 	// nothing for [T, 2T) starts an election, and a leader that loses
 	// contact with a majority for T steps down. Default 10x heartbeat.
 	ElectionTimeout time.Duration
-	// RPCTimeout bounds each transport call; default ElectionTimeout/2.
-	RPCTimeout time.Duration
 	// Seed makes election jitter deterministic per replica.
 	Seed int64
 	// FloorTerm is the term of the last snapshot-covered entry, for
@@ -61,8 +57,6 @@ type Config struct {
 	// AppliedLSN is the caller's snapshot position: apply restarts at
 	// AppliedLSN+1, and everything at or below it is known committed.
 	AppliedLSN uint64
-	// MaxBatch caps entries per AppendEntries RPC; default 256.
-	MaxBatch int
 	// Logf, if set, receives boot/role-transition log lines.
 	Logf func(format string, args ...any)
 }
@@ -77,13 +71,13 @@ func (c *Config) fillDefaults() {
 	if c.ElectionTimeout <= 0 {
 		c.ElectionTimeout = 10 * c.HeartbeatInterval
 	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = c.ElectionTimeout / 2
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
 }
+
+// maxAppendBatch caps the entries one AppendEntries RPC carries.
+const maxAppendBatch = 256
+
+// rpcTimeout bounds each transport call: half the election timeout.
+func (n *Node) rpcTimeout() time.Duration { return n.cfg.ElectionTimeout / 2 }
 
 // PeerStatus is the leader's view of one follower.
 type PeerStatus struct {
@@ -199,7 +193,7 @@ func Open(cfg Config) (*Node, wal.OpenReport, error) {
 		}
 	}
 	log, rep, err := wal.Open(wal.Options{
-		Dir: cfg.Dir, FS: cfg.FS, SegmentBytes: cfg.SegmentBytes, BaseLSN: cfg.BaseLSN,
+		Dir: cfg.Dir, FS: cfg.FS, BaseLSN: cfg.BaseLSN,
 	})
 	if err != nil {
 		return nil, rep, err
@@ -253,7 +247,7 @@ func Open(cfg Config) (*Node, wal.OpenReport, error) {
 		}
 		rep.DroppedSegments += dropped
 		log, _, err = wal.Open(wal.Options{
-			Dir: cfg.Dir, FS: cfg.FS, SegmentBytes: cfg.SegmentBytes, BaseLSN: cfg.AppliedLSN + 1,
+			Dir: cfg.Dir, FS: cfg.FS, BaseLSN: cfg.AppliedLSN + 1,
 		})
 		if err != nil {
 			return nil, rep, err
@@ -810,7 +804,7 @@ func (n *Node) startElection() {
 		p := p
 		go func() {
 			defer n.wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), n.rpcTimeout())
 			defer cancel()
 			resp, err := n.cfg.Transport.Vote(ctx, p, req)
 			if err != nil {
@@ -901,7 +895,7 @@ func (n *Node) runPeer(i int) {
 		}
 		upper := prev
 		if n.lastLSN >= nextLSN {
-			hi := min(n.lastLSN, nextLSN+uint64(n.cfg.MaxBatch)-1)
+			hi := min(n.lastLSN, nextLSN+maxAppendBatch-1)
 			for l := nextLSN; l <= hi; l++ {
 				req.Entries = append(req.Entries, Entry{LSN: l, Data: n.dataAt(l)})
 			}
@@ -909,7 +903,7 @@ func (n *Node) runPeer(i int) {
 		}
 		n.mu.Unlock()
 
-		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.RPCTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), n.rpcTimeout())
 		resp, err := n.cfg.Transport.Append(ctx, peer, req)
 		cancel()
 		n.appendsSent.Add(1)

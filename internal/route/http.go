@@ -10,22 +10,6 @@ import (
 	"hrtsched/internal/serve"
 )
 
-// MaxBatchItems is the router's own batch cap: the largest cap any group
-// advertises (the router splits per group, so one group's cap does not
-// bound the routed batch).
-func (r *Router) MaxBatchItems() int {
-	max := 0
-	for _, g := range r.groups {
-		if n := g.MaxBatchItems(); n > max {
-			max = n
-		}
-	}
-	if max < 1 {
-		max = serve.DefaultMaxBatchItems
-	}
-	return max
-}
-
 // Handler returns the router's HTTP mux: the /v1/cluster/*, /v1/dag/* and
 // /v1/simulate routes are serve's own handlers (serve.Routes) answering
 // through the shard router — every body and error envelope the unrouted
@@ -52,8 +36,8 @@ func (r *Router) timed(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// backend is the router's side of serve.Backend. MaxBatchItems, Place,
-// Remove, Undrain, PlaceDAG, AnalyzeDAG and Simulate are the Router's own.
+// backend is the router's side of serve.Backend. Place, Remove, Undrain,
+// PlaceDAG, AnalyzeDAG and Simulate are the Router's own.
 type backend struct{ *Router }
 
 func (b backend) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) ([]serve.BatchPlaceResult, []int) {

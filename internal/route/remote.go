@@ -47,10 +47,6 @@ func NewRemoteGroup(ctx context.Context, baseURL string, timeout time.Duration) 
 // NodeCount implements Group.
 func (g *RemoteGroup) NodeCount() int { return g.nodes }
 
-// MaxBatchItems implements Group. The group's cap is not discoverable
-// without tripping it, so the adapter assumes the default.
-func (g *RemoteGroup) MaxBatchItems() int { return serve.DefaultMaxBatchItems }
-
 // idRequest, nodeRequest and dagRequest are the request bodies of
 // /v1/cluster/remove, /v1/cluster/drain and /undrain, and /v1/dag/*.
 type idRequest struct {
@@ -125,7 +121,7 @@ func (g *RemoteGroup) AnalyzeDAG(ctx context.Context, t dag.Task, analyzer strin
 	return res, err
 }
 
-// Simulate implements Simulator: every remote group daemon serves
+// Simulate implements Group: every remote group daemon serves
 // /v1/simulate, so the router can always forward what-if runs here.
 func (g *RemoteGroup) Simulate(ctx context.Context, req serve.SimulateRequest) (*whatif.Report, error) {
 	var rep whatif.Report

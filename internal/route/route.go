@@ -25,16 +25,17 @@ import (
 	"sync"
 	"time"
 
-	"hrtsched/internal/client"
 	"hrtsched/internal/dag"
+	"hrtsched/internal/durable"
 	"hrtsched/internal/plan"
 	"hrtsched/internal/serve"
 	"hrtsched/internal/whatif"
 )
 
 // Group is one shard group: the subset of the placement surface the router
-// fans out to. LocalGroup adapts an in-process serve.Cluster; RemoteGroup
-// speaks the /v1/ HTTP contract to a group daemon.
+// fans out to, plus the what-if simulation pool. LocalGroup adapts an
+// in-process serve.Cluster and the serve.Server that owns the pool;
+// RemoteGroup speaks the /v1/ HTTP contract to a group daemon.
 type Group interface {
 	// NodeCount is the number of simulated nodes the group owns.
 	NodeCount() int
@@ -49,9 +50,7 @@ type Group interface {
 	Undrain(ctx context.Context, localNode int) error
 	Rebalance(ctx context.Context) (int, error)
 	Status(ctx context.Context) (serve.ClusterStatus, error)
-	// MaxBatchItems is the group's place-batch cap; the router sizes
-	// sub-batches against it.
-	MaxBatchItems() int
+	Simulate(ctx context.Context, req serve.SimulateRequest) (*whatif.Report, error)
 }
 
 // Migrator is the optional capability a Group needs to participate in
@@ -65,19 +64,6 @@ type Migrator interface {
 	BestMovableUnder(gap float64) (id string, info serve.PlacementInfo, ok bool)
 }
 
-// Simulator is the optional capability a Group needs to serve routed
-// /v1/simulate requests. RemoteGroup always implements it (the remote
-// daemon owns the worker pool); LocalGroup implements it when constructed
-// with the serve.Server that holds the in-process simulation pool.
-type Simulator interface {
-	Simulate(ctx context.Context, req serve.SimulateRequest) (*whatif.Report, error)
-}
-
-// errSimUnsupported makes a capability gap distinguishable from a real
-// failure: the router falls through to the next group instead of
-// answering an error.
-var errSimUnsupported = errors.New("route: group does not support simulation")
-
 // ErrUnknownGroupNode reports a global node id outside the partition map.
 var errUnknownGroupNode = serve.ErrUnknownNode
 
@@ -85,20 +71,16 @@ var errUnknownGroupNode = serve.ErrUnknownNode
 // cross-shard rebalance stops, mirroring the in-group rebalance slack.
 const crossShardSlack = 0.02
 
+// maxFanout bounds how many groups one request fans out to simultaneously
+// (batch splits, status aggregation); fewer groups lower it to their count.
+const maxFanout = 8
+
 // Config parameterizes a Router. Zero fields take defaults.
 type Config struct {
-	// Names are the rendezvous identities of the groups; they determine
-	// the id→group map, so they must be stable across router restarts for
-	// routing to stay consistent. Default "group-0", "group-1", ...
-	Names []string
 	// Partition assigns global node ids to groups: Partition[g][i] is the
 	// global id of group g's local node i. Default: contiguous blocks in
 	// group order. PartitionNodes builds a rendezvous-hashed assignment.
 	Partition [][]int
-	// MaxConcurrent bounds how many groups one request fans out to
-	// simultaneously (batch splits, status aggregation, migrations
-	// probes). Default min(8, groups).
-	MaxConcurrent int
 	// StatusTimeout bounds each group's status fetch during aggregation;
 	// an overrun marks the group unreachable and serves its last cached
 	// status with an age. Default 2s.
@@ -112,8 +94,11 @@ type nodeRef struct {
 // Router fans the placement surface out across shard groups.
 type Router struct {
 	groups []Group
-	names  []string
-	cfg    Config
+	// names are the groups' rendezvous identities, "group-0", "group-1",
+	// ...: they determine the id→group map, so every router over the same
+	// groups routes alike.
+	names []string
+	cfg   Config
 
 	// globalNodes maps a global node id to its owning group and local
 	// index; partition is the inverse (group → local → global).
@@ -147,22 +132,6 @@ func New(groups []Group, cfg Config) (*Router, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("route: at least one group is required")
 	}
-	if len(cfg.Names) == 0 {
-		cfg.Names = make([]string, len(groups))
-		for i := range cfg.Names {
-			cfg.Names[i] = fmt.Sprintf("group-%d", i)
-		}
-	}
-	if len(cfg.Names) != len(groups) {
-		return nil, fmt.Errorf("route: %d names for %d groups", len(cfg.Names), len(groups))
-	}
-	seen := make(map[string]bool, len(cfg.Names))
-	for _, n := range cfg.Names {
-		if n == "" || seen[n] {
-			return nil, fmt.Errorf("route: group names must be unique and non-empty: %q", n)
-		}
-		seen[n] = true
-	}
 	if cfg.Partition == nil {
 		cfg.Partition = make([][]int, len(groups))
 		next := 0
@@ -191,18 +160,12 @@ func New(groups []Group, cfg Config) (*Router, error) {
 			globalNodes[id] = nodeRef{group: g, local: local}
 		}
 	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 8
-		if len(groups) < cfg.MaxConcurrent {
-			cfg.MaxConcurrent = len(groups)
-		}
-	}
 	if cfg.StatusTimeout <= 0 {
 		cfg.StatusTimeout = 2 * time.Second
 	}
 	r := &Router{
 		groups:      groups,
-		names:       cfg.Names,
+		names:       groupNames(len(groups)),
 		cfg:         cfg,
 		globalNodes: globalNodes,
 		partition:   cfg.Partition,
@@ -215,8 +178,17 @@ func New(groups []Group, cfg Config) (*Router, error) {
 // Groups returns the number of shard groups behind the router.
 func (r *Router) Groups() int { return len(r.groups) }
 
-// GroupName returns group g's rendezvous identity.
-func (r *Router) GroupName(g int) string { return r.names[g] }
+// groupNames returns the rendezvous identities of k groups.
+func groupNames(k int) []string {
+	names := make([]string, k)
+	for i := range names {
+		names[i] = fmt.Sprintf("group-%d", i)
+	}
+	return names
+}
+
+// concurrency is how many groups one request fans out to at once.
+func (r *Router) concurrency() int { return min(maxFanout, len(r.groups)) }
 
 // fnv64Pair hashes a (name, key) pair: FNV-1a over both halves (a NUL
 // separating them so ("ab","c") and ("a","bc") score differently), then a
@@ -271,10 +243,7 @@ func PartitionNodes(total, groups int) [][]int {
 	if groups < 1 {
 		groups = 1
 	}
-	names := make([]string, groups)
-	for i := range names {
-		names[i] = fmt.Sprintf("group-%d", i)
-	}
+	names := groupNames(groups)
 	part := make([][]int, groups)
 	for n := 0; n < total; n++ {
 		g := rendezvous(fmt.Sprintf("node-%d", n), names)
@@ -312,7 +281,7 @@ func (r *Router) Place(ctx context.Context, id string, set plan.TaskSet) (serve.
 	r.moveMu.RLock()
 	defer r.moveMu.RUnlock()
 	if r.heldElsewhere(g, id) {
-		return serve.PlaceResult{Node: -1}, g, duplicateID(id)
+		return serve.PlaceResult{Node: -1}, g, r.heldElsewhereErr(id, set)
 	}
 	start := time.Now()
 	res, err := r.groups[g].Place(ctx, id, set)
@@ -323,61 +292,24 @@ func (r *Router) Place(ctx context.Context, id string, set plan.TaskSet) (serve.
 	return res, g, err
 }
 
-// Simulate routes one what-if request to a shard group. Ownership is the
-// rendezvous hash of (scenario name, seed) — a sweep's grid spreads its
-// CPU-heavy replications across every group — and a group that lacks the
-// Simulator capability falls through to the next candidate in rendezvous
-// preference order. Errors from a capable group (sheds included) pass
-// through verbatim; only the capability gap falls through.
+// Simulate routes one what-if request to the shard group owning the
+// rendezvous hash of (scenario name, seed), so a sweep's grid spreads its
+// CPU-heavy replications across every group. Errors, sheds included, pass
+// through verbatim.
 func (r *Router) Simulate(ctx context.Context, req serve.SimulateRequest) (*whatif.Report, int, error) {
-	key := fmt.Sprintf("%s#%d", req.Scenario.Name, req.Seed)
-	order := rendezvousOrder(key, r.names)
-	for _, g := range order {
-		sim, ok := r.groups[g].(Simulator)
-		if !ok {
-			continue
-		}
-		start := time.Now()
-		rep, err := sim.Simulate(ctx, req)
-		if errors.Is(err, errSimUnsupported) {
-			continue
-		}
-		r.m.observe(g, start, err)
-		return rep, g, err
-	}
-	return nil, -1, fmt.Errorf("%w: no shard group supports simulation", client.ErrUnreachable)
-}
-
-// rendezvousOrder ranks group indexes by descending rendezvous score for
-// key: element 0 is the owner, the rest are the deterministic fallback
-// order.
-func rendezvousOrder(key string, names []string) []int {
-	type scored struct {
-		idx   int
-		score uint64
-	}
-	ss := make([]scored, len(names))
-	for i, n := range names {
-		ss[i] = scored{i, fnv64Pair(n, key)}
-	}
-	sort.Slice(ss, func(a, b int) bool {
-		if ss[a].score != ss[b].score {
-			return ss[a].score > ss[b].score
-		}
-		return ss[a].idx < ss[b].idx
-	})
-	out := make([]int, len(ss))
-	for i, s := range ss {
-		out[i] = s.idx
-	}
-	return out
+	g := rendezvous(fmt.Sprintf("%s#%d", req.Scenario.Name, req.Seed), r.names)
+	start := time.Now()
+	rep, err := r.groups[g].Simulate(ctx, req)
+	r.m.observe(g, start, err)
+	return rep, g, err
 }
 
 // heldElsewhere reports whether a Migrator group other than g holds id,
-// as a cross-shard move leaves it. A re-place of such an id answers
-// ErrDuplicateID, as a monolith would, before the owning group validates
-// or analyzes the request. Remote groups never take part in a move, so
-// they are not asked. Callers hold moveMu for reading.
+// as a cross-shard move leaves it. A re-place of such an id answers as
+// one cluster would: ErrDuplicateID, unless the request fails a check
+// that cluster makes first (heldElsewhereErr, dagHeldElsewhere). Remote
+// groups never take part in a move, so they are not asked. Callers hold
+// moveMu for reading.
 func (r *Router) heldElsewhere(g int, id string) bool {
 	for og, grp := range r.groups {
 		if mig, ok := grp.(Migrator); ok && og != g {
@@ -391,13 +323,24 @@ func (r *Router) heldElsewhere(g int, id string) bool {
 
 func duplicateID(id string) error { return fmt.Errorf("%w: %q", serve.ErrDuplicateID, id) }
 
+// heldElsewhereErr answers a place of id, which another group holds: the
+// placement check one cluster over the whole fleet makes before its
+// duplicate-id check (durable.CheckPlacement, e.g. the 400 for an empty
+// task set), else ErrDuplicateID.
+func (r *Router) heldElsewhereErr(id string, set plan.TaskSet) error {
+	if err := durable.CheckPlacement(id, len(r.globalNodes)-1, set); err != nil {
+		return err
+	}
+	return duplicateID(id)
+}
+
 // PlaceDAG routes one DAG submission to its owning group.
 func (r *Router) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer string) (serve.DAGPlaceResult, int, error) {
 	g := r.GroupFor(id)
 	r.moveMu.RLock()
 	defer r.moveMu.RUnlock()
 	if r.heldElsewhere(g, id) {
-		return serve.DAGPlaceResult{Node: -1}, g, duplicateID(id)
+		return r.dagHeldElsewhere(ctx, g, id, t, analyzer)
 	}
 	start := time.Now()
 	res, err := r.groups[g].PlaceDAG(ctx, id, t, analyzer)
@@ -406,6 +349,26 @@ func (r *Router) PlaceDAG(ctx context.Context, id string, t dag.Task, analyzer s
 		r.m.placed.Add(1)
 	}
 	return res, g, err
+}
+
+// dagHeldElsewhere answers a DAG submission whose id another group holds
+// as one cluster would: a structural rejection or an analysis reject
+// first (from the owner's AnalyzeDAG), ErrDuplicateID only for a DAG the
+// analysis admits.
+func (r *Router) dagHeldElsewhere(ctx context.Context, g int, id string, t dag.Task, analyzer string) (serve.DAGPlaceResult, int, error) {
+	res := serve.DAGPlaceResult{Node: -1}
+	start := time.Now()
+	a, err := r.groups[g].AnalyzeDAG(ctx, t, analyzer)
+	r.m.observe(g, start, err)
+	if err != nil {
+		return res, g, err
+	}
+	res.Analysis = a
+	if !a.Admit {
+		return res, g, nil
+	}
+	res.ServerTask = dag.ServerTask(&t, a)
+	return res, g, duplicateID(id)
 }
 
 // AnalyzeDAG answers a placement-free DAG analysis. Analysis depends only
@@ -458,10 +421,10 @@ type BatchResult struct {
 // PlaceBatch splits a batch by owning group, fans the sub-batches out with
 // bounded concurrency, and re-merges the answers in input order. Each
 // group's items are forwarded in their original relative order, chunked to
-// the group's MaxBatchItems, chunks applied sequentially per group — so
+// serve.DefaultMaxBatchItems, chunks applied sequentially per group — so
 // in-batch duplicate-id semantics (first occurrence in input order wins)
 // hold exactly as they do on one flat cluster. An item whose id another
-// group holds answers ErrDuplicateID without being forwarded. With a
+// group holds answers heldElsewhereErr without being forwarded. With a
 // single group the whole batch forwards unsplit, byte-identical to the
 // unrouted path.
 func (r *Router) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) BatchResult {
@@ -489,7 +452,7 @@ func (r *Router) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) B
 		g := r.GroupFor(it.ID)
 		out.Groups[i] = g
 		if r.heldElsewhere(g, it.ID) {
-			out.Results[i] = serve.BatchPlaceResult{ID: it.ID, Result: serve.PlaceResult{Node: -1}, Err: duplicateID(it.ID)}
+			out.Results[i] = serve.BatchPlaceResult{ID: it.ID, Result: serve.PlaceResult{Node: -1}, Err: r.heldElsewhereErr(it.ID, it.Tasks)}
 			continue
 		}
 		perGroup[g] = append(perGroup[g], member{item: it, idx: i})
@@ -501,7 +464,7 @@ func (r *Router) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) B
 		}
 	}
 	r.m.fanout(width)
-	sem := make(chan struct{}, r.cfg.MaxConcurrent)
+	sem := make(chan struct{}, r.concurrency())
 	var wg sync.WaitGroup
 	for g, ms := range perGroup {
 		if len(ms) == 0 {
@@ -512,18 +475,11 @@ func (r *Router) PlaceBatch(ctx context.Context, items []serve.BatchPlaceItem) B
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cap := r.groups[g].MaxBatchItems()
-			if cap < 1 {
-				cap = serve.DefaultMaxBatchItems
-			}
 			// Chunks run sequentially so a duplicate id split across chunks
 			// still resolves in input order (the first chunk commits before
 			// the second is judged).
-			for off := 0; off < len(ms); off += cap {
-				end := off + cap
-				if end > len(ms) {
-					end = len(ms)
-				}
+			for off := 0; off < len(ms); off += serve.DefaultMaxBatchItems {
+				end := min(off+serve.DefaultMaxBatchItems, len(ms))
 				chunk := make([]serve.BatchPlaceItem, end-off)
 				for i, m := range ms[off:end] {
 					chunk[i] = m.item

@@ -35,14 +35,15 @@ func newTestCluster(t *testing.T, nodes int) *serve.Cluster {
 }
 
 // newLocalRouter builds a router over len(sizes) in-process groups, group g
-// owning sizes[g] nodes, contiguous default partition.
+// owning sizes[g] nodes, contiguous default partition. The groups have no
+// server, so the router must not be asked to simulate.
 func newLocalRouter(t *testing.T, sizes ...int) (*Router, []*serve.Cluster) {
 	t.Helper()
 	groups := make([]Group, len(sizes))
 	clusters := make([]*serve.Cluster, len(sizes))
 	for g, n := range sizes {
 		clusters[g] = newTestCluster(t, n)
-		groups[g] = NewLocalGroup(clusters[g])
+		groups[g] = NewLocalGroupWithServer(clusters[g], nil)
 	}
 	r, err := New(groups, Config{})
 	if err != nil {
@@ -112,15 +113,12 @@ func TestGroupForIsStableAndSpreads(t *testing.T) {
 
 func TestNewRejectsBadConfigs(t *testing.T) {
 	c := newTestCluster(t, 2)
-	g := NewLocalGroup(c)
+	g := NewLocalGroupWithServer(c, nil)
 	cases := []struct {
 		groups []Group
 		cfg    Config
 	}{
 		{nil, Config{}},
-		{[]Group{g}, Config{Names: []string{"a", "b"}}},
-		{[]Group{g, g}, Config{Names: []string{"dup", "dup"}}},
-		{[]Group{g}, Config{Names: []string{""}}},
 		{[]Group{g}, Config{Partition: [][]int{{0}}}},               // group owns 2 nodes
 		{[]Group{g, g}, Config{Partition: [][]int{{0, 1}, {1, 2}}}}, // node 1 twice
 		{[]Group{g}, Config{Partition: [][]int{{0, 1}, {2}}}},       // extra partition group
@@ -298,12 +296,55 @@ func TestCrossShardRebalanceNarrowsSpread(t *testing.T) {
 // drain and after a cross-shard rebalance. A migrated id lives off its
 // hash-owning group, yet the router must answer ErrDuplicateID for it on
 // every placement route, as a monolith does; the removal that follows
-// must leave no copy live.
+// must leave no copy live. A re-place the monolith refuses before its
+// duplicate check (an empty task set; a DAG its analysis rejects or its
+// validation refuses) must get the monolith's answer instead.
 func TestMigratedIDIsNotPlacedTwice(t *testing.T) {
 	ctx := context.Background()
+	// A chain longer than its period: the classical analysis rejects it.
+	longChain := dag.Task{
+		Nodes:    []dag.Node{{WCETNs: 600_000}, {WCETNs: 600_000}},
+		Edges:    []dag.Edge{{From: 0, To: 1}},
+		Cores:    2,
+		PeriodNs: 1_000_000,
+	}
+	noCores := diamondTask()
+	noCores.Cores = 0
+	sameErr := func(got, want error) bool {
+		return got != nil && want != nil && got.Error() == want.Error() && !errors.Is(got, serve.ErrDuplicateID)
+	}
+	asMonolith := func(t *testing.T, r *Router, mono *serve.Cluster, id string) {
+		t.Helper()
+		if res, err := mono.Place(ctx, id, setOfUtil(0.01)); err != nil || !res.Placed {
+			t.Fatalf("monolith Place(%s): placed=%v err=%v", id, res.Placed, err)
+		}
+		_, want := mono.Place(ctx, id, nil)
+		if _, _, err := r.Place(ctx, id, nil); !sameErr(err, want) {
+			t.Fatalf("re-Place(%s) of an empty set: %v, want the monolith's %v", id, err, want)
+		}
+		br := r.PlaceBatch(ctx, []serve.BatchPlaceItem{{ID: id}})
+		mr := mono.PlaceBatch(ctx, []serve.BatchPlaceItem{{ID: id}})
+		if res := br.Results[0]; !sameErr(res.Err, mr[0].Err) || res.Result != mr[0].Result {
+			t.Fatalf("re-PlaceBatch(%s) of an empty set: %+v, want the monolith's %+v", id, res, mr[0])
+		}
+		for _, task := range []dag.Task{longChain, noCores} {
+			want, werr := mono.PlaceDAG(ctx, id, task, "classical")
+			if werr == nil && want.Analysis.Admit {
+				t.Fatalf("the monolith's analysis admits %+v; the case needs a rejection", task)
+			}
+			got, _, err := r.PlaceDAG(ctx, id, task, "classical")
+			gotJSON, _ := json.Marshal(got)
+			wantJSON, _ := json.Marshal(want)
+			if (werr == nil) != (err == nil) || (werr != nil && !sameErr(err, werr)) || string(gotJSON) != string(wantJSON) {
+				t.Fatalf("re-PlaceDAG(%s): %s, %v; want the monolith's %s, %v", id, gotJSON, err, wantJSON, werr)
+			}
+		}
+	}
 	replaceAndRemove := func(t *testing.T, r *Router, clusters []*serve.Cluster, ids []string) {
 		t.Helper()
+		mono := newTestCluster(t, len(r.globalNodes))
 		for _, id := range ids {
+			asMonolith(t, r, mono, id)
 			if res, _, err := r.Place(ctx, id, setOfUtil(0.01)); !errors.Is(err, serve.ErrDuplicateID) || res.Placed {
 				t.Fatalf("re-Place(%s): placed=%v err=%v, want ErrDuplicateID", id, res.Placed, err)
 			}
@@ -403,8 +444,8 @@ func (f failingGroup) Status(context.Context) (serve.ClusterStatus, error) {
 func TestStatusAggregatesAndServesStale(t *testing.T) {
 	c0 := newTestCluster(t, 2)
 	c1 := newTestCluster(t, 2)
-	g1 := &flipGroup{Group: NewLocalGroup(c1)}
-	r, err := New([]Group{NewLocalGroup(c0), g1}, Config{StatusTimeout: 200 * time.Millisecond})
+	g1 := &flipGroup{Group: NewLocalGroupWithServer(c1, nil)}
+	r, err := New([]Group{NewLocalGroupWithServer(c0, nil), g1}, Config{StatusTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -595,7 +636,7 @@ func TestSingleGroupRoutedIsByteIdentical(t *testing.T) {
 			t.Cleanup(ts.Close)
 			return ts
 		}
-		r, err := New([]Group{NewLocalGroup(c)}, Config{})
+		r, err := New([]Group{NewLocalGroupWithServer(c, srv)}, Config{})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

@@ -49,7 +49,7 @@ func newScaleoutRouter(tb testing.TB, groups int) *Router {
 			tb.Fatalf("NewCluster: %v", err)
 		}
 		tb.Cleanup(c.Close)
-		gs[g] = NewLocalGroup(c)
+		gs[g] = NewLocalGroupWithServer(c, nil)
 	}
 	r, err := New(gs, Config{})
 	if err != nil {

@@ -3,14 +3,15 @@ package route
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"hrtsched/internal/client"
 	"hrtsched/internal/serve"
 	"hrtsched/internal/whatif"
 )
@@ -73,40 +74,62 @@ func TestSingleGroupRoutedSimulateIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRouterSimulateFallsThroughCapabilityGap: a group without the
-// Simulator capability is skipped; the run lands on the capable group.
-func TestRouterSimulateFallsThroughCapabilityGap(t *testing.T) {
-	c0 := newTestCluster(t, 1)
-	c1 := newTestCluster(t, 1)
-	srv := newSimServer(t)
-	// Group 0 is simulation-blind (plain LocalGroup), group 1 is capable.
-	r, err := New([]Group{NewLocalGroup(c0), NewLocalGroupWithServer(c1, srv)}, Config{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	var req serve.SimulateRequest
-	if err := json.Unmarshal([]byte(routeSimBody), &req); err != nil {
-		t.Fatal(err)
-	}
-	req.Scenario = req.Scenario.Normalize()
-	rep, g, err := r.Simulate(context.Background(), req)
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	if g != 1 {
-		t.Fatalf("answered by group %d, want 1 (the only capable group)", g)
-	}
-	if rep.Replications != 3 || rep.Seed != 11 {
-		t.Fatalf("report fields wrong: %+v", rep)
-	}
+// simCountingGroup counts the what-if runs its group answers.
+type simCountingGroup struct {
+	Group
+	runs atomic.Int64
+}
 
-	// No capable group at all: unreachable, mapped to the 503 contract.
-	r2, err := New([]Group{NewLocalGroup(c0)}, Config{})
+func (g *simCountingGroup) Simulate(ctx context.Context, req serve.SimulateRequest) (*whatif.Report, error) {
+	g.runs.Add(1)
+	return g.Group.Simulate(ctx, req)
+}
+
+// TestRouterSimulateAnswersFromRendezvousOwner: over three groups, each
+// seed's run goes to the group rendezvous(name#seed) picks, the answer
+// names that group in the attribution header, and the seeds spread over
+// more than one group.
+func TestRouterSimulateAnswersFromRendezvousOwner(t *testing.T) {
+	groups := make([]*simCountingGroup, 3)
+	gs := make([]Group, len(groups))
+	for g := range groups {
+		groups[g] = &simCountingGroup{Group: NewLocalGroupWithServer(newTestCluster(t, 1), newSimServer(t))}
+		gs[g] = groups[g]
+	}
+	r, err := New(gs, Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, _, err := r2.Simulate(context.Background(), req); !errors.Is(err, client.ErrUnreachable) {
-		t.Fatalf("no-capability error = %v, want client.ErrUnreachable", err)
+	ts := httptest.NewServer(r.Handler(newSimServer(t).Handler()))
+	t.Cleanup(ts.Close)
+
+	answered := map[int]bool{}
+	for seed := 1; seed <= 8; seed++ {
+		owner := rendezvous(fmt.Sprintf("routed#%d", seed), r.names)
+		before := groups[owner].runs.Load()
+		body := strings.Replace(routeSimBody, `"seed":11`, fmt.Sprintf(`"seed":%d`, seed), 1)
+		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: simulate answered %d", seed, resp.StatusCode)
+		}
+		if got := resp.Header.Get(serve.ShardGroupHeader); got != strconv.Itoa(owner) {
+			t.Fatalf("seed %d: %s = %q, want %d", seed, serve.ShardGroupHeader, got, owner)
+		}
+		if n := groups[owner].runs.Load(); n != before+1 {
+			t.Fatalf("seed %d: owner group %d ran %d simulations, want %d", seed, owner, n, before+1)
+		}
+		answered[owner] = true
+	}
+	total := int64(0)
+	for _, g := range groups {
+		total += g.runs.Load()
+	}
+	if total != 8 || len(answered) < 2 {
+		t.Fatalf("%d runs over groups %v, want 8 runs over at least two groups", total, answered)
 	}
 }
 

@@ -57,7 +57,7 @@ func (r *Router) Status(ctx context.Context) RoutedStatus {
 		err error
 	}
 	results := make([]fetched, len(r.groups))
-	sem := make(chan struct{}, r.cfg.MaxConcurrent)
+	sem := make(chan struct{}, r.concurrency())
 	var wg sync.WaitGroup
 	for g := range r.groups {
 		wg.Add(1)

@@ -143,13 +143,6 @@ type ClusterConfig struct {
 	Policy Policy
 	// QueueDepth bounds each node's mutation queue; default 256.
 	QueueDepth int
-	// BatchSize caps how many queued mutations one node worker applies
-	// (and commits) as a batch; default 32.
-	BatchSize int
-	// MaxBatchItems caps the item count of one /v1/cluster/place-batch
-	// request; larger batches answer 400 quoting the cap, so a router
-	// sizing sub-batches can discover it. Default DefaultMaxBatchItems.
-	MaxBatchItems int
 	// Durability, when non-nil, persists every committed mutation to a
 	// write-ahead log under Durability.Dir and recovers it at startup.
 	Durability *DurabilityConfig
@@ -166,27 +159,18 @@ func (c *ClusterConfig) fillDefaults() {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 32
-	}
-	if c.MaxBatchItems == 0 {
-		c.MaxBatchItems = DefaultMaxBatchItems
-	}
 }
 
 // Validate rejects nonsensical settings.
 func (c ClusterConfig) Validate() error {
-	if c.Nodes < 0 || c.QueueDepth < 0 || c.BatchSize < 0 || c.MaxBatchItems < 0 {
+	if c.Nodes < 0 || c.QueueDepth < 0 {
 		return fmt.Errorf("serve: negative cluster config value: %+v", c)
 	}
 	if c.Policy != FirstFit && c.Policy != WorstFit {
 		return fmt.Errorf("serve: unknown placement policy %d", c.Policy)
 	}
-	if c.Spec.OverheadNs < 0 {
-		return fmt.Errorf("serve: negative overhead %dns", c.Spec.OverheadNs)
-	}
-	if c.Spec.UtilizationLimit <= 0 || c.Spec.UtilizationLimit > 1 {
-		return fmt.Errorf("serve: utilization limit %g outside (0,1]", c.Spec.UtilizationLimit)
+	if err := checkSpec(c.Spec); err != nil {
+		return err
 	}
 	if c.Durability != nil && c.Durability.Dir == "" {
 		return errors.New("serve: Durability.Dir is required when durability is enabled")
@@ -348,9 +332,6 @@ func newCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Config returns the effective configuration after defaulting.
-func (c *Cluster) Config() ClusterConfig { return c.cfg }
 
 // Close stops accepting mutations, drains the node queues, and waits for
 // the workers to exit. Safe to call more than once.
@@ -1048,11 +1029,15 @@ func (c *Cluster) submit(ctx context.Context, n *node, m *mutation) (mutResult, 
 	return r, nil
 }
 
+// nodeBatch caps how many queued mutations one node worker applies (and
+// commits) as a batch.
+const nodeBatch = 32
+
 // runNode is a node's worker loop: greedily drained batches, each through
 // the commit pipeline.
 func (c *Cluster) runNode(n *node) {
 	defer c.wg.Done()
-	greedyDrain(n.ch, c.cfg.BatchSize, func(batch []*mutation) { c.applyBatch(n, batch) })
+	greedyDrain(n.ch, nodeBatch, func(batch []*mutation) { c.applyBatch(n, batch) })
 }
 
 // NodeStatus is one node's row in the cluster status report.

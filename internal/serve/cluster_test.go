@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,7 @@ func TestClusterConfigValidate(t *testing.T) {
 		{Spec: testSpec, Nodes: -1},
 		{Spec: plan.Spec{UtilizationLimit: 0}},
 		{Spec: plan.Spec{UtilizationLimit: 1.5}},
+		{Spec: plan.Spec{UtilizationLimit: math.NaN()}},
 		{Spec: testSpec, Policy: Policy(9)},
 		{Spec: testSpec, QueueDepth: -1},
 	}

@@ -17,12 +17,6 @@ type DurabilityConfig struct {
 	Dir string
 	// FS overrides the filesystem (fault-injection tests); nil = real.
 	FS wal.FS
-	// SegmentBytes overrides the WAL segment roll threshold.
-	SegmentBytes int64
-	// SnapshotEveryRecords and SnapshotEveryBytes override the snapshot
-	// cadence.
-	SnapshotEveryRecords int64
-	SnapshotEveryBytes   int64
 }
 
 // DurabilityStatus is the durability block of ClusterStatus — absent
@@ -48,15 +42,7 @@ type DurabilityStatus struct {
 // storeConfig is the durable store configuration both durable logs open.
 func (c *Cluster) storeConfig() durable.Config {
 	d := c.cfg.Durability
-	return durable.Config{
-		Dir:                  d.Dir,
-		NumNodes:             c.cfg.Nodes,
-		Spec:                 c.cfg.Spec,
-		FS:                   d.FS,
-		SegmentBytes:         d.SegmentBytes,
-		SnapshotEveryRecords: d.SnapshotEveryRecords,
-		SnapshotEveryBytes:   d.SnapshotEveryBytes,
-	}
+	return durable.Config{Dir: d.Dir, NumNodes: c.cfg.Nodes, Spec: c.cfg.Spec, FS: d.FS}
 }
 
 // openDurability opens the local WAL and rebuilds the previous session:

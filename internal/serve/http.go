@@ -50,11 +50,10 @@ type PlaceBatchEntry struct {
 	Error  *APIError    `json:"error,omitempty"`
 }
 
-// DefaultMaxBatchItems is the default cap on the item count of one batch
-// request; larger batches answer 400 so a client cannot queue unbounded
-// work behind one POST. The effective cap is Config.MaxBatchItems /
-// ClusterConfig.MaxBatchItems and is quoted in the 400 body, so a router
-// sizing sub-batches can discover it from the error envelope.
+// DefaultMaxBatchItems caps the item count of one /v1/analyze-batch or
+// /v1/cluster/place-batch request; larger batches answer 400 so a client
+// cannot queue unbounded work behind one POST. The 400 body quotes the
+// cap, and the shard router chunks each group's sub-batch by it.
 const DefaultMaxBatchItems = 1024
 
 // idRequest is the wire form of POST /v1/cluster/remove.
@@ -185,7 +184,7 @@ func (s *Server) handleAnalyzeBatch(w http.ResponseWriter, req *http.Request) {
 	if !decodeBody(w, req, &body) {
 		return
 	}
-	if overBatchCap(w, len(body.Items), s.cfg.MaxBatchItems) {
+	if overBatchCap(w, len(body.Items)) {
 		return
 	}
 	sets := make([]plan.TaskSet, len(body.Items))

@@ -26,7 +26,7 @@ func TestFollowerRedirectIsIdenticalServedAndRouted(t *testing.T) {
 	t.Cleanup(srv.Close)
 	unrouted := httptest.NewServer(srv.HandlerWithCluster(follower))
 	t.Cleanup(unrouted.Close)
-	r, err := route.New([]route.Group{route.NewLocalGroup(follower)}, route.Config{})
+	r, err := route.New([]route.Group{route.NewLocalGroupWithServer(follower, srv)}, route.Config{})
 	if err != nil {
 		t.Fatalf("route.New: %v", err)
 	}

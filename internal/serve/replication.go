@@ -14,7 +14,7 @@ import (
 // every mutation record is shipped to the peer replicas through the
 // repl.Node consensus layer and acknowledged only once a majority has
 // fsynced it. Requires ClusterConfig.Durability (the WAL directory and
-// snapshot cadence come from there; the replication layer owns the WAL).
+// filesystem come from there; the replication layer owns the WAL).
 type ReplicationConfig struct {
 	// ID is this replica's index in [0, Replicas).
 	ID int
@@ -27,15 +27,12 @@ type ReplicationConfig struct {
 	// Transport overrides the RPC transport (in-process fault-injection
 	// tests); nil builds an HTTP transport over Peers.
 	Transport repl.Transport
-	// HeartbeatInterval / ElectionTimeout / RPCTimeout tune the failure
-	// detector; zero values take the repl package defaults.
+	// HeartbeatInterval / ElectionTimeout tune the failure detector;
+	// zero values take the repl package defaults.
 	HeartbeatInterval time.Duration
 	ElectionTimeout   time.Duration
-	RPCTimeout        time.Duration
 	// Seed makes election jitter deterministic in tests.
 	Seed int64
-	// Logf, when non-nil, receives role-transition and recovery logs.
-	Logf func(format string, args ...any)
 }
 
 // NotLeaderError reports a mutation sent to a replica that is not the
@@ -136,17 +133,14 @@ func (c *Cluster) openReplication() error {
 		Replicas:          rc.Replicas,
 		Dir:               d.Dir,
 		FS:                d.FS,
-		SegmentBytes:      d.SegmentBytes,
 		Transport:         tr,
 		Apply:             l.applyCommitted,
 		OnRole:            l.onRole,
 		HeartbeatInterval: rc.HeartbeatInterval,
 		ElectionTimeout:   rc.ElectionTimeout,
-		RPCTimeout:        rc.RPCTimeout,
 		Seed:              rc.Seed,
 		FloorTerm:         c.recovery.SnapshotTerm,
 		AppliedLSN:        c.recovery.SnapshotLSN,
-		Logf:              rc.Logf,
 	})
 	if err != nil {
 		rs.Close() //nolint:errcheck // already failing; surface the open error

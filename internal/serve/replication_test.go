@@ -65,7 +65,6 @@ func (rn *replNet) start(id int) *Cluster {
 		Spec:       testSpec,
 		Nodes:      2,
 		QueueDepth: 64,
-		BatchSize:  8,
 		Durability: &DurabilityConfig{Dir: rn.dirs[id]},
 		Replication: &ReplicationConfig{
 			ID:                id,

@@ -25,8 +25,6 @@ const ShardGroupHeader = "X-Hrtd-Shard-Group"
 // answered (-1 for none, which omits ShardGroupHeader), and the envelope
 // of each failure.
 type Backend interface {
-	// MaxBatchItems caps the item count of one place-batch request.
-	MaxBatchItems() int
 	Place(ctx context.Context, id string, set plan.TaskSet) (res PlaceResult, group int, err error)
 	// PlaceBatch answers every item in input order; groups is nil or
 	// names each item's group.
@@ -120,15 +118,14 @@ func writeDAGError(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// overBatchCap answers the 400 for a batch of n items over cap and
-// reports whether it did. The body quotes the cap, so a router sizing
-// sub-batches can discover it from the envelope.
-func overBatchCap(w http.ResponseWriter, n, cap int) bool {
-	if n <= cap {
+// overBatchCap answers the 400 for a batch of n items over
+// DefaultMaxBatchItems and reports whether it did. The body quotes the cap.
+func overBatchCap(w http.ResponseWriter, n int) bool {
+	if n <= DefaultMaxBatchItems {
 		return false
 	}
 	writeError(w, http.StatusBadRequest, "bad_request",
-		fmt.Sprintf("batch of %d items exceeds the %d-item cap", n, cap), 0)
+		fmt.Sprintf("batch of %d items exceeds the %d-item cap", n, DefaultMaxBatchItems), 0)
 	return true
 }
 
@@ -162,7 +159,7 @@ func (h handlers) place(w http.ResponseWriter, req *http.Request) {
 // re-issues the identical batch there.
 func (h handlers) placeBatch(w http.ResponseWriter, req *http.Request) {
 	var body placeBatchRequest
-	if !decodeBody(w, req, &body) || overBatchCap(w, len(body.Items), h.b.MaxBatchItems()) {
+	if !decodeBody(w, req, &body) || overBatchCap(w, len(body.Items)) {
 		return
 	}
 	items := make([]BatchPlaceItem, len(body.Items))
@@ -338,8 +335,6 @@ type clusterBackend struct {
 	*Cluster
 	s *Server
 }
-
-func (b clusterBackend) MaxBatchItems() int { return b.cfg.MaxBatchItems }
 
 func (b clusterBackend) Place(ctx context.Context, id string, set plan.TaskSet) (PlaceResult, int, error) {
 	res, err := b.Cluster.Place(ctx, id, set)

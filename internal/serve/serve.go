@@ -30,6 +30,14 @@ func SpecFor(m machine.Spec, utilLimit float64) plan.Spec { return plan.SpecFor(
 // ErrServerClosed is returned by queries submitted after Close.
 var ErrServerClosed = errors.New("serve: server closed")
 
+// shardBatch caps how many queued requests one shard worker answers as a
+// batch, and cacheEntries bounds each shard's plan.Memo, which its analyze
+// and capacity queries share.
+const (
+	shardBatch   = 64
+	cacheEntries = 4096
+)
+
 // Latency histogram shape: 10 us resolution over [0, 20 ms). Local
 // admission queries answer in tens to hundreds of microseconds; anything
 // past 20 ms lands in the overflow bucket and pins the quantile at Hi.
@@ -47,16 +55,6 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's request queue; default 1024.
 	QueueDepth int
-	// BatchSize caps how many queued requests one shard worker answers
-	// as a batch; default 64.
-	BatchSize int
-	// CacheEntries bounds each shard's plan.Memo, which its analyze and
-	// capacity queries share; default 4096.
-	CacheEntries int
-	// MaxBatchItems caps the item count of one /v1/analyze-batch request;
-	// larger batches answer 400 quoting the cap. Default
-	// DefaultMaxBatchItems (1024).
-	MaxBatchItems int
 	// SimWorkers is how many /v1/simulate requests run at once, each on
 	// its caller's goroutine with a warm simulated node of its own;
 	// default GOMAXPROCS. A request simulates for about a hundred
@@ -75,15 +73,6 @@ func (c *Config) fillDefaults() {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 64
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 4096
-	}
-	if c.MaxBatchItems == 0 {
-		c.MaxBatchItems = DefaultMaxBatchItems
-	}
 	if c.SimWorkers == 0 {
 		c.SimWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -94,14 +83,20 @@ func (c *Config) fillDefaults() {
 
 // Validate rejects nonsensical settings (negative counts, bad spec).
 func (c Config) Validate() error {
-	if c.Shards < 0 || c.QueueDepth < 0 || c.BatchSize < 0 || c.CacheEntries < 0 || c.MaxBatchItems < 0 || c.SimWorkers < 0 || c.SimQueueDepth < 0 {
+	if c.Shards < 0 || c.QueueDepth < 0 || c.SimWorkers < 0 || c.SimQueueDepth < 0 {
 		return fmt.Errorf("serve: negative config value: %+v", c)
 	}
-	if c.Spec.OverheadNs < 0 {
-		return fmt.Errorf("serve: negative overhead %dns", c.Spec.OverheadNs)
+	return checkSpec(c.Spec)
+}
+
+// checkSpec rejects a negative overhead and a utilization limit outside
+// (0,1]. The limit test is written so that NaN fails it too.
+func checkSpec(s plan.Spec) error {
+	if s.OverheadNs < 0 {
+		return fmt.Errorf("serve: negative overhead %dns", s.OverheadNs)
 	}
-	if c.Spec.UtilizationLimit <= 0 || c.Spec.UtilizationLimit > 1 {
-		return fmt.Errorf("serve: utilization limit %g outside (0,1]", c.Spec.UtilizationLimit)
+	if u := s.UtilizationLimit; !(u > 0 && u <= 1) {
+		return fmt.Errorf("serve: utilization limit %g outside (0,1]", u)
 	}
 	return nil
 }
@@ -197,7 +192,7 @@ func newServer(cfg Config) (*Server, error) {
 		s.shards[i] = &shard{
 			id:   i,
 			ch:   make(chan *request, cfg.QueueDepth),
-			memo: plan.NewMemo(cfg.Spec, cfg.CacheEntries),
+			memo: plan.NewMemo(cfg.Spec, cacheEntries),
 			hist: stats.NewHistogram(latHistLoUs, latHistHiUs, latHistNBuckets),
 		}
 		s.shards[i].svc.ns.Store(queueSeedServiceNs)
@@ -325,7 +320,7 @@ func (s *Server) submit(ctx context.Context, r *request) (response, error) {
 // in order.
 func (s *Server) runShard(sh *shard) {
 	defer s.wg.Done()
-	greedyDrain(sh.ch, s.cfg.BatchSize, func(batch []*request) {
+	greedyDrain(sh.ch, shardBatch, func(batch []*request) {
 		sh.batches.Add(1)
 		s.process(sh, batch)
 	})

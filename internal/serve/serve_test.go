@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -38,6 +39,7 @@ func TestConfigValidate(t *testing.T) {
 		{Spec: plan.Spec{UtilizationLimit: 0.79}, Shards: -1},
 		{Spec: plan.Spec{UtilizationLimit: 0}},
 		{Spec: plan.Spec{UtilizationLimit: 1.5}},
+		{Spec: plan.Spec{UtilizationLimit: math.NaN()}},
 		{Spec: plan.Spec{OverheadNs: -1, UtilizationLimit: 0.79}},
 		{Spec: plan.Spec{UtilizationLimit: 0.79}, QueueDepth: -2},
 	}

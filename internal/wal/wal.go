@@ -46,6 +46,8 @@ const (
 
 	// maxGroup caps how many queued append requests one fsync covers.
 	maxGroup = 512
+	// queueDepth bounds the writer queue.
+	queueDepth = 1024
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -61,8 +63,6 @@ type Options struct {
 	FS FS
 	// SegmentBytes is the roll threshold; default 4 MiB.
 	SegmentBytes int64
-	// QueueDepth bounds the writer queue; default 1024.
-	QueueDepth int
 	// BaseLSN is the first LSN to assign when the directory holds no
 	// valid records (default 1). A caller whose snapshot outruns a torn
 	// log wipes the stale segments and reopens with BaseLSN just past the
@@ -76,9 +76,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 1024
 	}
 	if o.BaseLSN == 0 {
 		o.BaseLSN = 1
@@ -179,7 +176,7 @@ func Open(opts Options) (*Log, OpenReport, error) {
 	}
 	l := &Log{
 		opts: opts,
-		ch:   make(chan *appendReq, opts.QueueDepth),
+		ch:   make(chan *appendReq, queueDepth),
 		done: make(chan struct{}),
 		// 1 µs .. 1 s on a log scale: fsync spans tmpfs to spinning rust.
 		fsyncLat: stats.NewLogHistogram(1, 1e6, 36),
