@@ -56,8 +56,6 @@ race:
 # behind the perfgate build tag and run only here, one package at a time;
 # tier-1 keeps a deterministic work-unit proxy for each.
 perf-gate:
-	$(GO) test -tags perfgate -run TestIncrementalSpeedupAtLeast10x -count=1 .
-	$(GO) test -tags perfgate -run TestRepeatAdmissionSpeedupAtLeast10x -count=1 ./internal/plan
 	$(GO) test -tags perfgate -run TestFreezeStormSpeedupAtLeast5x -count=1 ./internal/sim
 	$(GO) test -tags perfgate -run TestDurablePlaceThroughputAtLeast8k -count=1 ./internal/serve
 	$(GO) test -tags perfgate -run TestRoutedPlaceScaleoutAtLeast1_8x -count=1 ./internal/route
@@ -69,8 +67,9 @@ perf-gate:
 # record codec against itself, the WAL frame reader, the what-if
 # model grammar against its own rendering, the cold /v1 bodies
 # (drain, undrain, rebalance, DAG, simulate) against the envelope
-# contract, snapshot bodies against a durable cluster's boot, and the
-# replication term envelope against itself. go test fuzzes
+# contract, snapshot bodies against a durable cluster's boot, the
+# replication term envelope against itself, and the admission demand
+# test against the reference hyperperiod simulation. go test fuzzes
 # one target per run, hence one line each.
 fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanAnalyze$$' -fuzztime 5s
@@ -80,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzScanRemove$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzColdBodies$$' -fuzztime 5s
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzVerdictAppendJSON$$' -fuzztime 5s
+	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzAnalyzeMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendPlaceResult$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendRemoveReply$$' -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzAppendAnalyzeBatchReply$$' -fuzztime 5s
@@ -91,12 +91,13 @@ fuzz:
 	$(GO) test ./internal/repl -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 5s
 
 # planverify rebuilds the admission layers with the verification tag on,
-# so every Incremental verdict is asserted bit-identical to a fresh full
-# Analyze of the same candidate, under the race detector. It also runs
-# the long forms that plain go test shortens: plan's two random-sequence
-# property suites at 1000 sequences each, and whatif's admission oracle
-# at 20 000 one-CPU probe sets plus 2-4-CPU partitions, none of them
-# admitted and then missed.
+# so every Incremental verdict is asserted equal to a fresh Analyze of
+# the same candidate, under the race detector. It also runs the long
+# forms that plain go test shortens: plan's two random-sequence property
+# suites at 1000 sequences each, the demand test against the reference
+# hyperperiod simulation at 50 000 random sets per spec, and whatif's
+# admission oracle at 20 000 one-CPU probe sets plus 2-4-CPU partitions,
+# none of them admitted and then missed.
 planverify:
 	$(GO) vet -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif
 	$(GO) test -race -tags planverify ./internal/plan ./internal/serve ./internal/route ./internal/whatif

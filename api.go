@@ -164,7 +164,7 @@ type PlanTaskSet = plan.TaskSet
 type PlanSpec = plan.Spec
 
 // PlanVerdict is a full admission answer: the closed-form bound, the
-// hyperperiod simulation, and the combined decision.
+// exact processor-demand test, and the combined decision.
 type PlanVerdict = plan.Verdict
 
 // PlanSpecFor derives the analysis spec for a machine spec at a

@@ -280,8 +280,8 @@ var raceEnabled bool
 
 // incrementalBenchSet builds the 64-task harmonic baseline used by the
 // incremental-vs-full delta benchmarks: periods over {100,200,400,800} us
-// (hyperperiod 800 us, ~240 jobs per full simulation) with small distinct
-// slices so the whole set admits with headroom for one more task.
+// with small distinct slices so the whole set admits with headroom for
+// one more task.
 func incrementalBenchSet() (plan.Spec, plan.TaskSet, plan.Task) {
 	spec := plan.Spec{OverheadNs: 200, UtilizationLimit: 0.99}
 	periods := []int64{100_000, 200_000, 400_000, 800_000}
@@ -296,7 +296,7 @@ func incrementalBenchSet() (plan.Spec, plan.TaskSet, plan.Task) {
 
 // BenchmarkIncrementalSingleTaskDelta measures the retained-state path:
 // one add plus one remove of a dividing-period task against a committed
-// 64-task set, each answered by patching the demand decomposition.
+// 64-task set, each answered by patching the demand table.
 func BenchmarkIncrementalSingleTaskDelta(b *testing.B) {
 	spec, set, delta := incrementalBenchSet()
 	inc := plan.NewIncremental(spec)
@@ -331,9 +331,7 @@ func BenchmarkFullReanalysisSingleTaskDelta(b *testing.B) {
 	}
 }
 
-// TestIncrementalDeltaTakesPatchPath is the deterministic tier-1 proxy
-// for the wall-clock gate TestIncrementalSpeedupAtLeast10x (build tag
-// perfgate, run by `make perf-gate`): an add plus a remove of a
+// TestIncrementalDeltaTakesPatchPath: an add plus a remove of a
 // dividing-period task on the committed 64-task set are both answered by
 // patching the retained state — two incremental ops, no full analysis —
 // and the steady-state cycle allocates nothing.

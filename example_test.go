@@ -93,16 +93,16 @@ func ExampleNewBSP() {
 
 // ExampleAnalyzeTaskSet answers offline admission for a periodic task set
 // on the Phi platform model: the closed-form utilization bound plus an
-// exact hyperperiod simulation with charged scheduler overhead.
+// exact processor-demand test with charged scheduler overhead.
 func ExampleAnalyzeTaskSet() {
 	spec := hrtsched.PlanSpecFor(hrtsched.PhiKNL(), 0.99)
 	v := hrtsched.AnalyzeTaskSet(spec, hrtsched.PlanTaskSet{
 		{PeriodNs: 100_000, SliceNs: 30_000},
 		{PeriodNs: 200_000, SliceNs: 60_000},
 	})
-	fmt.Printf("admit: %v reason: %s utilization: %.2f hyperperiod: %d ns\n",
-		v.Admit, v.Reason, v.Utilization, v.Sim.HyperperiodNs)
-	// Output: admit: true reason: ok utilization: 0.60 hyperperiod: 200000 ns
+	fmt.Printf("admit: %v reason: %s utilization: %.2f checkpoints: %d\n",
+		v.Admit, v.Reason, v.Utilization, v.Sim.Steps)
+	// Output: admit: true reason: ok utilization: 0.60 checkpoints: 0
 }
 
 // ExampleNewServer runs the admission-query service in-process: queries

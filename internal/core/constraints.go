@@ -117,8 +117,8 @@ var (
 type AdmissionError struct {
 	// Reason is a stable tag: "util-cap" or "sporadic-reservation" from
 	// the utilization bounds, or under AdmitSim the plan.Reason tag of the
-	// rejecting verdict ("util-cap", "hyperperiod-miss",
-	// "hyperperiod-overflow" or "sim-steps-exhausted").
+	// rejecting verdict ("util-cap", "hyperperiod-miss" or
+	// "checkpoint-budget").
 	Reason string
 	Detail string
 	// RetryAfterNs estimates when capacity might free (the earliest

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +59,65 @@ func TestPropertyAdmittedNeverMisses(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 63}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPropertyLongHyperperiodAdmittedNeverMisses is the wrong-ADMIT
+// probe for sets no hyperperiod simulation could check: integer periods
+// drawn from [50 µs, 2 ms], so most sets' period LCM passes 2^40 ns,
+// where admission used to reject conservatively. Every set plan.Analyze
+// admits under the kernel's spec runs for a fixed 40 ms with zero
+// misses, and the draws must include admitted sets past 2^40 ns.
+func TestPropertyLongHyperperiodAdmittedNeverMisses(t *testing.T) {
+	const draws = 400
+	rng := sim.NewRand(0x10ab)
+	admitted, long, walked := 0, 0, 0
+	for i := 0; i < draws; i++ {
+		seed := rng.Uint64()
+		k := testKernel(t, 1, seed, nil)
+		n := 1 + rng.Intn(5)
+		set := make(plan.TaskSet, 0, n)
+		ths := make([]*Thread, 0, n)
+		for j := 0; j < n; j++ {
+			period := 50_000 + rng.Int63n(1_950_001)
+			cons := PeriodicConstraints(0, period, period*(2+rng.Int63n(35))/100)
+			set = append(set, plan.Task{PeriodNs: cons.PeriodNs, SliceNs: cons.SliceNs})
+			ths = append(ths, k.Spawn("p", 0, mkPeriodic(cons)))
+		}
+		v := plan.Analyze(k.admit, set)
+		if !v.Admit {
+			continue
+		}
+		admitted++
+		if lcmPast(set, 1<<40) {
+			long++
+			if v.Sim.Steps > 0 {
+				walked++
+			}
+		}
+		k.RunNs(40_000_000)
+		for _, th := range ths {
+			if !th.IsRT() || th.Arrivals == 0 || th.Misses != 0 {
+				t.Fatalf("seed=%d set %v: admitted thread rt=%v missed %d/%d",
+					seed, set, th.IsRT(), th.Misses, th.Arrivals)
+			}
+		}
+	}
+	t.Logf("%d draws: %d admitted, %d of them with a period LCM past 2^40 ns (%d examined a checkpoint); 0 missed",
+		draws, admitted, long, walked)
+	if long == 0 {
+		t.Fatalf("no admitted set had a period LCM past 2^40 ns (%d admitted)", admitted)
+	}
+}
+
+// lcmPast reports whether the LCM of the set's periods exceeds limit.
+func lcmPast(set plan.TaskSet, limit int64) bool {
+	l := big.NewInt(1)
+	for _, t := range set {
+		p := big.NewInt(t.PeriodNs)
+		g := new(big.Int).GCD(nil, nil, l, p)
+		l.Mul(l, p.Quo(p, g))
+	}
+	return l.Cmp(big.NewInt(limit)) > 0
 }
 
 // TestPropertyAdmittedNeverMissesUnderSim does the same under the

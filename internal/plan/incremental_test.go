@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,8 +13,7 @@ func TestIncrementalMatchesAnalyzeScripted(t *testing.T) {
 
 	check := func(got Verdict, set TaskSet, ctx string) {
 		t.Helper()
-		want := Analyze(specPhi79, set)
-		if !VerdictsEquivalent(got, want) {
+		if want := Analyze(specPhi79, set); got != want {
 			t.Fatalf("%s: verdict diverges\nincremental %+v\nfull        %+v", ctx, got, want)
 		}
 	}
@@ -21,16 +21,10 @@ func TestIncrementalMatchesAnalyzeScripted(t *testing.T) {
 	// Empty engine answers like the empty analysis.
 	check(inc.Verdict(), nil, "empty")
 
-	// First add: full path (no retained state yet).
 	a := Task{PeriodNs: 200_000, SliceNs: 40_000}
 	check(inc.Add(a), TaskSet{a}, "first add")
-
-	// A dividing period keeps the hyperperiod: answered by patching.
 	b := Task{PeriodNs: 100_000, SliceNs: 20_000}
 	check(inc.Add(b), TaskSet{a, b}, "dividing-period add")
-	if inc.Stats().IncrementalOps == 0 {
-		t.Fatalf("harmonic add did not take the incremental path: %+v", inc.Stats())
-	}
 
 	// A rejected add must leave the committed set unchanged.
 	fat := Task{PeriodNs: 100_000, SliceNs: 90_000}
@@ -43,28 +37,16 @@ func TestIncrementalMatchesAnalyzeScripted(t *testing.T) {
 	}
 	check(inc.Verdict(), TaskSet{a, b}, "after rejected add")
 
-	// LCM shift (300us does not divide the 200us hyperperiod): fallback.
+	// A period that divides no committed one adds a row to the table.
 	c := Task{PeriodNs: 300_000, SliceNs: 30_000}
-	full := inc.Stats().FullAnalyses
-	check(inc.Add(c), TaskSet{a, b, c}, "lcm-shift add")
-	if inc.Stats().FullAnalyses == full {
-		t.Fatalf("hyperperiod shift did not fall back to the full analysis")
-	}
-	if inc.Hyperperiod() != 600_000 {
-		t.Fatalf("hyperperiod = %d, want 600000", inc.Hyperperiod())
-	}
+	check(inc.Add(c), TaskSet{a, b, c}, "new-period add")
 
-	// Remove with unchanged hyperperiod (100us contributes nothing to the
-	// 600us LCM of 200us and 300us): incremental path.
-	incOps := inc.Stats().IncrementalOps
+	// Removing the only task of a period deletes its row.
 	gone, found := inc.Remove(b)
 	if !found {
 		t.Fatalf("committed task not found for removal")
 	}
 	check(gone, TaskSet{a, c}, "remove")
-	if inc.Stats().IncrementalOps == incOps {
-		t.Fatalf("same-hyperperiod removal did not take the incremental path")
-	}
 
 	// Removing a task that is not committed is a found=false no-op.
 	if _, found := inc.Remove(Task{PeriodNs: 7, SliceNs: 1}); found {
@@ -85,38 +67,44 @@ func TestIncrementalMatchesAnalyzeScripted(t *testing.T) {
 	}
 	check(rem, TaskSet{a, c}, "gang removal")
 
+	// Every delta patched the table: only Restore builds one.
+	if s := inc.Stats(); s.FullAnalyses != 0 || s.IncrementalOps != 7 {
+		t.Fatalf("stats = %+v, want 7 patched deltas and no full analysis", s)
+	}
+
 	// Reset empties the engine.
 	inc.Reset()
-	if inc.Len() != 0 || inc.Hyperperiod() != 0 {
-		t.Fatalf("Reset left state: %d tasks, hyper %d", inc.Len(), inc.Hyperperiod())
+	if inc.Len() != 0 || len(inc.rows) != 0 {
+		t.Fatalf("Reset left state: %d tasks, %d rows", inc.Len(), len(inc.rows))
 	}
 	check(inc.Verdict(), nil, "after reset")
 }
 
 func TestIncrementalBadTaskAndConservativeReasons(t *testing.T) {
-	inc := NewIncremental(specPhi79)
-	seedTask := Task{PeriodNs: 100_000, SliceNs: 10_000}
+	// A near-zero seed, so that a charge can overflow while the
+	// utilization bound still holds.
+	spec := budgetSpec
+	inc := NewIncremental(spec)
+	seedTask := Task{PeriodNs: 1 << 50, SliceNs: 1}
 	inc.Add(seedTask)
 
 	cases := []struct {
 		name   string
-		task   Task
+		gang   TaskSet
 		reason Reason
 	}{
-		{"slice-over-period", Task{PeriodNs: 10_000, SliceNs: 20_000}, BadTask},
-		{"zero-period", Task{PeriodNs: 0, SliceNs: 1}, BadTask},
-		// Coprime-ish period: the ~10^11 ns hyperperiod fits under the
-		// ceiling but needs ~10^6 release events, so the step budget
-		// rejects conservatively.
-		{"sim-steps", Task{PeriodNs: 999_983, SliceNs: 10}, SimSteps},
-		// A period past the 2^40 ns hyperperiod ceiling rejects outright.
-		{"overflow", Task{PeriodNs: 1 << 41, SliceNs: 1000}, HyperperiodOverflow},
+		{"slice-over-period", TaskSet{{PeriodNs: 10_000, SliceNs: 20_000}}, BadTask},
+		{"zero-period", TaskSet{{PeriodNs: 0, SliceNs: 1}}, BadTask},
+		// U′ within rounding of 1: the walk down from L_a runs out of
+		// checkpoints.
+		{"checkpoint-budget", budgetSet, CheckpointBudget},
+		// A charge past math.MaxInt64 exceeds every deadline.
+		{"overflow", TaskSet{{PeriodNs: math.MaxInt64, SliceNs: math.MaxInt64 - 1}}, HyperperiodMiss},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := inc.Add(tc.task)
-			want := Analyze(specPhi79, TaskSet{seedTask, tc.task})
-			if !VerdictsEquivalent(v, want) {
+			v := inc.TryGang(tc.gang)
+			if want := Analyze(spec, append(TaskSet{seedTask}, tc.gang...)); v != want {
 				t.Fatalf("verdict diverges\nincremental %+v\nfull        %+v", v, want)
 			}
 			if v.Admit || v.Reason != tc.reason {
@@ -154,6 +142,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 
 	var totals IncrementalStats
 	var gangRemovals int
+	reasons := map[Reason]int{}
 	for seq := 0; seq < sequences; seq++ {
 		r := rng.Split()
 		eng := NewIncremental(specPhi79)
@@ -179,7 +168,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				if !found {
 					t.Fatalf("seq %d op %d: committed gang %v not found", seq, op, gang)
 				}
-				if want := Analyze(specPhi79, candidate); !VerdictsEquivalent(v, want) {
+				if want := Analyze(specPhi79, candidate); v != want {
 					t.Fatalf("seq %d op %d: gang-remove verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 						seq, op, candidate, v, want)
 				}
@@ -195,7 +184,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				if !found {
 					t.Fatalf("seq %d op %d: committed task %v not found", seq, op, victim)
 				}
-				if want := Analyze(specPhi79, candidate); !VerdictsEquivalent(v, want) {
+				if want := Analyze(specPhi79, candidate); v != want {
 					t.Fatalf("seq %d op %d: remove verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 						seq, op, candidate, v, want)
 				}
@@ -208,7 +197,8 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				}
 				candidate := append(append(TaskSet{}, mirror...), gang...)
 				v := eng.TryGang(gang)
-				if want := AnalyzeGang(specPhi79, mirror, gang); !VerdictsEquivalent(v, want) {
+				reasons[v.Reason]++
+				if want := AnalyzeGang(specPhi79, mirror, gang); v != want {
 					t.Fatalf("seq %d op %d: gang verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 						seq, op, candidate, v, want)
 				}
@@ -217,7 +207,7 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 				}
 			}
 		}
-		if want := Analyze(specPhi79, mirror); !VerdictsEquivalent(eng.Verdict(), want) {
+		if want := Analyze(specPhi79, mirror); eng.Verdict() != want {
 			t.Fatalf("seq %d: final committed verdict diverges\nset  %v\ninc  %+v\nfull %+v",
 				seq, mirror, eng.Verdict(), want)
 		}
@@ -225,29 +215,31 @@ func TestIncrementalPropertyRandomSequences(t *testing.T) {
 		totals.IncrementalOps += s.IncrementalOps
 		totals.FullAnalyses += s.FullAnalyses
 	}
-	// The property is only meaningful if every path was actually hit.
-	if totals.IncrementalOps == 0 || totals.FullAnalyses == 0 || gangRemovals == 0 {
-		t.Fatalf("random sequences did not exercise all paths: %+v, %d gang removals",
-			totals, gangRemovals)
+	// Every delta patches the table; the property is only meaningful if
+	// the sequences reached gang removals, admissions and demand misses.
+	if totals.IncrementalOps == 0 || totals.FullAnalyses != 0 || gangRemovals == 0 ||
+		reasons[OK] == 0 || reasons[HyperperiodMiss] == 0 {
+		t.Fatalf("random sequences did not exercise every case: %+v, %d gang removals, reasons %v",
+			totals, gangRemovals, reasons)
 	}
-	t.Logf("paths over %d sequences: %+v, %d gang removals (verify tag: %v)",
-		sequences, totals, gangRemovals, VerifyEnabled)
+	t.Logf("over %d sequences: %+v, %d gang removals, reasons %v (verify tag: %v)",
+		sequences, totals, gangRemovals, reasons, VerifyEnabled)
 }
 
 // TestIncrementalDigestStateProperty audits the engine's maintained
 // digest state — the canonical-order copy of the committed set and the
 // FNV-1a state after each canonical prefix — after every one of a few
-// thousand random operations on one long-lived engine: patched and
-// fallback gang adds, evaluate-only probes and batches, removals
+// thousand random operations on one long-lived engine: gang adds,
+// evaluate-only probes and batches, removals
 // (including absent members and duplicate tasks), Restore and Reset.
 // Every returned verdict must also match Analyze of its candidate, digest
 // included. No build tag: plain `go test` covers it.
 func TestIncrementalDigestStateProperty(t *testing.T) {
 	const ops = 3000
 	// Few distinct values, so duplicate tasks and equal-period ties are
-	// the norm; 3 ms shifts the 4 ms LCM, and 999_983 ns (prime) overruns
-	// the simulation's step budget. Light slices keep tens of tasks
-	// committed, so digests resume mid-set.
+	// the norm; 3 ms and 999_983 ns (prime) divide no other period.
+	// Light slices keep tens of tasks committed, so digests resume
+	// mid-set.
 	spec := Spec{OverheadNs: 1_000, UtilizationLimit: 0.9}
 	periods := []int64{1_000_000, 1_000_000, 2_000_000, 4_000_000, 4_000_000, 3_000_000}
 	sliceNs := []int64{5_000, 10_000, 10_000, 20_000, 40_000}
@@ -279,7 +271,7 @@ func TestIncrementalDigestStateProperty(t *testing.T) {
 	}
 	checkVerdict := func(op int, what string, got Verdict, candidate TaskSet) {
 		t.Helper()
-		if want := Analyze(spec, candidate); !VerdictsEquivalent(got, want) {
+		if want := Analyze(spec, candidate); got != want {
 			t.Fatalf("op %d: %s verdict diverges for %v\ninc  %+v\nfull %+v", op, what, candidate, got, want)
 		}
 	}
@@ -352,7 +344,7 @@ func TestIncrementalDigestStateProperty(t *testing.T) {
 		}
 	}
 	if s := eng.Stats(); s.IncrementalOps == 0 || s.FullAnalyses == 0 {
-		t.Fatalf("random ops did not exercise both paths: %+v", s)
+		t.Fatalf("random ops did not reach both deltas and Restore: %+v", s)
 	}
 }
 
@@ -435,7 +427,7 @@ func randTask(r *sim.Rand, periods []int64) Task {
 		return Task{PeriodNs: p, SliceNs: p + 1 + r.Int63n(p)}
 	default:
 		// Slices up to ~40% of the period: deep sequences still admit
-		// several tasks before the bound or the simulation rejects.
+		// several tasks before the bound or the demand test rejects.
 		return Task{PeriodNs: p, SliceNs: 1 + r.Int63n(p*2/5)}
 	}
 }
@@ -453,7 +445,7 @@ func TestIncrementalRestore(t *testing.T) {
 	if inc.Stats().FullAnalyses != full+1 {
 		t.Fatalf("Restore did not run a full analysis")
 	}
-	if want := Analyze(specPhi79, set); !VerdictsEquivalent(v, want) {
+	if want := Analyze(specPhi79, set); v != want {
 		t.Fatalf("restore verdict diverges:\n got %+v\nwant %+v", v, want)
 	}
 	if got := inc.Tasks(); !reflect.DeepEqual(got, set) {
@@ -462,7 +454,7 @@ func TestIncrementalRestore(t *testing.T) {
 
 	// The engine keeps answering incrementally after a restore.
 	c := Task{PeriodNs: 100_000, SliceNs: 10_000}
-	if want := Analyze(specPhi79, TaskSet{a, b, c}); !VerdictsEquivalent(inc.Add(c), want) {
+	if want := Analyze(specPhi79, TaskSet{a, b, c}); inc.Add(c) != want {
 		t.Fatalf("add after restore diverges")
 	}
 
@@ -474,5 +466,22 @@ func TestIncrementalRestore(t *testing.T) {
 	}
 	if got := inc.Tasks(); !reflect.DeepEqual(got, fat) {
 		t.Fatalf("rejected restore did not commit: %v", got)
+	}
+}
+
+// TestIncrementalOverflowedRowRemoval: a row whose summed charge passed
+// math.MaxInt64 cannot be patched by subtraction, so a removal sums it
+// again from the tasks that remain — once every removed member is gone.
+func TestIncrementalOverflowedRowRemoval(t *testing.T) {
+	const p = math.MaxInt64
+	big, small := Task{PeriodNs: p, SliceNs: 1 << 62}, Task{PeriodNs: p, SliceNs: 1 << 61}
+	inc := NewIncremental(budgetSpec)
+	set := TaskSet{big, small, big}
+	if v := inc.Restore(set); v != Analyze(budgetSpec, set) || v.Sim.Reason != HyperperiodMiss {
+		t.Fatalf("overflowed set: %+v, want Analyze's miss", v)
+	}
+	v, ok := inc.RemoveGang(TaskSet{big, big})
+	if want := Analyze(budgetSpec, TaskSet{small}); !ok || v != want || !v.Admit {
+		t.Fatalf("after removing both large tasks: %+v, want %+v", v, want)
 	}
 }

@@ -24,13 +24,13 @@ func FuzzVerdictAppendJSON(f *testing.F) {
 	floats := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 9.99e-7, 0.000001234, 1e20, 1e21, 1.5e300,
 		math.SmallestNonzeroFloat64, math.MaxFloat64, -1e-9, 0.1 + 0.2, 0.79, 1.2345678901234567}
 	for i, u := range floats {
-		r := uint8(i % 8) // every Reason, plus one no tag names
-		f.Add(i%2 == 0, r, u, i%3 == 0, i%2 == 1, uint8(7-r), int64(i)*1_000_003, i*7, uint64(i)<<60|uint64(i))
+		r := uint8(i % 6) // every Reason, plus one no tag names
+		f.Add(i%2 == 0, r, u, i%3 == 0, i%2 == 1, uint8(7-r), i*7, uint64(i)<<60|uint64(i))
 	}
-	f.Add(true, uint8(255), 1.0, true, true, uint8(255), int64(math.MinInt64), math.MaxInt, uint64(math.MaxUint64))
-	f.Fuzz(func(t *testing.T, admit bool, reason uint8, util float64, boundOK, simOK bool, simReason uint8, hyper int64, steps int, digest uint64) {
+	f.Add(true, uint8(255), 1.0, true, true, uint8(255), math.MaxInt, uint64(math.MaxUint64))
+	f.Fuzz(func(t *testing.T, admit bool, reason uint8, util float64, boundOK, simOK bool, simReason uint8, steps int, digest uint64) {
 		v := Verdict{Admit: admit, Reason: Reason(reason), Utilization: util, BoundOK: boundOK,
-			Sim: SimResult{OK: simOK, Reason: Reason(simReason), HyperperiodNs: hyper, Steps: steps}, Digest: digest}
+			Sim: SimResult{OK: simOK, Reason: Reason(simReason), Steps: steps}, Digest: digest}
 		want, err := json.Marshal(verdictMirror(v))
 		if err != nil {
 			if _, merr := json.Marshal(v); merr == nil {

@@ -10,11 +10,11 @@ const DefaultMemoEntries = 1024
 
 // Memo is a digest-keyed LRU over canonically-equal task sets that caches
 // the admission verdict of each set and, once a capacity question asks
-// for it, the set's retained demand-bound curve (an Incremental committed
-// to the canonical set), so repeated Analyze questions skip the
-// hyperperiod simulation and capacity binary-search steps patch the curve
-// instead of simulating. It is the serving layer's one
-// cache: each shard's analyze and capacity queries share one Memo.
+// for it, the set's demand table (an Incremental committed to the
+// canonical set), so repeated Analyze questions skip the analysis and
+// capacity binary-search steps patch the table instead of rebuilding it.
+// It is the serving layer's one cache: each shard's analyze and capacity
+// queries share one Memo.
 //
 // Answer convention: the Memo canonicalizes before analyzing, so
 // Memo.Analyze(set) is bit-identical to Analyze(spec, set.Canonical()) —
@@ -27,7 +27,7 @@ const DefaultMemoEntries = 1024
 // with another set's verdict.
 //
 // A Memo is safe for concurrent use; operations serialize on an internal
-// lock because the cached curves are stateful single-owner engines.
+// lock because the cached demand tables are stateful single-owner engines.
 type Memo struct {
 	spec Spec
 	cap  int
@@ -41,7 +41,7 @@ type Memo struct {
 }
 
 // memoEntry is one cached set: its canonical tasks, its verdict, and its
-// demand-bound curve once a capacity question has built it. The
+// demand table once a capacity question has built it. The
 // recency ring is intrusive rather than a container/list so that an entry
 // is one heap object besides its set: a serving shard holds thousands of
 // entries, and every object adds to each garbage collection's mark work.
@@ -50,19 +50,18 @@ type memoEntry struct {
 	key        uint64
 	set        TaskSet // canonical; a hit must equal it
 	verdict    Verdict
-	curve      *Incremental // committed to set; nil until curveFor builds it
+	table      *Incremental // committed to set; nil until tableFor builds it
 }
 
-// curveFor returns the entry's demand-bound curve, building it from the
-// stored set and verdict on first use, so a set that is only ever
-// analyzed never pays for one. Callers hold the Memo's lock.
-func (e *memoEntry) curveFor(spec Spec) *Incremental {
-	if e.curve == nil {
-		e.curve = NewIncremental(spec)
-		// Restore without re-running the analysis the verdict came from.
-		e.curve.rebuild(e.set, e.verdict)
+// tableFor returns the entry's demand table, building it from the stored
+// set on first use, so a set that is only ever analyzed never pays for
+// one. Callers hold the Memo's lock.
+func (e *memoEntry) tableFor(spec Spec) *Incremental {
+	if e.table == nil {
+		e.table = NewIncremental(spec)
+		e.table.rebuild(e.set)
 	}
-	return e.curve
+	return e.table
 }
 
 // MemoStats reports cache effectiveness.
@@ -102,8 +101,8 @@ func (m *Memo) Stats() MemoStats {
 
 // Analyze returns the admission verdict for the set — bit-identical to
 // Analyze(spec, set.Canonical()). A hit returns the stored verdict
-// without touching the simulation (and without allocating); a miss runs
-// the full analysis once and caches the verdict.
+// without analyzing (and without allocating); a miss runs the analysis
+// once and caches the verdict.
 func (m *Memo) Analyze(set TaskSet) Verdict {
 	bp := canonScratch(set)
 	v, _ := m.AnalyzeCanonical(*bp, digestOf(*bp))
@@ -124,19 +123,19 @@ func (m *Memo) AnalyzeCanonical(canon TaskSet, digest uint64) (v Verdict, hit bo
 
 // Capacity produces the what-if headroom report for a CPU running set —
 // identical to Capacity(spec, set.Canonical(), probePeriodNs) — with
-// every binary-search probe answered from the cached demand curve
-// instead of a fresh hyperperiod simulation.
+// every binary-search probe answered by patching the cached demand table
+// instead of building a fresh one.
 func (m *Memo) Capacity(set TaskSet, probePeriodNs int64) CapacityReport {
 	bp := canonScratch(set)
 	defer digestScratch.Put(bp)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, _ := m.entryLocked(*bp, digestOf(*bp))
-	curve := e.curveFor(m.spec)
+	table := e.tableFor(m.spec)
 	var probeBuf [1]Task
-	return capacitySearch(m.spec, curve.tasks, probePeriodNs, func(probe Task) bool {
+	return capacitySearch(m.spec, table.tasks, probePeriodNs, func(probe Task) bool {
 		probeBuf[0] = probe
-		return curve.EvaluateGang(probeBuf[:]).Admit
+		return table.EvaluateGang(probeBuf[:]).Admit
 	})
 }
 

@@ -6,9 +6,8 @@ import (
 	"hrtsched/internal/sim"
 )
 
-// memoBenchSet is a large admitted set whose uncached analysis pays a
-// real hyperperiod simulation: many tasks, dividing periods, modest
-// utilization so every admission question is non-trivial but admitted.
+// memoBenchSet is a large admitted set: many tasks, dividing periods,
+// modest utilization so every admission question is admitted.
 func memoBenchSet() TaskSet {
 	periods := []int64{5_000_000, 10_000_000, 20_000_000, 40_000_000}
 	set := make(TaskSet, 0, 40)
@@ -97,10 +96,10 @@ func TestMemoDigestCollisionMisses(t *testing.T) {
 // counterpart of TestIncrementalPropertyRandomSequences: random
 // mutation sequences (propertySequences) driven through a committed
 // engine, where every step's answers from (a) the Memo cache, (b) the
-// evaluate-only EvaluateGang/TryGangBatch curve path, and (c) the
-// Memo's lazily built capacity curve are compared against the serial
+// evaluate-only EvaluateGang/TryGangBatch table path, and (c) the
+// Memo's lazily built capacity table are compared against the serial
 // uncached Analyze and Capacity oracles.
-// Under -tags planverify every curve answer is additionally
+// Under -tags planverify every table answer is additionally
 // self-checked inside the engine.
 func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
 	sequences := propertySequences()
@@ -118,7 +117,7 @@ func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
 			switch {
 			case roll < 0.15 && len(mirror) > 1:
 				// RemoveGang keeps the committed set moving so batch
-				// probes run against post-removal curves too.
+				// probes run against post-removal tables too.
 				k := 1 + r.Intn(2)
 				gang := TaskSet{}
 				for _, idx := range r.Perm(len(mirror))[:k] {
@@ -137,17 +136,17 @@ func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
 				// (b) evaluate-only single probe vs oracle.
 				candidate := append(append(TaskSet(nil), mirror...), gang...)
 				want := Analyze(specPhi79, candidate)
-				if got := eng.EvaluateGang(gang); !VerdictsEquivalent(got, want) {
+				if got := eng.EvaluateGang(gang); got != want {
 					t.Fatalf("seq %d op %d: EvaluateGang diverged\n got %+v\nwant %+v",
 						seq, op, got, want)
 				}
 
-				// (b) batch probe: several candidates against one curve.
+				// (b) batch probe: several candidates against one table.
 				gangs := []TaskSet{gang, {randTask(r, periods)}, nil}
 				batch := eng.TryGangBatch(gangs)
 				for i, g := range gangs {
 					cand := append(append(TaskSet(nil), mirror...), g...)
-					if w := Analyze(specPhi79, cand); !VerdictsEquivalent(batch[i], w) {
+					if w := Analyze(specPhi79, cand); batch[i] != w {
 						t.Fatalf("seq %d op %d: TryGangBatch[%d] diverged\n got %+v\nwant %+v",
 							seq, op, i, batch[i], w)
 					}
@@ -172,27 +171,27 @@ func TestMemoAndBatchPropertyRandomSequences(t *testing.T) {
 			}
 
 			// Committed-state audit after every mutation.
-			if want := Analyze(specPhi79, mirror); !VerdictsEquivalent(eng.Verdict(), want) {
+			if want := Analyze(specPhi79, mirror); eng.Verdict() != want {
 				t.Fatalf("seq %d op %d: committed verdict diverged", seq, op)
 			}
 		}
 
 		// (c) the final state analyzed first, then asked a capacity
-		// question: Analyze leaves the entry without a curve, the
+		// question: Analyze leaves the entry without a table, the
 		// capacity search builds it, and both answer like the uncached
 		// functions from the one entry.
 		lazy := NewMemo(specPhi79, 4)
 		lazy.Analyze(mirror)
 		entry := lazy.entries[mirror.Digest()]
-		if entry.curve != nil {
-			t.Fatalf("seq %d: Analyze built a demand curve", seq)
+		if entry.table != nil {
+			t.Fatalf("seq %d: Analyze built a demand table", seq)
 		}
 		probe := periods[r.Intn(len(periods))]
 		if got, want := lazy.Capacity(mirror, probe), Capacity(specPhi79, mirror.Canonical(), probe); got != want {
 			t.Fatalf("seq %d: lazy Capacity diverged\n got %+v\nwant %+v", seq, got, want)
 		}
-		if entry.curve == nil {
-			t.Fatalf("seq %d: Capacity did not build the demand curve", seq)
+		if entry.table == nil {
+			t.Fatalf("seq %d: Capacity did not build the demand table", seq)
 		}
 		if st := lazy.Stats(); st.Misses != 1 || st.Entries != 1 {
 			t.Fatalf("seq %d: lazy stats = %+v, want one entry answering both", seq, st)
@@ -209,7 +208,7 @@ func TestMemoCapacityMatchesUncached(t *testing.T) {
 		nil,
 		{{PeriodNs: 100_000, SliceNs: 25_000}},
 		memoBenchSet(),
-		{{PeriodNs: 999_983, SliceNs: 500_000}}, // prime period: curve fallback path
+		{{PeriodNs: 999_983, SliceNs: 500_000}}, // prime period: a row no probe shares
 	}
 	for i, set := range sets {
 		for _, probe := range []int64{0, 50_000, 1_000_000} {
@@ -218,7 +217,7 @@ func TestMemoCapacityMatchesUncached(t *testing.T) {
 				t.Fatalf("set %d probe %d: memo capacity diverged\n got %+v\nwant %+v",
 					i, probe, got, want)
 			}
-			// Repeat: answered from the cached curve, still identical.
+			// Repeat: answered from the cached table, still identical.
 			if got := m.Capacity(set, probe); got != want {
 				t.Fatalf("set %d probe %d: cached capacity diverged", i, probe)
 			}
@@ -245,7 +244,7 @@ func skipUnderRace(t *testing.T) {
 func TestAnalyzeSteadyStateZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	set := memoBenchSet()
-	Analyze(specPhi79, set) // prime the simulation and digest pools
+	Analyze(specPhi79, set) // prime the table and digest pools
 	allocs := testing.AllocsPerRun(200, func() {
 		Analyze(specPhi79, set)
 	})
@@ -309,7 +308,7 @@ func TestEvaluateGangSteadyStateZeroAllocs(t *testing.T) {
 var deltaSpec = Spec{OverheadNs: 200, UtilizationLimit: 0.99}
 
 // harmonicNode64 is the 64-task harmonic set of the root incremental
-// benchmarks — periods 100–800 us, hyperperiod 800 us, small distinct
+// benchmarks — periods 100–800 us, small distinct
 // slices — and a dividing-period delta.
 func harmonicNode64() (TaskSet, Task) {
 	periods := []int64{100_000, 200_000, 400_000, 800_000}
@@ -424,12 +423,10 @@ func BenchmarkGangProbeCurve(b *testing.B) {
 	}
 }
 
-// TestRepeatAdmissionTakesMemoAndCurvePaths is the deterministic tier-1
-// proxy for the wall-clock gate TestRepeatAdmissionSpeedupAtLeast10x
-// (build tag perfgate, run by `make perf-gate`): a repeated admission is
-// answered from the memo — one miss, then only hits, none allocating — and
-// a gang probe against a committed set patches the retained curve: one
-// incremental op, no full analysis.
+// TestRepeatAdmissionTakesMemoAndCurvePaths: a repeated admission is
+// answered from the memo — one miss, then only hits, none allocating —
+// and a gang probe against a committed set patches the retained table:
+// one incremental op, no full analysis.
 func TestRepeatAdmissionTakesMemoAndCurvePaths(t *testing.T) {
 	const repeats = 50
 	m := NewMemo(specPhi79, 8)
@@ -453,6 +450,6 @@ func TestRepeatAdmissionTakesMemoAndCurvePaths(t *testing.T) {
 		t.Fatalf("gang probe rejected: %+v", v)
 	}
 	if after := eng.Stats(); after.IncrementalOps != before.IncrementalOps+1 || after.FullAnalyses != before.FullAnalyses {
-		t.Fatalf("gang probe left the curve path: %+v -> %+v", before, after)
+		t.Fatalf("gang probe left the table path: %+v -> %+v", before, after)
 	}
 }

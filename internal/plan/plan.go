@@ -1,11 +1,11 @@
 // Package plan is the exported, side-effect-free schedulability engine
 // behind the scheduler's admission control (Section 3.2). It answers
 // admit/reject questions about periodic task sets two ways: the closed-form
-// EDF utilization bound, and the hyperperiod simulation prototype that
-// charges the scheduler's own invocations (Section 5.3; see Spec) and
-// therefore correctly rejects fine-grain task sets the bound would admit
-// but the platform cannot actually schedule — the infeasible region of
-// Figures 6 and 7.
+// EDF utilization bound, and an exact processor-demand test that charges
+// the scheduler's own invocations (Section 5.3; see Spec and demand.go)
+// and therefore correctly rejects fine-grain task sets the bound would
+// admit but the platform cannot actually schedule — the infeasible region
+// of Figures 6 and 7.
 //
 // Everything in this package is a pure function of its arguments: no
 // kernel, no clock, no global state. internal/core consumes it for online
@@ -197,15 +197,13 @@ const (
 	BadTask
 	// UtilBound: total utilization exceeds the utilization limit.
 	UtilBound
-	// HyperperiodMiss: the EDF hyperperiod simulation found a job that
-	// cannot meet its deadline once scheduler overhead is charged.
+	// HyperperiodMiss: once scheduler overhead is charged, the demand of
+	// the jobs due by some deadline exceeds it, so EDF misses within the
+	// hyperperiod.
 	HyperperiodMiss
-	// HyperperiodOverflow: the task-set hyperperiod is too long to
-	// simulate; the set is rejected conservatively.
-	HyperperiodOverflow
-	// SimSteps: the simulation's step bound was exhausted before the
-	// hyperperiod completed; the set is rejected conservatively.
-	SimSteps
+	// CheckpointBudget: the demand test would examine more than
+	// maxCheckpoints deadlines; the set is rejected conservatively.
+	CheckpointBudget
 )
 
 // String names the reason with the stable tags used on the wire.
@@ -219,10 +217,8 @@ func (r Reason) String() string {
 		return "util-cap"
 	case HyperperiodMiss:
 		return "hyperperiod-miss"
-	case HyperperiodOverflow:
-		return "hyperperiod-overflow"
-	case SimSteps:
-		return "sim-steps-exhausted"
+	case CheckpointBudget:
+		return "checkpoint-budget"
 	default:
 		return fmt.Sprintf("Reason(%d)", uint8(r))
 	}
@@ -234,7 +230,7 @@ func (r Reason) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 // UnmarshalText parses a reason tag, so clients can decode verdicts that
 // travelled over the wire.
 func (r *Reason) UnmarshalText(b []byte) error {
-	for cand := OK; cand <= SimSteps; cand++ {
+	for cand := OK; cand <= CheckpointBudget; cand++ {
 		if string(b) == cand.String() {
 			*r = cand
 			return nil
@@ -243,181 +239,16 @@ func (r *Reason) UnmarshalText(b []byte) error {
 	return fmt.Errorf("plan: unknown reason %q", b)
 }
 
-// MaxSimSteps bounds the hyperperiod simulation so analysis cost stays
-// bounded no matter how pathological the hyperperiod is.
-const MaxSimSteps = 1 << 16
-
-// maxHyperperiodNs is the largest hyperperiod the simulation will attempt
-// (about 18 simulated minutes); anything longer is rejected conservatively.
-const maxHyperperiodNs = int64(1) << 40
-
-// SimResult reports one hyperperiod simulation.
+// SimResult reports the demand test of a set. It keeps the wire name
+// "sim" of the hyperperiod simulation the test replaced.
 type SimResult struct {
-	// OK is true when every job of every task met its deadline.
+	// OK is true when every deadline's demand fits before it.
 	OK bool `json:"ok"`
-	// Reason is OK, BadTask, HyperperiodMiss, HyperperiodOverflow or
-	// SimSteps.
+	// Reason is OK, BadTask, HyperperiodMiss or CheckpointBudget.
 	Reason Reason `json:"reason"`
-	// HyperperiodNs is the simulated hyperperiod (0 when it overflowed).
-	HyperperiodNs int64 `json:"hyperperiod_ns"`
-	// Steps is the number of simulation steps consumed.
+	// Steps is the number of deadlines the test examined.
 	Steps int `json:"steps"`
 }
-
-// simulateSet runs EDF over one hyperperiod of the task set, charging
-// overheadNs of scheduler time at each arrival and each slice completion,
-// and reserving the non-periodic fraction implied by utilLimit. Its clock
-// starts at windowCharge, the arrivals no job's own charge pays for. It
-// reports whether every job met its deadline. A task set whose
-// hyperperiod is too long — or which needs more than MaxSimSteps steps —
-// is rejected conservatively. Analyze runs it after the utilization
-// bound; it is not a question of its own.
-func simulateSet(tasks TaskSet, overheadNs int64, utilLimit float64) SimResult {
-	if len(tasks) == 0 {
-		return SimResult{OK: true, Reason: OK}
-	}
-	hyper := int64(1)
-	for _, t := range tasks {
-		if t.PeriodNs <= 0 || t.SliceNs <= 0 {
-			return SimResult{Reason: BadTask}
-		}
-		hyper = lcm64(hyper, t.PeriodNs)
-		if hyper <= 0 || hyper > maxHyperperiodNs {
-			return SimResult{Reason: HyperperiodOverflow}
-		}
-	}
-	rp := simScratch.Get().(*[]simJob)
-	res, buf := simulate(tasks, overheadNs, utilLimit, hyper, (*rp)[:0])
-	*rp = buf
-	simScratch.Put(rp)
-	return res
-}
-
-// simJob is one released, not-yet-finished job in the EDF simulation.
-type simJob struct {
-	task     int
-	deadline int64
-	rem      int64
-}
-
-// simScratch pools the ready-queue buffer so a steady-state simulateSet —
-// and therefore a steady-state Analyze — allocates nothing.
-var simScratch = sync.Pool{New: func() any {
-	buf := make([]simJob, 0, 64)
-	return &buf
-}}
-
-// releaseJobs appends the jobs of every task with an arrival at `at`.
-func releaseJobs(ready []simJob, tasks TaskSet, at, overheadNs int64, utilLimit float64) []simJob {
-	for i, t := range tasks {
-		if at%t.PeriodNs == 0 {
-			ready = append(ready, simJob{task: i, deadline: at + t.PeriodNs,
-				rem: jobCharge(t, overheadNs, utilLimit)})
-		}
-	}
-	return ready
-}
-
-// nextReleaseAfter returns the earliest arrival instant strictly after
-// `after`.
-func nextReleaseAfter(tasks TaskSet, after int64) int64 {
-	next := int64(-1)
-	for _, t := range tasks {
-		r := (after/t.PeriodNs + 1) * t.PeriodNs
-		if next == -1 || r < next {
-			next = r
-		}
-	}
-	return next
-}
-
-// simulate is simulateSet's validated core; it returns the (possibly grown)
-// ready buffer alongside the result so the caller can pool it.
-func simulate(tasks TaskSet, overheadNs int64, utilLimit float64, hyper int64, ready []simJob) (SimResult, []simJob) {
-	// Releases inside the window need no pass of their own: a window that
-	// reaches one also reaches the first deadline, which then misses.
-	now := windowCharge(len(tasks), overheadNs)
-	steps := 0
-	ready = releaseJobs(ready, tasks, 0, overheadNs, utilLimit)
-	for now < hyper {
-		steps++
-		if steps > MaxSimSteps {
-			return SimResult{Reason: SimSteps, HyperperiodNs: hyper, Steps: steps}, ready
-		}
-		if len(ready) == 0 {
-			now = nextReleaseAfter(tasks, now)
-			if now < hyper {
-				ready = releaseJobs(ready, tasks, now, overheadNs, utilLimit)
-			}
-			continue
-		}
-		// EDF: find the earliest deadline.
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if ready[i].deadline < ready[best].deadline {
-				best = i
-			}
-		}
-		j := &ready[best]
-		runUntil := now + j.rem
-		if nr := nextReleaseAfter(tasks, now); nr < runUntil {
-			runUntil = nr
-		}
-		if runUntil > j.deadline {
-			// This job cannot finish in time.
-			return SimResult{Reason: HyperperiodMiss, HyperperiodNs: hyper, Steps: steps}, ready
-		}
-		j.rem -= runUntil - now
-		if j.rem <= 0 {
-			ready[best] = ready[len(ready)-1]
-			ready = ready[:len(ready)-1]
-		}
-		now = runUntil
-		if now < hyper {
-			ready = releaseJobs(ready, tasks, now, overheadNs, utilLimit)
-		}
-	}
-	// Jobs still outstanding at the hyperperiod boundary have deadlines at
-	// or before it only if they missed.
-	for _, j := range ready {
-		if j.rem > 0 && j.deadline <= hyper {
-			return SimResult{Reason: HyperperiodMiss, HyperperiodNs: hyper, Steps: steps}, ready
-		}
-	}
-	return SimResult{OK: true, Reason: OK, HyperperiodNs: hyper, Steps: steps}, ready
-}
-
-// jobCharge is the wall time one job of t is charged: its slice plus two
-// invocations (the arrival interrupt and the slice-completion pass),
-// inflated by the utilization limit, which reserves a share of every
-// interval for non-periodic work (D ns of demand takes D/limit ns, ceil).
-// simulateSet and Incremental both charge through it.
-func jobCharge(t Task, overheadNs int64, utilLimit float64) int64 {
-	ns := t.SliceNs + 2*overheadNs
-	if utilLimit <= 0 || utilLimit >= 1 {
-		return ns
-	}
-	return int64(float64(ns)/utilLimit) + 1
-}
-
-// windowCharge is what an n-task set pays beyond its jobs' charges:
-// (n-1)*o, 0 when empty. An arrival pre-empts even an earlier-deadline
-// job, and in a window ending at a deadline of task b, each other task
-// releases at most one job whose deadline lies past the window (whose
-// charge the window does not count); b releases none. The bound holds
-// for arbitrary phases.
-func windowCharge(n int, overheadNs int64) int64 {
-	return int64(max(n-1, 0)) * overheadNs
-}
-
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm64(a, b int64) int64 { return a / gcd64(a, b) * b }
 
 // utilEpsilon matches the tolerance internal/core applies to its
 // utilization-cap comparisons.
@@ -426,18 +257,18 @@ const utilEpsilon = 1e-12
 // Verdict is the combined answer of both admission tests for one task set.
 type Verdict struct {
 	// Admit is the overall verdict: both the utilization bound and the
-	// hyperperiod simulation accept the set.
+	// demand test accept the set.
 	Admit bool `json:"admit"`
 	// Reason is OK when admitted, else the first failing test's reason
-	// (UtilBound before the simulation reasons).
+	// (UtilBound before the demand test's reasons).
 	Reason Reason `json:"reason"`
 	// Utilization is the set's summed periodic utilization.
 	Utilization float64 `json:"utilization"`
 	// BoundOK reports the closed-form test: utilization <= limit.
 	BoundOK bool `json:"bound_ok"`
-	// Sim is the hyperperiod simulation's report. Note the paper's point:
-	// BoundOK with !Sim.OK is the infeasible region — sets the bound
-	// admits but the platform cannot schedule.
+	// Sim is the demand test's report. Note the paper's point: BoundOK
+	// with !Sim.OK is the infeasible region — sets the bound admits but
+	// the platform cannot schedule.
 	Sim SimResult `json:"sim"`
 	// Digest is the canonical task-set digest the verdict answers for.
 	Digest uint64 `json:"digest"`
@@ -462,9 +293,7 @@ func (v Verdict) AppendJSON(b []byte) []byte {
 	b = strconv.AppendBool(b, v.Sim.OK)
 	b = append(b, `,"reason":"`...)
 	b = append(b, v.Sim.Reason.String()...)
-	b = append(b, `","hyperperiod_ns":`...)
-	b = strconv.AppendInt(b, v.Sim.HyperperiodNs, 10)
-	b = append(b, `,"steps":`...)
+	b = append(b, `","steps":`...)
 	b = strconv.AppendInt(b, int64(v.Sim.Steps), 10)
 	b = append(b, `},"digest":`...)
 	b = strconv.AppendUint(b, v.Digest, 10)
@@ -497,43 +326,45 @@ func appendFloatJSON(b []byte, f float64) []byte {
 
 // Analyze runs both admission tests on the task set under the spec and
 // returns the combined verdict. It is deterministic and side-effect-free:
-// equal (spec, canonical set) pairs produce identical verdicts.
+// equal (spec, canonical set) pairs produce identical verdicts, and
+// Incremental answers the same verdict for the same set.
 func Analyze(spec Spec, set TaskSet) Verdict {
-	v := Verdict{
-		Utilization: set.Utilization(),
-		Digest:      set.Digest(),
-	}
+	bp := canonScratch(set)
+	util, digest := set.Utilization(), digestOf(*bp)
 	for _, t := range set {
 		if !t.Valid() {
-			v.Reason = BadTask
-			v.Sim = SimResult{Reason: BadTask}
-			return v
+			digestScratch.Put(bp)
+			return badTaskVerdict(util, digest)
 		}
 	}
-	v.BoundOK = v.Utilization <= spec.UtilizationLimit+utilEpsilon
-	v.Sim = simulateSet(set, spec.OverheadNs, spec.UtilizationLimit)
-	v.Admit = v.BoundOK && v.Sim.OK
+	rp := rowScratch.Get().(*[]demandRow)
+	*rp = appendRows((*rp)[:0], *bp, spec)
+	v := judge(spec, util, digest, demandTest(*rp, windowCharge(len(set), spec.OverheadNs)))
+	rowScratch.Put(rp)
+	digestScratch.Put(bp)
+	return v
+}
+
+// badTaskVerdict is the verdict of a set holding a malformed task.
+func badTaskVerdict(util float64, digest uint64) Verdict {
+	return Verdict{Reason: BadTask, Utilization: util, Sim: SimResult{Reason: BadTask}, Digest: digest}
+}
+
+// judge combines a well-formed set's utilization bound with its demand
+// test into the verdict both engines answer.
+func judge(spec Spec, util float64, digest uint64, sim SimResult) Verdict {
+	v := Verdict{Utilization: util, Sim: sim, Digest: digest}
+	v.BoundOK = util <= spec.UtilizationLimit+utilEpsilon
+	v.Admit = v.BoundOK && sim.OK
 	switch {
 	case v.Admit:
 		v.Reason = OK
 	case !v.BoundOK:
 		v.Reason = UtilBound
 	default:
-		v.Reason = v.Sim.Reason
+		v.Reason = sim.Reason
 	}
 	return v
-}
-
-// VerdictsEquivalent reports whether two verdicts agree on everything that
-// constitutes the admission decision: Admit, Reason, BoundOK, Utilization,
-// Digest, and the simulation's OK/Reason/HyperperiodNs. Sim.Steps is
-// excluded — it measures the work a particular decision procedure did
-// (simulation events for simulateSet, demand checkpoints for Incremental),
-// not the decision itself. The planverify build and the incremental
-// property tests compare through this one definition.
-func VerdictsEquivalent(a, b Verdict) bool {
-	a.Sim.Steps, b.Sim.Steps = 0, 0
-	return a == b
 }
 
 // AnalyzeGang answers group admission the way Algorithm 1 does:
@@ -570,8 +401,8 @@ type CapacityReport struct {
 
 // Capacity produces the what-if capacity report for a CPU running set. The
 // probe period selects the granularity of the hypothetical extra work;
-// probePeriodNs <= 0 picks the largest period in the set (so the
-// hyperperiod is unchanged), or 1 ms for an empty set. The search is a
+// probePeriodNs <= 0 picks the largest period in the set (so the probe
+// adds no new period), or 1 ms for an empty set. The search is a
 // binary search on the probe task's slice, each step a full Analyze.
 func Capacity(spec Spec, set TaskSet, probePeriodNs int64) CapacityReport {
 	return capacitySearch(spec, set, probePeriodNs, func(probe Task) bool {
@@ -581,7 +412,7 @@ func Capacity(spec Spec, set TaskSet, probePeriodNs int64) CapacityReport {
 }
 
 // capacitySearch is Capacity's search over an injectable admit probe, so
-// the memoized path can answer each step from a retained demand curve
+// the memoized path can answer each step from a retained demand table
 // while producing the identical report: the probe's Admit bits are the
 // only thing the search consumes.
 func capacitySearch(spec Spec, set TaskSet, probePeriodNs int64, admitsProbe func(Task) bool) CapacityReport {

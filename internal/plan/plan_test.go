@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,11 +13,25 @@ import (
 // utilization limit.
 var specPhi79 = Spec{OverheadNs: 4_600, UtilizationLimit: 0.79}
 
+// budgetSpec charges 100 ns invocations at limit 1, so a job's charge is
+// its slice plus 200 ns exactly.
+var budgetSpec = Spec{OverheadNs: 100, UtilizationLimit: 1}
+
+// budgetSet has U′ = 1 − 1/(T1·T2) under budgetSpec: its charges solve
+// c1·T2 + c2·T1 = T1·T2 − 1 for the primes T1, T2. L_a is ~10^14 ns,
+// and the walk down from it runs out of checkpoints.
+var budgetSet = TaskSet{{PeriodNs: 999_983, SliceNs: 349_794}, {PeriodNs: 1_000_003, SliceNs: 649_802}}
+
+// sliceAt99 is ⌊0.99·(2^63−1)⌋: at limit 0.99 its charge passes
+// math.MaxInt64 once 200 ns of overhead are added.
+const sliceAt99 = 9_131_138_316_486_228_048
+
 func TestAnalyzeBoundaryTable(t *testing.T) {
-	// Boundary cases around the Figure 6/7 infeasible region and the
-	// conservative rejection paths of the hyperperiod simulation.
+	// Boundary cases around the Figure 6/7 infeasible region, long
+	// hyperperiods, and charges past math.MaxInt64.
 	cases := []struct {
 		name    string
+		spec    Spec // specPhi79 when zero
 		set     TaskSet
 		admit   bool
 		boundOK bool
@@ -94,26 +109,83 @@ func TestAnalyzeBoundaryTable(t *testing.T) {
 			reason:  OK,
 		},
 		{
-			// Coprime ~1 ms periods: the hyperperiod explodes past the
-			// simulation ceiling and the set is rejected conservatively.
-			name: "hyperperiod-overflow-conservative-reject",
+			// Coprime ~1 ms periods: a hyperperiod of ~10^18 ns, which no
+			// simulation could run. The demand test needs none: L_a is
+			// below the first deadline, so the set is admitted outright.
+			name: "coprime-long-hyperperiod-admits",
 			set: TaskSet{{PeriodNs: 999_983, SliceNs: 10},
 				{PeriodNs: 999_979, SliceNs: 10}, {PeriodNs: 999_961, SliceNs: 10}},
-			admit:   false,
+			admit:   true,
 			boundOK: true,
-			simOK:   false,
-			reason:  HyperperiodOverflow,
+			simOK:   true,
+			reason:  OK,
 		},
 		{
-			// Two coprime periods whose hyperperiod fits under the ceiling
-			// but needs ~2M release events: the step bound trips first and
-			// the set is rejected conservatively, not simulated forever.
-			name:    "sim-step-bound-conservative-reject",
+			// Two coprime periods whose ~10^12 ns hyperperiod holds ~2M
+			// release events: admitted without walking them.
+			name:    "many-releases-admits",
 			set:     TaskSet{{PeriodNs: 999_983, SliceNs: 10}, {PeriodNs: 1_000_003, SliceNs: 10}},
+			admit:   true,
+			boundOK: true,
+			simOK:   true,
+			reason:  OK,
+		},
+		{
+			// U′ = 1 − 10^-12 and w > 0: the walk down from L_a runs out
+			// of checkpoints before it finds a miss; the set is rejected
+			// conservatively.
+			name:    "checkpoint-budget-conservative-reject",
+			spec:    budgetSpec,
+			set:     budgetSet,
 			admit:   false,
 			boundOK: true,
 			simOK:   false,
-			reason:  SimSteps,
+			reason:  CheckpointBudget,
+		},
+		{
+			// U′ = 1 − 1/(T1·T2) ≈ 1 − 6·10^-16, closer to 1 than the
+			// float sum can tell: decided in exact rationals. Without
+			// overhead, L_a is 0 and the set admits.
+			name:    "u-just-below-one-exact-admits",
+			spec:    Spec{OverheadNs: 0, UtilizationLimit: 1},
+			set:     TaskSet{{PeriodNs: 40_000_003, SliceNs: 28_888_891}, {PeriodNs: 40_000_021, SliceNs: 11_111_117}},
+			admit:   true,
+			boundOK: true,
+			simOK:   true,
+			reason:  OK,
+		},
+		{
+			// U′ = 1 + 1/(T1·T2): within the utilization epsilon, but
+			// demand over a hyperperiod exceeds it.
+			name:    "u-just-above-one-exact-misses",
+			spec:    Spec{OverheadNs: 0, UtilizationLimit: 1},
+			set:     TaskSet{{PeriodNs: 40_000_003, SliceNs: 11_111_112}, {PeriodNs: 40_000_021, SliceNs: 28_888_904}},
+			admit:   false,
+			boundOK: true,
+			simOK:   false,
+			reason:  HyperperiodMiss,
+		},
+		{
+			// slice + 2·o passes math.MaxInt64: an unchecked sum reads
+			// -9.2e18 and admits. The charge exceeds the period.
+			name:    "charge-overflow-limit-1",
+			spec:    budgetSpec,
+			set:     TaskSet{{PeriodNs: math.MaxInt64, SliceNs: math.MaxInt64 - 1}},
+			admit:   false,
+			boundOK: true,
+			simOK:   false,
+			reason:  HyperperiodMiss,
+		},
+		{
+			// (slice + 2·o)/0.99 passes math.MaxInt64, though the float
+			// quotient rounds to just under it.
+			name:    "charge-overflow-limit-0.99",
+			spec:    Spec{OverheadNs: 100, UtilizationLimit: 0.99},
+			set:     TaskSet{{PeriodNs: math.MaxInt64, SliceNs: sliceAt99}},
+			admit:   false,
+			boundOK: true,
+			simOK:   false,
+			reason:  HyperperiodMiss,
 		},
 		{
 			// Structurally malformed: slice exceeds period.
@@ -136,7 +208,11 @@ func TestAnalyzeBoundaryTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := Analyze(specPhi79, tc.set)
+			spec := tc.spec
+			if spec == (Spec{}) {
+				spec = specPhi79
+			}
+			v := Analyze(spec, tc.set)
 			if v.Admit != tc.admit {
 				t.Fatalf("Admit = %v, want %v (verdict %+v)", v.Admit, tc.admit, v)
 			}
@@ -167,11 +243,13 @@ func TestSpecForChargesWorstCase(t *testing.T) {
 	}
 }
 
+// TestSimStepBoundActuallyBounds: the reference simulation gives up on
+// a run past MaxSimSteps instead of simulating ~2M release events.
 func TestSimStepBoundActuallyBounds(t *testing.T) {
-	res := simulateSet(TaskSet{{PeriodNs: 999_983, SliceNs: 10}, {PeriodNs: 1_000_003, SliceNs: 10}},
+	res, decided := simulateSet(TaskSet{{PeriodNs: 999_983, SliceNs: 10}, {PeriodNs: 1_000_003, SliceNs: 10}},
 		specPhi79.OverheadNs, specPhi79.UtilizationLimit)
-	if res.OK || res.Reason != SimSteps {
-		t.Fatalf("expected SimSteps rejection, got %+v", res)
+	if decided {
+		t.Fatalf("expected the reference to give up, got %+v", res)
 	}
 	if res.Steps > MaxSimSteps+1 {
 		t.Fatalf("simulation overran its step bound: %d steps", res.Steps)

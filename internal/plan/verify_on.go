@@ -9,14 +9,12 @@ import "fmt"
 // the full Analyze and any divergence panics.
 const VerifyEnabled = true
 
-// verifyVerdict asserts that an Incremental verdict for candidate is
-// equivalent (VerdictsEquivalent: everything but Sim.Steps) to the full
-// analysis of the same candidate. A divergence is a bug in the
+// verifyVerdict asserts that an Incremental verdict for candidate is the
+// verdict Analyze gives the same candidate. A divergence is a bug in the
 // incremental engine, never a data error, so it panics with both
 // verdicts and the candidate for reproduction.
 func verifyVerdict(spec Spec, candidate TaskSet, got Verdict) {
-	want := Analyze(spec, candidate)
-	if !VerdictsEquivalent(got, want) {
+	if want := Analyze(spec, candidate); got != want {
 		panic(fmt.Sprintf("plan: incremental verdict diverges from full analysis\n"+
 			"spec:        %+v\ncandidate:   %v\nincremental: %+v\nfull:        %+v",
 			spec, candidate, got, want))

@@ -1208,10 +1208,10 @@ func (c *Cluster) RegisterMetrics(r *Registry) {
 	r.CounterVec("hrtd_cluster_shed_total", "Load-shed mutations per node.",
 		perNode(func(n *node) float64 { return float64(n.shed.Load()) }))
 	r.CounterVec("hrtd_cluster_incremental_ops_total",
-		"Admission verdicts answered by the incremental engine per node.",
+		"Admission verdicts answered by patching the node engine's demand table per node.",
 		perNode(func(n *node) float64 { return float64(n.incOps.Load()) }))
 	r.CounterVec("hrtd_cluster_full_analyses_total",
-		"Admission verdicts that fell back to the full analysis per node.",
+		"Demand tables the node engine built from scratch (snapshot restores) per node.",
 		perNode(func(n *node) float64 { return float64(n.fullOps.Load()) }))
 	if _, ok := c.log.stats(); ok {
 		c.registerDurabilityMetrics(r)

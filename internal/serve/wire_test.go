@@ -171,9 +171,9 @@ type (
 
 // fuzzVerdict builds a verdict from fuzzed fields; ok is false when its
 // utilization is not finite (encoding/json has no bytes for it).
-func fuzzVerdict(admit bool, reason uint8, util float64, hyper int64, digest uint64) (plan.Verdict, bool) {
+func fuzzVerdict(admit bool, reason uint8, util float64, steps int64, digest uint64) (plan.Verdict, bool) {
 	v := plan.Verdict{Admit: admit, Reason: plan.Reason(reason), Utilization: util, BoundOK: !admit,
-		Sim:    plan.SimResult{OK: admit, Reason: plan.Reason(reason / 2), HyperperiodNs: hyper, Steps: int(digest % 1000)},
+		Sim:    plan.SimResult{OK: admit, Reason: plan.Reason(reason / 2), Steps: int(steps)},
 		Digest: digest}
 	return v, !math.IsNaN(util) && !math.IsInf(util, 0)
 }
@@ -204,8 +204,8 @@ func FuzzAppendPlaceResult(f *testing.F) {
 	for i, u := range extremeFloats {
 		f.Add(i%2 == 0, i-1, i*3, i%3 == 0, uint8(i%8), u, int64(i)*1_000_003, uint64(i)<<60)
 	}
-	f.Fuzz(func(t *testing.T, placed bool, node, attempts int, admit bool, reason uint8, util float64, hyper int64, digest uint64) {
-		v, ok := fuzzVerdict(admit, reason, util, hyper, digest)
+	f.Fuzz(func(t *testing.T, placed bool, node, attempts int, admit bool, reason uint8, util float64, steps int64, digest uint64) {
+		v, ok := fuzzVerdict(admit, reason, util, steps, digest)
 		if !ok {
 			return
 		}
@@ -219,8 +219,8 @@ func FuzzAppendRemoveReply(f *testing.F) {
 	for i, u := range extremeFloats {
 		f.Add(i%2 == 0, uint8(i%8), u, int64(i)*1_000_003, uint64(i)<<60)
 	}
-	f.Fuzz(func(t *testing.T, admit bool, reason uint8, util float64, hyper int64, digest uint64) {
-		v, ok := fuzzVerdict(admit, reason, util, hyper, digest)
+	f.Fuzz(func(t *testing.T, admit bool, reason uint8, util float64, steps int64, digest uint64) {
+		v, ok := fuzzVerdict(admit, reason, util, steps, digest)
 		if !ok {
 			return
 		}
@@ -233,11 +233,11 @@ func FuzzAppendAnalyzeBatchReply(f *testing.F) {
 	for i, u := range extremeFloats {
 		f.Add(uint8(i), i%2 == 0, uint8(i%8), u, int64(i)*1_000_003, uint64(i)<<60)
 	}
-	f.Fuzz(func(t *testing.T, n uint8, admit bool, reason uint8, util float64, hyper int64, digest uint64) {
+	f.Fuzz(func(t *testing.T, n uint8, admit bool, reason uint8, util float64, steps int64, digest uint64) {
 		var verdicts []plan.Verdict // nil when n is 0: encoding/json writes null
 		var mirrors []verdictMirror
 		for i := 0; i < int(n%5); i++ {
-			v, ok := fuzzVerdict(admit != (i%2 == 1), reason+uint8(i), util*float64(i+1), hyper, digest+uint64(i))
+			v, ok := fuzzVerdict(admit != (i%2 == 1), reason+uint8(i), util*float64(i+1), steps, digest+uint64(i))
 			if !ok {
 				return
 			}

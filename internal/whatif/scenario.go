@@ -21,7 +21,8 @@ const (
 	MaxReplications = 10_000
 	MaxHyperperiods = 1_000
 	// maxHyperperiodNs rejects task sets whose period LCM makes a single
-	// replication unboundedly long (mirrors plan's HyperperiodOverflow).
+	// replication unboundedly long. Admission needs no hyperperiod; a
+	// replication runs whole ones.
 	maxHyperperiodNs = 10_000_000_000 // 10 s simulated
 	respHistBuckets  = 40
 )
